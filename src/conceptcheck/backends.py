@@ -19,21 +19,19 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .answers import Answer, normalize_answer
-from .clusters import ClusterDataset, dataset_fingerprint
+from .clusters import ClusterDataset
 from .errors import (
     AuthMissing,
     ConfigError,
     FingerprintMismatch,
     MalformedResponse,
     MismatchedDataset,
-    NetworkError,
     SchemaViolation,
-    UnreadableSource,
+    read_json,
 )
 from .hierarchy import DeductiveClosure
+from .transport import JsonClient
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +82,7 @@ def render_prompt(
 
 def load_prompt_template(path: str | Path) -> PromptTemplate:
     """Read a template file: {"preamble": str, "few_shot": [{"question","answer"}]}."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read prompt template {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"prompt template {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "prompt template")
     if not isinstance(data, dict) or not isinstance(data.get("preamble"), str):
         raise SchemaViolation("prompt template needs a string 'preamble'")
     shots = []
@@ -135,7 +128,10 @@ class ResponseCache:
             return None
 
     def put(self, key: str, raw: str, normalized: Answer) -> None:
-        payload = {"raw": raw, "normalized": normalized.value, "timestamp": time.time()}
+        self.store(key, {"raw": raw, "normalized": normalized.value, "timestamp": time.time()})
+
+    def store(self, key: str, payload: dict) -> None:
+        """Write any JSON object under `key`; fetch_live caches entity pages this way."""
         path = self._path(key)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -182,7 +178,6 @@ class PerfectOracle(Backend):
                 f"dataset for {dataset.graph_fingerprint[:12]}..."
             )
         self._expected = _expected_by_question(dataset)
-        self._dataset_fp = dataset_fingerprint(dataset)
 
     def answer(self, question: str, rendered_prompt: str) -> str:
         try:
@@ -243,13 +238,8 @@ class ScriptedBackend(Backend):
 
 def load_scripted_answers(path: str | Path) -> ScriptedBackend:
     """Read an answer file: {"answers": {question: raw}, "default"?: str}."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read answer file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"answer file {path} is not valid JSON: {exc}") from exc
-    answers = data.get("answers")
+    data = read_json(path, "answer file")
+    answers = data.get("answers") if isinstance(data, dict) else None
     if not isinstance(answers, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in answers.items()
     ):
@@ -267,8 +257,9 @@ class RemoteBackend(Backend):
     Response: {"text": "..."}
 
     Sampling is pinned to temperature 0 for replayability. Responses are
-    cached on disk when a cache is attached; retries use capped exponential
-    backoff and a failure after the last retry raises NetworkError.
+    cached on disk when a cache is attached; requests follow the retry policy
+    of transport.JsonClient, and a failure after the last retry raises
+    NetworkError.
     """
 
     def __init__(
@@ -289,57 +280,22 @@ class RemoteBackend(Backend):
     ):
         if concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
-        self.endpoint = endpoint
         self.model = model
         self.max_tokens = max_tokens
         self.temperature = temperature
-        self.timeout = timeout
         self.concurrency = concurrency
         self.cache = cache
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.id = id or f"remote-{model}"
-        self._headers = {"Content-Type": "application/json"}
+        headers = {}
         if auth_env is not None:
             token = os.environ.get(auth_env)
             if not token:
                 raise AuthMissing(f"environment variable {auth_env} is not set")
-            self._headers["Authorization"] = f"Bearer {token}"
-        self._session = requests.Session()
-
-    def _request(self, rendered_prompt: str) -> str:
-        payload = {
-            "model": self.model,
-            "prompt": rendered_prompt,
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-        }
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                delay = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
-                time.sleep(delay)
-            try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code >= 500:
-                last_error = NetworkError(f"server error {response.status_code}")
-                continue
-            if response.status_code != 200:
-                raise NetworkError(f"endpoint returned {response.status_code}: {response.text[:200]}")
-            try:
-                body = response.json()
-            except ValueError as exc:
-                raise MalformedResponse(f"endpoint returned non-JSON body: {exc}") from exc
-            if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-                raise MalformedResponse(f"endpoint response missing 'text': {body!r:.200}")
-            return body["text"]
-        raise NetworkError(f"request failed after {self.retries + 1} attempts: {last_error}")
+            headers["Authorization"] = f"Bearer {token}"
+        self._client = JsonClient(
+            endpoint, headers=headers, timeout=timeout, retries=retries,
+            backoff_base=backoff_base, backoff_cap=backoff_cap,
+        )
 
     def answer(self, question: str, rendered_prompt: str) -> str:
         if self.cache is not None:
@@ -347,7 +303,15 @@ class RemoteBackend(Backend):
             hit = self.cache.get(key)
             if hit is not None:
                 return hit["raw"]
-        raw = self._request(rendered_prompt)
+        body = self._client.request(payload={
+            "model": self.model,
+            "prompt": rendered_prompt,
+            "max_tokens": self.max_tokens,
+            "temperature": self.temperature,
+        })
+        if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+            raise MalformedResponse(f"endpoint response missing 'text': {body!r:.200}")
+        raw = body["text"]
         if self.cache is not None:
             self.cache.put(key, raw, normalize_answer(raw).value)
         return raw

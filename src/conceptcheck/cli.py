@@ -33,7 +33,7 @@ from .clusters import (
     read_dataset,
     write_dataset,
 )
-from .errors import ConceptCheckError, ConfigError, SchemaViolation, UnreadableSource
+from .errors import ConceptCheckError, ConfigError, SchemaViolation, read_json
 from .evaluation import (
     ResultSet,
     build_context,
@@ -78,12 +78,7 @@ def _fail_gracefully(fn):
 def _load_run_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(resolve_path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"config file {path} is not valid JSON: {exc}") from exc
+    data = read_json(resolve_path(path), "config file")
     if not isinstance(data, dict):
         raise SchemaViolation("config file must hold a JSON object")
     return data

@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 
 from .answers import Answer
-from .errors import ConfigError, SchemaViolation, UnknownTemplate, UnreadableSource
+from .errors import ConfigError, SchemaViolation, UnknownTemplate, read_json
 from .hierarchy import (
     ConceptGraph,
     ConceptId,
@@ -526,12 +526,7 @@ def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> ClusterDataset:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read dataset file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"dataset file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "dataset file")
     return dataset_from_dict(data)
 
 

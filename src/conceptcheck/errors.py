@@ -6,6 +6,9 @@ so CLI code can map the whole family to a single exit code.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 
 class ConceptCheckError(Exception):
     """Base class for all errors raised by this package."""
@@ -84,3 +87,14 @@ class ConfigError(ConceptCheckError):
 
 class InsufficientPairsWarning(UserWarning):
     """Fewer unrelated pairs exist than were requested; non-fatal."""
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """Parse the JSON file at `path`, named `what` in UnreadableSource and
+    SchemaViolation messages."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc

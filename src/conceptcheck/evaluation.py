@@ -28,6 +28,7 @@ from .errors import (
     MismatchedDataset,
     SchemaViolation,
     UnreadableSource,
+    read_json,
 )
 
 RESULTS_FORMAT_VERSION = "1"
@@ -357,12 +358,7 @@ def save_context(context: ContextBlock, path: str | Path) -> None:
 
 
 def load_context(path: str | Path) -> ContextBlock:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read context file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"context file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "context file")
     try:
         return ContextBlock(
             statements=tuple(data["statements"]),

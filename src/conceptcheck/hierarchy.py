@@ -26,7 +26,7 @@ from .errors import (
     InsufficientPairsWarning,
     SchemaViolation,
     UnknownConcept,
-    UnreadableSource,
+    read_json,
 )
 
 # Concept ids are opaque strings: an external KG id (Q-number) or a local slug.
@@ -492,10 +492,5 @@ def save_graph(graph: ConceptGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> ConceptGraph:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"graph file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "graph file")
     return graph_from_dict(data)

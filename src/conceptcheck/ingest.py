@@ -19,22 +19,20 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
 
-import requests
-
+from .backends import ResponseCache
 from .errors import (
     ConfigError,
     EmptyFragment,
     MalformedResponse,
-    NetworkError,
     SeedNotFound,
     UnreadableSource,
 )
 from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
+from .transport import JsonClient
 
 log = logging.getLogger(__name__)
 
@@ -305,71 +303,32 @@ def fetch_live(
 
     Protocol: GET {endpoint}?seed=<id>&page=<n> returning
     {"entities": [<record>, ...], "next_page": <n+1> | null}. Each page is
-    cached on disk by request hash, so a warm cache replays the crawl with
-    zero network traffic; live requests honor a minimum interval and retry
-    with capped exponential backoff.
+    cached in a ResponseCache by request hash, so a warm cache replays the
+    crawl with zero network traffic; every live attempt, retries included,
+    waits out `rate_limit` seconds since the last one.
     """
     spec.validate()
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-    if cache_path is not None:
-        cache_path.mkdir(parents=True, exist_ok=True)
-    session = requests.Session()
+    cache = ResponseCache(cache_dir) if cache_dir is not None else None
+    client = JsonClient(
+        endpoint, timeout=timeout, retries=retries,
+        backoff_base=backoff_base, backoff_cap=backoff_cap, min_interval=rate_limit,
+    )
     entities: list[RawEntity] = []
     page: int | None = 1
-    last_request = 0.0
     while page is not None:
         params = {"seed": spec.seed_concept, "page": str(page)}
         key = hashlib.sha256(
             json.dumps({"endpoint": endpoint, "params": params}, sort_keys=True).encode("utf-8")
         ).hexdigest()
-        body: dict | None = None
-        if cache_path is not None:
-            entry = cache_path / f"{key}.json"
-            if entry.exists():
-                try:
-                    body = json.loads(entry.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    log.warning("discarding unreadable page cache entry %s", entry.name)
-        if body is None:
-            last_error: Exception | None = None
-            for attempt in range(retries + 1):
-                if attempt:
-                    time.sleep(min(backoff_cap, backoff_base * 2 ** (attempt - 1)))
-                wait = rate_limit - (time.monotonic() - last_request)
-                if wait > 0:
-                    time.sleep(wait)
-                try:
-                    last_request = time.monotonic()
-                    response = session.get(endpoint, params=params, timeout=timeout)
-                except requests.RequestException as exc:
-                    last_error = exc
-                    continue
-                if response.status_code >= 500:
-                    last_error = NetworkError(f"server error {response.status_code}")
-                    continue
-                if response.status_code != 200:
-                    raise NetworkError(
-                        f"endpoint returned {response.status_code}: {response.text[:200]}"
-                    )
-                try:
-                    body = response.json()
-                except ValueError as exc:
-                    raise MalformedResponse(f"page {page} is not JSON: {exc}") from exc
-                break
-            if body is None:
-                raise NetworkError(f"page {page} failed after {retries + 1} attempts: {last_error}")
-            if cache_path is not None:
-                tmp = cache_path / f"{key}.json.tmp"
-                tmp.write_text(json.dumps(body, sort_keys=True), encoding="utf-8")
-                tmp.replace(cache_path / f"{key}.json")
+        cached = cache.get(key) if cache is not None else None
+        body = cached if cached is not None else client.request(params=params)
         if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
             raise MalformedResponse(f"page {page} response missing 'entities' list")
-        for record in body["entities"]:
-            entity = _parse_record(record)
-            if entity is not None:
-                entities.append(entity)
         nxt = body.get("next_page")
         if nxt is not None and (not isinstance(nxt, int) or nxt <= page):
             raise MalformedResponse(f"page {page} has non-advancing next_page {nxt!r}")
+        if cache is not None and cached is None:
+            cache.store(key, body)
+        entities += [e for e in map(_parse_record, body["entities"]) if e is not None]
         page = nxt
     return entities

@@ -27,12 +27,13 @@ from .answers import Answer, normalize_answer
 from .backends import Backend, PromptTemplate, render_prompt
 from .errors import (
     ConceptCheckError,
+    ConfigError,
     MismatchedDataset,
     SchemaViolation,
     UnknownConcept,
-    UnreadableSource,
+    read_json,
 )
-from .evaluation import Verdict
+from .evaluation import Verdict, classify_cluster
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 
 SCENARIO_POLARITIES = ("grant", "restriction")
@@ -82,12 +83,7 @@ class ScenarioResult:
 
     @cached_property
     def verdict(self) -> Verdict:
-        flags = [a.correct for a in self.answers]
-        if all(flags):
-            return Verdict.CONSISTENT
-        if not any(flags):
-            return Verdict.INCOMPLETE
-        return Verdict.INCONSISTENT
+        return classify_cluster(self.answers)
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,7 @@ def _validate_scenario(entry: dict, index: int) -> PolicyScenario:
 
 def load_scenarios(path: str | Path) -> list[PolicyScenario]:
     """Read a scenario file: a JSON array of scenario objects."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"scenario file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "scenario file")
     if not isinstance(data, list):
         raise SchemaViolation("scenario file must hold a JSON array")
     scenarios = [_validate_scenario(entry, i) for i, entry in enumerate(data)]
@@ -241,44 +232,32 @@ def evaluate_scenarios(
     template: PromptTemplate,
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
     """Ask every scenario question; a backend failure is recorded, not fatal."""
+    if not specialists:
+        raise ConfigError("the specialist roster is empty")
     results = []
-    incorrect = 0
-    inconsistent = 0
-    total_questions = 0
     for scenario in scenarios:
         answers = []
         for q in gen_scenario_questions(scenario, specialists, graph, closure):
             rendered = render_prompt(template, q.question, (scenario.policy_text,))
             try:
-                raw = backend.answer(q.question, rendered)
+                raw, error = backend.answer(q.question, rendered), False
             except ConceptCheckError:
-                answers.append(
-                    ScenarioAnswer(
-                        scenario_id=q.scenario_id, kind=q.kind, specialist=q.specialist,
-                        question=q.question, expected=q.expected,
-                        raw="", normalized=Answer.OTHER, correct=False, error=True,
-                    )
-                )
-                continue
+                raw, error = "", True  # an empty answer normalizes to Other: incorrect
             normalized = normalize_answer(raw).value
             answers.append(
                 ScenarioAnswer(
                     scenario_id=q.scenario_id, kind=q.kind, specialist=q.specialist,
-                    question=q.question, expected=q.expected,
-                    raw=raw, normalized=normalized, correct=normalized == q.expected,
+                    question=q.question, expected=q.expected, raw=raw,
+                    normalized=normalized, correct=normalized == q.expected, error=error,
                 )
             )
-        result = ScenarioResult(scenario=scenario, answers=tuple(answers))
-        results.append(result)
-        total_questions += len(answers)
-        incorrect += sum(1 for a in answers if not a.correct)
-        if result.verdict is Verdict.INCONSISTENT:
-            inconsistent += 1
+        results.append(ScenarioResult(scenario=scenario, answers=tuple(answers)))
+    asked = [a for r in results for a in r.answers]
     summary = ScenarioSummary(
-        total_questions=total_questions,
-        incorrect_questions=incorrect,
+        total_questions=len(asked),
+        incorrect_questions=sum(1 for a in asked if not a.correct),
         total_scenarios=len(results),
-        inconsistent_scenarios=inconsistent,
+        inconsistent_scenarios=sum(1 for r in results if r.verdict is Verdict.INCONSISTENT),
     )
     return results, summary
 

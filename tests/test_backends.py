@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-import threading
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -240,6 +242,9 @@ def test_load_scripted_answers(tmp_path):
     path.write_text(json.dumps({"answers": {"q": "yes"}, "default": 4}), encoding="utf-8")
     with pytest.raises(cc.SchemaViolation):
         cc.load_scripted_answers(path)
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(cc.SchemaViolation):
+        cc.load_scripted_answers(path)
 
 
 # --- remote backend --------------------------------------------------------------------
@@ -284,6 +289,63 @@ def test_remote_backend_gives_up_after_retries():
         with pytest.raises(cc.NetworkError):
             backend.answer("q", "p")
     assert log.count == 3  # initial try + 2 retries
+
+
+def test_remote_backend_retries_rate_limits():
+    statuses = [429, 429]
+
+    def app(method, path, query, body):
+        if statuses:
+            return statuses.pop(), {"error": "slow down"}
+        return 200, {"text": "yes"}
+
+    with serving(app) as (url, log):
+        backend = cc.RemoteBackend(url, "m", retries=3, backoff_base=0.001)
+        assert backend.answer("q", "p") == "yes"
+    assert log.count == 3
+
+
+def test_remote_backend_waits_out_retry_after():
+    arrivals: list[float] = []
+
+    def app(method, path, query, body):
+        arrivals.append(time.monotonic())
+        if len(arrivals) == 1:
+            return 429, {"error": "slow down"}, {"Retry-After": "0.05"}
+        return 200, {"text": "yes"}
+
+    with serving(app) as (url, log):
+        backend = cc.RemoteBackend(url, "m", retries=1, backoff_base=0.001)
+        assert backend.answer("q", "p") == "yes"
+    assert arrivals[1] - arrivals[0] >= 0.05
+
+
+def test_remote_backend_rate_limit_retries_are_bounded():
+    def app(method, path, query, body):
+        return 429, {"error": "slow down"}, {"Retry-After": "3600"}
+
+    with serving(app) as (url, log):
+        backend = cc.RemoteBackend(url, "m", retries=2, backoff_base=0.001, backoff_cap=0.01)
+        with pytest.raises(cc.NetworkError):
+            backend.answer("q", "p")
+    assert log.count == 3  # initial try + 2 retries, each wait capped
+
+
+def test_remote_backend_reopens_connections_the_server_closed():
+    def app(method, path, query, body):
+        return 200, {"text": "yes"}
+
+    with serving(app, idle_timeout=0.05) as (url, log):
+        backend = cc.RemoteBackend(url, "m", retries=0)
+        assert backend.answer("q", "p1") == "yes"
+        deadline = time.monotonic() + 10
+        while not log.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert log.closed == 1, "the stub never closed the idle connection"
+        # The kept-alive socket is dead now; with no retries allowed, the
+        # request succeeds only if the client notices before sending.
+        assert backend.answer("q", "p2") == "yes"
+    assert log.count == 2
 
 
 def test_remote_backend_client_errors_do_not_retry():
@@ -346,22 +408,23 @@ def test_remote_backend_warm_cache_skips_network(tmp_path):
 
 
 def test_remote_backend_is_thread_safe_under_concurrency():
+    # More threads than cores and a short switch interval, so a connection
+    # shared between two threads would cross or lose answers.
     def app(method, path, query, body):
-        return 200, {"text": body["prompt"].split()[-1]}
+        return 200, {"text": body["prompt"].split("Q: ")[-1]}
 
-    with serving(app) as (url, log):
-        backend = cc.RemoteBackend(url, "m", concurrency=4)
-        results: dict[int, str] = {}
-
-        def work(i: int) -> None:
-            results[i] = backend.answer("q", f"prompt {i}")
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert results == {i: str(i) for i in range(8)}
+    questions = [f"question {i}" for i in range(240)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(app) as (url, log):
+            backend = cc.RemoteBackend(url, "m", concurrency=8, timeout=10.0)
+            with ThreadPoolExecutor(max_workers=backend.concurrency) as pool:
+                answers = list(pool.map(lambda q: backend.answer(q, f"Q: {q}"), questions, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == questions
+    assert log.count == len(questions)
 
 
 # --- backend_from_config -----------------------------------------------------------------

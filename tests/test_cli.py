@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -398,6 +401,14 @@ def test_scenarios_custom_roster(runner, tmp_path):
     assert "perfect: 0/40 incorrect, 0/10 inconsistent scenarios" in result.output
 
 
+def test_scenarios_reject_empty_roster(runner, tmp_path):
+    result = run(
+        runner, "scenarios", "--graph", GRAPH, "--specialists", ",",
+        "--out-dir", tmp_path / "s", code=2,
+    )
+    assert result.stderr == "error: the specialist roster is empty\n"
+
+
 def test_scenarios_reject_noisy_backend(runner, tmp_path):
     result = run(
         runner, "scenarios", "--graph", GRAPH,
@@ -526,3 +537,17 @@ def test_help_runs(runner):
     result = run(runner, "--help")
     assert "extract" in result.output
     assert "scenarios" in result.output
+
+
+# --- start-up ------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_http_libraries():
+    # Every command pays for what `import conceptcheck.cli` loads; the
+    # HTTP layer is stdlib-only, so requests and urllib3 must stay out.
+    code = "import sys, conceptcheck.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import time
 
 import pytest
 
@@ -351,6 +352,21 @@ def test_fetch_live_retries_server_errors():
         entities = fetch(url, retries=3, backoff_base=0.01)
     assert [e.id for e in entities] == ["Q1"]
     assert log.count == 3
+
+
+def test_fetch_live_rate_limit_spaces_retries():
+    arrivals: list[float] = []
+
+    def app(method, path, query, body):
+        arrivals.append(time.monotonic())
+        if len(arrivals) == 1:
+            return 503, {"error": "busy"}
+        return 200, {"entities": [record_for("Q1", "root")], "next_page": None}
+
+    with serving(app) as (url, _):
+        fetch(url, rate_limit=0.1, retries=1, backoff_base=0.001)
+    # The interval runs from the client's first send, a little before it arrived.
+    assert arrivals[1] - arrivals[0] >= 0.09
 
 
 def test_fetch_live_gives_up_after_retries():

@@ -243,6 +243,19 @@ def test_evaluate_scenarios_records_backend_errors(
     assert all(a.error and not a.correct and a.normalized is cc.Answer.OTHER for a in answers)
 
 
+def test_evaluate_scenarios_rejects_empty_roster(
+    medical_graph, medical_closure, grant, template
+):
+    # An empty roster asks nothing, so every scenario would pass vacuously.
+    with pytest.raises(cc.ConfigError, match="roster is empty"):
+        cc.evaluate_scenarios(
+            [grant], [], medical_graph, medical_closure, cc.ScriptedBackend({}), template
+        )
+    empty = cc.ScenarioResult(scenario=grant, answers=())
+    with pytest.raises(cc.SchemaViolation):
+        empty.verdict
+
+
 def test_evaluate_scenarios_passes_policy_text_as_context(
     medical_graph, medical_closure, grant, template
 ):
