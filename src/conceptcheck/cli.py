@@ -458,7 +458,6 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
             backends.append(backend_from_config(spec))
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary_lines = [
         "# Scenario summary",
         "",
@@ -470,6 +469,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
         results, summary = evaluate_scenarios(
             policy_scenarios, roster, loaded_graph, closure, backend, template
         )
+        out.mkdir(parents=True, exist_ok=True)  # only once a roster has been accepted
         slug = _slug(backend.id)
         write_scenario_results(results, summary, backend.id, out / f"scenario-results-{slug}.jsonl")
         (out / f"scenario-report-{slug}.md").write_text(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -323,6 +324,53 @@ def gen_negative_clusters(
     ]
 
 
+def _longest_paths(graph: ConceptGraph, closure: DeductiveClosure) -> dict[tuple[ConceptId, ConceptId], int]:
+    """Edge count of the longest path for every implied pair, one DP in parent-first order."""
+    longest: dict[tuple[ConceptId, ConceptId], int] = {}
+    for node in graph.parent_first:
+        for parent in graph.parents_map[node]:
+            longest.setdefault((node, parent), 1)
+            for ancestor in closure.ancestors(parent):
+                steps = longest[parent, ancestor] + 1
+                if steps > longest.get((node, ancestor), 0):
+                    longest[node, ancestor] = steps
+    return longest
+
+
+def _least_witness_paths(
+    graph: ConceptGraph,
+    closure: DeductiveClosure,
+    min_len: int,
+) -> list[tuple[ConceptId, ...]]:
+    """The label-least path of at least `min_len` edges for each strictly
+    implied pair, sorted by label sequence.
+
+    Each path is built by a greedy walk: step to the least-labelled parent
+    from which the target is still reachable by enough edges. Labels are
+    unique and no path is a prefix of another with the same endpoints, so
+    the greedy choice is the least path. The result equals keeping the
+    first path per pair of the sorted `implied_paths` enumeration.
+    """
+    implied = closure.implied
+    longest = _longest_paths(graph, closure) if min_len > 2 else {}
+    paths = []
+    for src, dst in closure.strictly_implied:
+        if min_len > 2 and longest[src, dst] < min_len:
+            continue
+        path = [src]
+        while path[-1] != dst:
+            need = min_len - len(path)  # edges still needed after the next step
+            path.append(next(
+                p for p in graph.parents_map[path[-1]]
+                if (p == dst and need <= 0)
+                or ((p, dst) in implied and (need <= 1 or longest[p, dst] >= need))
+            ))
+        paths.append(tuple(path))
+    label = graph.label_of
+    paths.sort(key=lambda p: tuple(label(n) for n in p))
+    return paths
+
+
 def gen_path_clusters(
     graph: ConceptGraph,
     closure: DeductiveClosure,
@@ -332,33 +380,32 @@ def gen_path_clusters(
 
     With path_granularity "pair" (default) each strictly implied endpoint
     pair yields one cluster and the lexicographically first witness path is
-    recorded. With "path" every qualifying path yields its own cluster, so
-    a pair reachable several ways is probed once per way.
+    recorded; this scales with the closure, not with the number of paths.
+    With "path" every qualifying path yields its own cluster, so a pair
+    reachable several ways is probed once per way; the paths are enumerated
+    by `implied_paths`, which refuses graphs with more than
+    MAX_ENUMERATED_PATHS of them.
     """
     label = graph.label_of
-    paths = implied_paths(graph, config.min_path_len)
-    clusters: list[QuestionCluster] = []
-    seen: set[tuple[ConceptId, ConceptId]] = set()
-    for path in paths:
-        src, dst = path[0], path[-1]
-        if (src, dst) in closure.direct:
-            continue  # a redundant direct edge is not strictly implied
-        if config.path_granularity == "pair":
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
-            suffix = ""
-        else:
-            suffix = ":via:" + "-".join(_slug(label(n)) for n in path[1:-1])
-        clusters.append(
-            _subsumption_cluster(
-                ClusterType.PATH, "path",
-                src, dst, label(src), label(dst),
-                Answer.YES, config.article_style,
-                path=path, id_suffix=suffix,
-            )
+    by_path = config.path_granularity == "path"
+    if by_path:
+        # a redundant direct edge is not strictly implied
+        paths = [
+            p for p in implied_paths(graph, config.min_path_len)
+            if (p[0], p[-1]) not in closure.direct
+        ]
+    else:
+        paths = _least_witness_paths(graph, closure, config.min_path_len)
+    return [
+        _subsumption_cluster(
+            ClusterType.PATH, "path",
+            path[0], path[-1], label(path[0]), label(path[-1]),
+            Answer.YES, config.article_style,
+            path=path,
+            id_suffix=":via:" + "-".join(_slug(label(n)) for n in path[1:-1]) if by_path else "",
         )
-    return clusters
+        for path in paths
+    ]
 
 
 def gen_property_clusters(
@@ -408,6 +455,10 @@ def gen_property_clusters(
     return clusters
 
 
+def _duplicate_ids(clusters) -> list[str]:
+    return sorted(i for i, n in Counter(c.id for c in clusters).items() if n > 1)
+
+
 def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDataset:
     """Run all five generators and bind the result to the graph fingerprint."""
     config.validate()
@@ -418,9 +469,8 @@ def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDa
     clusters += gen_negative_clusters(graph, closure, config)
     clusters += gen_path_clusters(graph, closure, config)
     clusters += gen_property_clusters(graph, closure, config)
-    ids = [c.id for c in clusters]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = _duplicate_ids(clusters)
+    if dupes:
         raise SchemaViolation(f"duplicate cluster ids generated: {dupes}")
     return ClusterDataset(
         version=DATASET_FORMAT_VERSION,
@@ -508,9 +558,8 @@ def dataset_from_dict(data: object) -> ClusterDataset:
     if not isinstance(clusters_raw, list):
         raise SchemaViolation("dataset clusters must be a list")
     clusters = tuple(_cluster_from_dict(c) for c in clusters_raw)
-    ids = [c.id for c in clusters]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = _duplicate_ids(clusters)
+    if dupes:
         raise SchemaViolation(f"duplicate cluster ids: {dupes}")
     return ClusterDataset(
         version=DATASET_FORMAT_VERSION,

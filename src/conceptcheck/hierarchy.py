@@ -13,8 +13,10 @@ import hashlib
 import json
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -33,6 +35,10 @@ from .errors import (
 ConceptId = str
 
 GRAPH_FORMAT_VERSION = "1"
+
+# `implied_paths` refuses to list more paths than this; pair-mode path
+# clusters never list paths and are not limited by it.
+MAX_ENUMERATED_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,21 @@ class ConceptGraph:
             out[parent].append(child)
         label = self.label_of
         return {k: tuple(sorted(v, key=label)) for k, v in out.items()}
+
+    @cached_property
+    def parent_first(self) -> tuple[ConceptId, ...]:
+        """Every concept, each one after all of its parents (Kahn's order)."""
+        remaining = {i: len(self.parents_map[i]) for i in self.concept_ids}
+        queue = [i for i in self.concept_ids if remaining[i] == 0]
+        order: list[ConceptId] = []
+        while queue:
+            node = queue.pop()
+            order.append(node)
+            for child in self.children_map[node]:
+                remaining[child] -= 1
+                if remaining[child] == 0:
+                    queue.append(child)
+        return tuple(order)
 
     @cached_property
     def same_as_sets(self) -> frozenset[frozenset[ConceptId]]:
@@ -279,20 +300,13 @@ class DeductiveClosure:
 
 def deductive_closure(graph: ConceptGraph) -> DeductiveClosure:
     """Compute the closure by ancestor propagation in parent-first order."""
-    remaining = {i: len(graph.parents_map[i]) for i in graph.concept_ids}
     ancestors: dict[ConceptId, set[ConceptId]] = {}
-    queue = [i for i in graph.concept_ids if remaining[i] == 0]
-    while queue:
-        node = queue.pop()
+    for node in graph.parent_first:
         acc: set[ConceptId] = set()
         for parent in graph.parents_map[node]:
             acc.add(parent)
             acc |= ancestors[parent]
         ancestors[node] = acc
-        for child in graph.children_map[node]:
-            remaining[child] -= 1
-            if remaining[child] == 0:
-                queue.append(child)
     implied = frozenset(
         (child, anc) for child, accs in ancestors.items() for anc in accs
     )
@@ -336,32 +350,6 @@ def inherited_properties(
     return sorted(hits, key=lambda p: (p.property, p.value, p.subject))
 
 
-def _undirected_components_distance(graph: ConceptGraph):
-    adj: dict[ConceptId, set[ConceptId]] = {i: set() for i in graph.concept_ids}
-    for child, parent in graph.edges:
-        adj[child].add(parent)
-        adj[parent].add(child)
-
-    cache: dict[ConceptId, dict[ConceptId, int]] = {}
-
-    def distance(a: ConceptId, b: ConceptId) -> float:
-        if a not in cache:
-            dist = {a: 0}
-            frontier = [a]
-            while frontier:
-                nxt = []
-                for cur in frontier:
-                    for other in adj[cur]:
-                        if other not in dist:
-                            dist[other] = dist[cur] + 1
-                            nxt.append(other)
-                frontier = nxt
-            cache[a] = dist
-        return cache[a].get(b, float("inf"))
-
-    return distance
-
-
 def unrelated_pairs(
     graph: ConceptGraph,
     closure: DeductiveClosure,
@@ -378,47 +366,96 @@ def unrelated_pairs(
     driven by `seed` only, so a fixed seed reproduces the exact list. When
     fewer candidates exist than requested, all are returned and an
     InsufficientPairsWarning is emitted.
+
+    The candidates, label-sorted pairs (a, b) with a before b, are never
+    listed: each row a only counts its partners, and sampled indices are
+    mapped back to pairs. Time is O(V + E + closure) plus the
+    radius-(min_distance - 1) neighbourhoods; extra memory is O(V + count).
     """
     if count < 0:
         raise ConfigError("count must be >= 0")
     if min_distance < 1:
         raise ConfigError("min_distance must be >= 1")
-    label = graph.label_of
-    distance = _undirected_components_distance(graph)
-    candidates: list[tuple[ConceptId, ConceptId]] = []
-    ordered = sorted(graph.concept_ids, key=label)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if (a, b) in closure.implied or (b, a) in closure.implied:
-                continue
-            if frozenset((a, b)) in graph.same_as_sets:
-                continue
-            if distance(a, b) < min_distance:
-                continue
-            candidates.append((a, b))
+    ordered = graph.ids_by_label
+    position = {c: i for i, c in enumerate(ordered)}
+    adjacent: dict[ConceptId, set[ConceptId]] = {c: set() for c in ordered}
+    linked: dict[ConceptId, set[ConceptId]] = {c: set() for c in ordered}
+    for pairs, table in ((graph.edges, adjacent), (graph.same_as, linked)):
+        for a, b in pairs:
+            table[a].add(b)
+            table[b].add(a)
+
+    def excluded_after(i: int) -> list[int]:
+        """Positions after row i that are not candidate partners of row i."""
+        a = ordered[i]
+        near = frontier = {a}
+        for _ in range(min_distance - 1):
+            frontier = {o for cur in frontier for o in adjacent[cur]} - near
+            if not frontier:
+                break
+            near = near | frontier
+        excluded = near | linked[a] | closure.ancestors(a) | closure.strict_descendants(a)
+        return sorted(p for p in map(position.__getitem__, excluded) if p > i)
+
+    ends = list(accumulate(len(ordered) - 1 - i - len(excluded_after(i)) for i in range(len(ordered))))
+    total = ends[-1] if ends else 0
     rng = random.Random(seed)
-    if count >= len(candidates):
-        if count > len(candidates):
-            warnings.warn(
-                f"requested {count} unrelated pairs but only {len(candidates)} exist",
-                InsufficientPairsWarning,
-                stacklevel=2,
-            )
-        chosen = list(candidates)
-    else:
-        chosen = rng.sample(candidates, count)
+    if count > total:
+        warnings.warn(
+            f"requested {count} unrelated pairs but only {total} exist",
+            InsufficientPairsWarning,
+            stacklevel=2,
+        )
+    # sample(range(n), k) draws the same indices as sampling any n-item list.
+    indices = range(total) if count >= total else rng.sample(range(total), count)
+    gaps: dict[int, list[int]] = {}
+    chosen = []
+    for index in indices:
+        i = bisect_right(ends, index)
+        j = index - (ends[i - 1] if i else 0)
+        if i not in gaps:
+            # gaps[i][k]: candidate partners of row i before its k-th excluded position
+            gaps[i] = [p - i - 1 - k for k, p in enumerate(excluded_after(i))]
+        chosen.append((ordered[i], ordered[i + 1 + j + bisect_right(gaps[i], j)]))
     return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen]
+
+
+def _count_paths(graph: ConceptGraph, min_len: int) -> int:
+    """Number of directed paths with at least `min_len` edges, by one DP.
+
+    exact[v][k] counts the paths from v with exactly k < min_len edges and
+    longer[v] those with at least min_len; O((V + E) * min(min_len, V)).
+    """
+    min_len = min(min_len, len(graph.concepts))
+    exact: dict[ConceptId, list[int]] = {}
+    longer: dict[ConceptId, int] = {}
+    for node in graph.parent_first:
+        row, tail = [1] + [0] * (min_len - 1), 0
+        for parent in graph.parents_map[node]:
+            up = exact[parent]
+            for k in range(1, min_len):
+                row[k] += up[k - 1]
+            tail += up[min_len - 1] + longer[parent]
+        exact[node], longer[node] = row, tail
+    return sum(longer.values())
 
 
 def implied_paths(graph: ConceptGraph, min_len: int = 2) -> list[tuple[ConceptId, ...]]:
     """Every directed path with at least `min_len` edges.
 
     Paths are returned as node-id tuples in lexicographic order of their
-    label sequences. Enumeration is exhaustive, so this is meant for the
-    small graphs the question generators run on, not for bulk extractions.
+    label sequences. The number of paths can grow exponentially with the
+    graph, so they are first counted in O((V + E) * min_len); above
+    MAX_ENUMERATED_PATHS this raises ConfigError instead of enumerating.
     """
     if min_len < 1:
         raise ConfigError("min_len must be >= 1")
+    total = _count_paths(graph, min_len)
+    if total > MAX_ENUMERATED_PATHS:
+        raise ConfigError(
+            f"the graph has {total} paths with at least {min_len} edges, "
+            f"more than the {MAX_ENUMERATED_PATHS} that can be enumerated"
+        )
     label = graph.label_of
     out: list[tuple[ConceptId, ...]] = []
 

@@ -37,3 +37,8 @@ def make_graph(edges, properties=(), same_as=(), extra=()):
     concepts = [cc.Concept(id=i, label=i, aliases=()) for i in ids]
     props = [cc.PropertyAssertion(subject=s, property=p, value=v) for s, p, v in properties]
     return cc.build_graph(concepts, edges, props, same_as)
+
+
+def ladder_edges(rungs: int) -> list[tuple[str, str]]:
+    """A ladder: each rung a child of the two before it, so paths grow like Fibonacci numbers."""
+    return [(f"r{i:02d}", f"r{j:02d}") for i in range(1, rungs) for j in (i - 1, i - 2) if j >= 0]

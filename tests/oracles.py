@@ -99,16 +99,16 @@ def undirected_distance(a: str, b: str, nodes: list[str], edges: set[tuple[str, 
     return float("inf")
 
 
-def unrelated_pairs_by_enumeration(
+def unrelated_candidates(
     nodes: list[str],
     edges: set[tuple[str, str]],
     same_as: set[frozenset[str]],
     min_distance: int,
-) -> set[frozenset[str]]:
-    """All unordered pairs with no reachability either way, no same-as link,
-    and undirected distance >= min_distance."""
+) -> list[tuple[str, str]]:
+    """Pairs (a, b), a before b in `nodes`, with no reachability either way,
+    no same-as link, and undirected distance >= min_distance; in row order."""
     reach = floyd_warshall_reachability(nodes, edges)
-    out: set[frozenset[str]] = set()
+    out: list[tuple[str, str]] = []
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if (a, b) in reach or (b, a) in reach:
@@ -117,7 +117,53 @@ def unrelated_pairs_by_enumeration(
                 continue
             if undirected_distance(a, b, nodes, edges) < min_distance:
                 continue
-            out.add(frozenset((a, b)))
+            out.append((a, b))
+    return out
+
+
+def unrelated_pairs_by_enumeration(
+    nodes: list[str],
+    edges: set[tuple[str, str]],
+    same_as: set[frozenset[str]],
+    min_distance: int,
+) -> set[frozenset[str]]:
+    """All unordered pairs with no reachability either way, no same-as link,
+    and undirected distance >= min_distance."""
+    return {frozenset(p) for p in unrelated_candidates(nodes, edges, same_as, min_distance)}
+
+
+def sampled_unrelated_pairs(
+    labels: dict[str, str],
+    edges: set[tuple[str, str]],
+    same_as: set[frozenset[str]],
+    count: int,
+    seed: int,
+    min_distance: int,
+) -> tuple[list[tuple[str, str]], int]:
+    """The seeded sample of unrelated pairs, drawn from the full list.
+
+    Lists every candidate with the nodes in label order, samples `count` of
+    them (all when the supply is short) and orients each by a coin flip.
+    Returns the oriented pairs and the number of candidates.
+    """
+    nodes = sorted(labels, key=labels.__getitem__)
+    candidates = unrelated_candidates(nodes, edges, same_as, min_distance)
+    rng = random.Random(seed)
+    chosen = list(candidates) if count >= len(candidates) else rng.sample(candidates, count)
+    return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen], len(candidates)
+
+
+def first_path_per_pair(labels: dict[str, str], edges: set[tuple[str, str]], min_len: int) -> list[tuple[str, ...]]:
+    """Every path of at least min_len edges sorted by label sequence, keeping
+    the first one per endpoint pair that is not itself an edge."""
+    paths = sorted(all_paths_by_joining(edges, min_len), key=lambda p: [labels[n] for n in p])
+    out: list[tuple[str, ...]] = []
+    seen: set[tuple[str, str]] = set()
+    for path in paths:
+        ends = (path[0], path[-1])
+        if ends not in edges and ends not in seen:
+            seen.add(ends)
+            out.append(path)
     return out
 
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import conceptcheck as cc
 from conceptcheck.cli import main
+from conftest import ladder_edges, make_graph
 from stubserver import serving
 
 GRAPH = "fixture:medical_graph.json"
@@ -156,6 +157,17 @@ def test_generate_path_granularity_flag(runner, tmp_path):
     )
     assert "path: 12" in result.output
     assert "total: 51 clusters" in result.output  # 15+15+0+12+9 without negatives
+
+
+def test_generate_path_granularity_refuses_too_many_paths(runner, tmp_path):
+    graph = tmp_path / "ladder.json"
+    cc.save_graph(make_graph(ladder_edges(60)), graph)
+    out = tmp_path / "dataset.json"
+    result = run(
+        runner, "generate", "--graph", graph, "--path-granularity", "path", "--out", out, code=2,
+    )
+    assert "paths with at least 2 edges, more than the 100000 that can be enumerated" in result.stderr
+    assert not out.exists()
 
 
 def test_generate_without_negatives(runner, tmp_path):
@@ -407,6 +419,7 @@ def test_scenarios_reject_empty_roster(runner, tmp_path):
         "--out-dir", tmp_path / "s", code=2,
     )
     assert result.stderr == "error: the specialist roster is empty\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_scenarios_reject_noisy_backend(runner, tmp_path):

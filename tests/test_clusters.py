@@ -19,7 +19,7 @@ from conceptcheck.clusters import (
     subsumption_question,
     subsumption_statement,
 )
-from conftest import make_graph
+from conftest import ladder_edges, make_graph
 
 T = cc.ClusterType
 
@@ -196,6 +196,18 @@ def test_path_clusters_path_granularity(medical_graph, medical_closure):
     multi = [c for c in clusters if c.source == "orthopedic-pediatric-surgeon" and c.target == "medical-specialist"]
     assert len(multi) == 4
     assert all(":via:" in c.id for c in multi)
+
+
+def test_pair_mode_never_enumerates_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair mode enumerated paths")
+
+    monkeypatch.setattr("conceptcheck.clusters.implied_paths", refuse)
+    stars = [(f"s{k:03d}l{leaf}", f"s{k:03d}") for k in range(200) for leaf in range(3)]
+    graph = make_graph(ladder_edges(60) + stars)
+    dataset = cc.generate_dataset(graph, cc.GenerationConfig(seed=7, negative_count=200))
+    assert len(clusters_of(dataset, T.PATH)) == len(cc.deductive_closure(graph).strictly_implied)
+    assert len(clusters_of(dataset, T.NEGATIVE_EDGE)) == 200
 
 
 def test_path_clusters_skip_pairs_with_redundant_direct_edge():

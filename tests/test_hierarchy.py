@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import conceptcheck as cc
-from conftest import make_graph
+from conftest import ladder_edges, make_graph
 from oracles import (
     ancestors_by_bfs,
     floyd_warshall_reachability,
@@ -298,6 +298,21 @@ def test_implied_paths_sorted_by_label_sequence(medical_graph):
     paths = cc.implied_paths(medical_graph)
     keys = [tuple(medical_graph.label_of(n) for n in p) for p in paths]
     assert keys == sorted(keys)
+
+
+def test_implied_paths_refuses_a_60_rung_ladder():
+    graph = make_graph(ladder_edges(60))
+    # Paths from rung i with >= 1 edge: one per parent edge plus every path on from that parent.
+    longer = [0, 1]
+    for _ in range(2, 60):
+        longer.append(2 + longer[-1] + longer[-2])
+    count = sum(longer) - len(graph.edges)  # minus the one-edge paths
+    assert count > cc.MAX_ENUMERATED_PATHS
+    with pytest.raises(cc.ConfigError) as info:
+        cc.implied_paths(graph)
+    assert str(info.value) == (
+        f"the graph has {count} paths with at least 2 edges, more than the 100000 that can be enumerated"
+    )
 
 
 # --- serialization and fingerprints -----------------------------------------

@@ -1,0 +1,106 @@
+"""Property tests: pair-mode path clusters, unrelated-pair sampling and the
+path count match the brute-force oracles on random DAGs with same-as links."""
+
+from __future__ import annotations
+
+import warnings
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import conceptcheck as cc
+from conceptcheck import hierarchy
+from conceptcheck.clusters import SUBSUMPTION_FORMS, gen_path_clusters, subsumption_question
+from oracles import (
+    all_paths_by_joining,
+    first_path_per_pair,
+    sampled_unrelated_pairs,
+    unrelated_candidates,
+)
+
+T = cc.ClusterType
+# Fixed examples (derandomize, no example database) keep the suite deterministic.
+CHECK = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def dags(draw, max_nodes: int = 9):
+    """(graph, labels, edges, same_as) with random labels, ranks, edges and same-as links."""
+    n = draw(st.integers(2, max_nodes))
+    ids = [f"c{i}" for i in range(n)]
+    rank = draw(st.permutations(ids))
+    forward = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(forward), max_size=len(forward)))
+    edges = {e for e, k in zip(forward, keep) if k}
+    same_as = draw(st.lists(st.sampled_from(forward), max_size=3))
+    # Short words from few letters: prefixes and shared stems exercise label order.
+    words = draw(st.lists(st.text("aeb", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    labels = dict(zip(ids, words))
+    graph = cc.build_graph([cc.Concept(id=i, label=labels[i]) for i in ids], edges, same_as=same_as)
+    return graph, labels, edges, {frozenset(p) for p in same_as}
+
+
+@CHECK
+@given(dag=dags(), min_len=st.integers(1, 4))
+def test_pair_mode_paths_match_first_path_oracle(dag, min_len):
+    graph, labels, edges, _ = dag
+    config = cc.GenerationConfig(min_path_len=min_len)
+    got = [c.path for c in gen_path_clusters(graph, cc.deductive_closure(graph), config)]
+    assert got == first_path_per_pair(labels, edges, min_len)
+
+
+@CHECK
+@given(dag=dags(), min_distance=st.integers(1, 4), seed=st.integers(0, 1000), data=st.data())
+def test_unrelated_pairs_match_sampling_oracle(dag, min_distance, seed, data):
+    graph, labels, edges, same_as = dag
+    supply = len(unrelated_candidates(sorted(labels), edges, same_as, min_distance))
+    count = data.draw(st.integers(0, supply + 3), label="count")
+    expected, _ = sampled_unrelated_pairs(labels, edges, same_as, count, seed, min_distance)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cc.unrelated_pairs(graph, cc.deductive_closure(graph), count, seed=seed, min_distance=min_distance)
+    assert got == expected
+    warned = [w for w in caught if issubclass(w.category, cc.InsufficientPairsWarning)]
+    assert len(warned) == (count > supply)
+
+
+@CHECK
+@given(
+    dag=dags(),
+    style=st.sampled_from(("literal", "grammatical")),
+    min_len=st.integers(1, 4),
+    min_distance=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+    negatives=st.integers(0, 40),
+)
+def test_generated_path_and_negative_clusters_match_oracles(dag, style, min_len, min_distance, seed, negatives):
+    graph, labels, edges, same_as = dag
+    config = cc.GenerationConfig(
+        seed=seed, negative_count=negatives, min_distance=min_distance,
+        min_path_len=min_len, article_style=style,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+        dataset = cc.generate_dataset(graph, config)
+    paths = [c for c in dataset.clusters if c.type is T.PATH]
+    negative = [c for c in dataset.clusters if c.type is T.NEGATIVE_EDGE]
+    assert [c.path for c in paths] == first_path_per_pair(labels, edges, min_len)
+    expected, _ = sampled_unrelated_pairs(labels, edges, same_as, negatives, seed, min_distance)
+    assert [(c.source, c.target) for c in negative] == expected
+    for c in paths + negative:
+        a, b = labels[c.source], labels[c.target]
+        assert c.questions == tuple(subsumption_question(f, a, b, style) for f in SUBSUMPTION_FORMS)
+
+
+@CHECK
+@given(dag=dags(), min_len=st.integers(1, 4))
+def test_implied_paths_count_and_cap_match_enumeration(dag, min_len):
+    graph, labels, edges, _ = dag
+    every = sorted(all_paths_by_joining(edges, min_len), key=lambda p: [labels[n] for n in p])
+    with patch.object(hierarchy, "MAX_ENUMERATED_PATHS", len(every)):
+        assert cc.implied_paths(graph, min_len) == every
+    with patch.object(hierarchy, "MAX_ENUMERATED_PATHS", len(every) - 1):
+        with pytest.raises(cc.ConfigError, match=f"has {len(every)} paths"):
+            cc.implied_paths(graph, min_len)
