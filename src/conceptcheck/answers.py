@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Answer(str, enum.Enum):
@@ -15,16 +14,10 @@ class Answer(str, enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class NormalizedAnswer:
-    value: Answer
-    raw: str
-
-
 _STRIP = " \t\r\n.,;:!?\"'`()[]*"
 
 
-def normalize_answer(raw: str) -> NormalizedAnswer:
+def normalize_answer(raw: str) -> Answer:
     """Classify by the leading token: yes, no, or Other.
 
     Surrounding whitespace and punctuation are ignored, so "Yes.",
@@ -38,7 +31,7 @@ def normalize_answer(raw: str) -> NormalizedAnswer:
         if first:
             break
     if first == "yes":
-        return NormalizedAnswer(Answer.YES, raw)
+        return Answer.YES
     if first == "no":
-        return NormalizedAnswer(Answer.NO, raw)
-    return NormalizedAnswer(Answer.OTHER, raw)
+        return Answer.NO
+    return Answer.OTHER

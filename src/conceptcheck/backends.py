@@ -313,7 +313,7 @@ class RemoteBackend(Backend):
             raise MalformedResponse(f"endpoint response missing 'text': {body!r:.200}")
         raw = body["text"]
         if self.cache is not None:
-            self.cache.put(key, raw, normalize_answer(raw).value)
+            self.cache.put(key, raw, normalize_answer(raw))
         return raw
 
 

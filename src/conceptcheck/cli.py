@@ -35,7 +35,6 @@ from .clusters import (
 )
 from .errors import ConceptCheckError, ConfigError, SchemaViolation, read_json
 from .evaluation import (
-    ResultSet,
     build_context,
     compute_report,
     evaluate_dataset,
@@ -285,23 +284,45 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
     click.echo(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
 
 
-def _build_backends(
-    specs: list[dict],
-    dataset: ClusterDataset | None,
-    graph: ConceptGraph | None,
-) -> list[Backend]:
-    closure = deductive_closure(graph) if graph is not None else None
+def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: ClusterDataset) -> list[Backend]:
+    """The --backend (or config) backends; the oracle kinds answer from the --graph closure."""
+    graph_path = _merge(graph, config, "graph", "path")
+    closure = deductive_closure(load_graph(resolve_path(graph_path))) if graph_path else None
     backends = []
-    for spec in specs:
+    for spec in _apply_cache_dir(_backend_specs(backend_flags, config), cache_dir, config):
         if spec.get("kind") in ("perfect", "noisy") and closure is None:
             raise ConfigError(
                 f"backend kind {spec.get('kind')!r} needs --graph to derive the answer key"
             )
         backends.append(backend_from_config(spec, closure=closure, dataset=dataset))
+    _check_unique_ids(backends)
+    return backends
+
+
+def _check_unique_ids(backends: list[Backend]) -> None:
+    """Each backend's output files are named after its id, so ids must differ."""
     ids = [b.id for b in backends]
     if len(ids) != len(set(ids)):
         raise ConfigError(f"backend ids must be unique, got {ids}; set explicit 'id' fields")
-    return backends
+
+
+def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: str = "") -> tuple[list, int]:
+    """Evaluate and write results-<id><suffix>.jsonl per backend; report rows and failed calls."""
+    rows = []
+    errors = 0
+    for backend in backends:
+        resultset = evaluate_dataset(dataset, backend, template, context)
+        write_results(resultset, out / f"results-{_slug(backend.id)}{suffix}.jsonl")
+        rows.append(compute_report(resultset, dataset))
+        errors += resultset.error_count
+    return rows, errors
+
+
+def _exit_if_failed(errors: int) -> None:
+    """Exit 1 when backend calls failed; their records are already written."""
+    if errors:
+        click.echo(f"warning: {errors} backend call(s) failed and were recorded as errors", err=True)
+        sys.exit(1)
 
 
 def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title="Consistency report") -> None:
@@ -331,27 +352,16 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
     if dataset_path is None:
         raise ConfigError("a dataset file is required (--dataset or config dataset)")
     dataset = read_dataset(resolve_path(dataset_path))
-    graph_path = _merge(graph, config, "graph", "path")
-    loaded_graph = load_graph(resolve_path(graph_path)) if graph_path else None
     template = _load_prompt(prompt, config)
     context = load_context(resolve_path(context_path)) if context_path else None
-    specs = _apply_cache_dir(_backend_specs(backend_flags, config), cache_dir, config)
-    backends = _build_backends(specs, dataset, loaded_graph)
+    backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    errors = 0
-    for backend in backends:
-        resultset = evaluate_dataset(dataset, backend, template, context)
-        write_results(resultset, out / f"results-{_slug(backend.id)}.jsonl")
-        rows.append(compute_report(resultset, dataset))
-        errors += resultset.error_count
+    rows, errors = _evaluate_backends(backends, dataset, template, context, out)
     _write_reports(rows, out, dataset_fingerprint(dataset))
     click.echo(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
-    if errors:
-        click.echo(f"warning: {errors} backend call(s) failed and were recorded as errors", err=True)
-        sys.exit(1)
+    _exit_if_failed(errors)
 
 
 @main.command()
@@ -383,20 +393,11 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         click.echo("nothing was missed by every baseline; skipping the augmented run")
         return
 
-    graph_path = _merge(graph, config, "graph", "path")
-    loaded_graph = load_graph(resolve_path(graph_path)) if graph_path else None
     template = _load_prompt(prompt, config)
-    specs = _apply_cache_dir(_backend_specs(backend_flags, config), cache_dir, config)
-    backends = _build_backends(specs, dataset, loaded_graph)
+    backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
 
     baseline_rows = {rs.backend_id: compute_report(rs, dataset) for rs in baselines}
-    rows = []
-    errors = 0
-    for backend in backends:
-        resultset = evaluate_dataset(dataset, backend, template, context)
-        write_results(resultset, out / f"results-{_slug(backend.id)}-augmented.jsonl")
-        rows.append(compute_report(resultset, dataset))
-        errors += resultset.error_count
+    rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
     if len(baseline_rows) == 1:
         # A lone baseline pairs with every augmented row even when the ids
         # differ (e.g. replaying a noisy baseline against the perfect oracle).
@@ -407,9 +408,7 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         baselines=baseline_rows, title="Consistency report (augmented)",
     )
     click.echo(f"augmented run finished -> {out}/report.md")
-    if errors:
-        click.echo(f"warning: {errors} backend call(s) failed and were recorded as errors", err=True)
-        sys.exit(1)
+    _exit_if_failed(errors)
 
 
 @main.command()
@@ -456,6 +455,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
             raise ConfigError("the noisy backend only evaluates cluster datasets")
         else:
             backends.append(backend_from_config(spec))
+    _check_unique_ids(backends)
 
     out = Path(out_dir)
     summary_lines = [
@@ -486,9 +486,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
             f"{summary.inconsistent_scenarios}/{summary.total_scenarios} inconsistent scenarios"
         )
     (out / "scenario-summary.md").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    if errors:
-        click.echo(f"warning: {errors} backend call(s) failed and were recorded as errors", err=True)
-        sys.exit(1)
+    _exit_if_failed(errors)
 
 
 @main.command()

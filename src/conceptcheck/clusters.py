@@ -418,14 +418,19 @@ def gen_property_clusters(
     For an assertion on P and each strict descendant C, the cluster asks:
     the property on P, the subsumption C -> P, and the property on C in two
     phrasings. A model holding the first two beliefs but missing either of
-    the last two is inconsistent, not merely ignorant.
+    the last two is inconsistent, not merely ignorant. The cluster id gets
+    the value's slug as a suffix only when the subject has more than one
+    value of the property.
     """
     label = graph.label_of
     style = config.article_style
+    values = Counter((p.subject, p.property) for p in graph.properties)
     clusters = []
     assertions = sorted(graph.properties, key=lambda p: (label(p.subject), p.property, p.value))
     for assertion in assertions:
         subject_label = label(assertion.subject)
+        several_values = values[assertion.subject, assertion.property] > 1
+        value_suffix = f":{_slug(assertion.value)}" if several_values else ""
         descendants = sorted(closure.strict_descendants(assertion.subject), key=label)
         for desc in descendants:
             desc_label = label(desc)
@@ -443,7 +448,8 @@ def gen_property_clusters(
             )
             clusters.append(
                 QuestionCluster(
-                    id=f"property:{_slug(subject_label)}:{_slug(desc_label)}:{_slug(assertion.property)}",
+                    id=f"property:{_slug(subject_label)}:{_slug(desc_label)}:"
+                    f"{_slug(assertion.property)}{value_suffix}",
                     type=ClusterType.PROPERTY_INHERITANCE,
                     expected=Answer.YES,
                     source=desc,

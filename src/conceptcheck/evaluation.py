@@ -88,6 +88,32 @@ def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
     return Verdict.INCONSISTENT
 
 
+def ask_and_judge(jobs: Sequence[tuple[str, int, str, str, Answer]], backend: Backend) -> list[AnswerRecord]:
+    """Ask and judge (cluster_id, question_index, question, rendered_prompt, expected) jobs.
+
+    Records come back in job order. A backend failure on one question is
+    recorded (as an incorrect Other answer with an empty raw text and the
+    error flag set) and evaluation continues; it never aborts the run.
+    Questions go out concurrently when the backend declares a concurrency
+    above one.
+    """
+
+    def ask(job: tuple[str, int, str, str, Answer]) -> AnswerRecord:
+        cluster_id, idx, question, rendered, expected = job
+        try:
+            raw = backend.answer(question, rendered)
+        except ConceptCheckError:
+            return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
+        normalized = normalize_answer(raw)
+        return AnswerRecord(cluster_id, idx, raw=raw, normalized=normalized, correct=normalized == expected)
+
+    workers = getattr(backend, "concurrency", 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(ask, jobs))
+    return [ask(job) for job in jobs]
+
+
 def evaluate_dataset(
     dataset: ClusterDataset,
     backend: Backend,
@@ -96,53 +122,21 @@ def evaluate_dataset(
 ) -> ResultSet:
     """Ask every dataset question and record normalized, judged answers.
 
-    A backend failure on one question is recorded (as an incorrect Other
-    answer with the error flag set) and evaluation continues; it never
-    aborts the run. Questions go out concurrently when the backend declares
-    a concurrency above one, and records always come back in dataset order.
+    Failures and concurrency are handled as in `ask_and_judge`; records
+    come back in dataset order.
     """
     statements = context.statements if context is not None else ()
-    jobs: list[tuple[QuestionCluster, int, str, str]] = []
-    for cluster in dataset.clusters:
-        for idx, question in enumerate(cluster.questions):
-            jobs.append((cluster, idx, question, render_prompt(template, question, statements)))
-
-    def ask(job: tuple[QuestionCluster, int, str, str]) -> tuple[str | None, ConceptCheckError | None]:
-        _, _, question, rendered = job
-        try:
-            return backend.answer(question, rendered), None
-        except ConceptCheckError as exc:
-            return None, exc
-
-    workers = getattr(backend, "concurrency", 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(ask, jobs))
-    else:
-        outcomes = [ask(job) for job in jobs]
-
-    records = []
-    for (cluster, idx, _, _), (raw, error) in zip(jobs, outcomes):
-        if error is not None:
-            records.append(
-                AnswerRecord(cluster.id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
-            )
-            continue
-        normalized = normalize_answer(raw)
-        records.append(
-            AnswerRecord(
-                cluster.id, idx,
-                raw=raw,
-                normalized=normalized.value,
-                correct=normalized.value == cluster.expected,
-            )
-        )
+    jobs = [
+        (cluster.id, idx, question, render_prompt(template, question, statements), cluster.expected)
+        for cluster in dataset.clusters
+        for idx, question in enumerate(cluster.questions)
+    ]
     return ResultSet(
         backend_id=backend.id,
         dataset_fingerprint=dataset_fingerprint(dataset),
         prompt_fingerprint=template.fingerprint(),
         context_fingerprint=context.fingerprint() if context is not None else None,
-        records=tuple(records),
+        records=tuple(ask_and_judge(jobs, backend)),
     )
 
 

@@ -184,8 +184,8 @@ def build_graph(
     Rejects empty or duplicate ids (SchemaViolation), labels that collide
     after whitespace/case normalization (DuplicateLabel), references to
     unknown ids (DanglingReference), and any cycle in the subconcept
-    relation, self-edges included (CycleDetected). Repeated edges collapse
-    to one.
+    relation, self-edges included (CycleDetected). Repeated edges and
+    repeated property assertions collapse to one.
     """
     concept_list = sorted(concepts, key=lambda c: c.id)
     ids: set[ConceptId] = set()
@@ -211,7 +211,7 @@ def build_graph(
             raise CycleDetected([child, parent])
         edge_set.add((child, parent))
 
-    prop_list = sorted(properties, key=lambda p: (p.subject, p.property, p.value))
+    prop_list = sorted(set(properties), key=lambda p: (p.subject, p.property, p.value))
     for p in prop_list:
         if p.subject not in ids:
             raise DanglingReference(f"property subject {p.subject!r} is not a concept")

@@ -21,19 +21,20 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
-from .answers import Answer, normalize_answer
+from .answers import Answer
 from .backends import Backend, PromptTemplate, render_prompt
 from .errors import (
-    ConceptCheckError,
     ConfigError,
     MismatchedDataset,
     SchemaViolation,
     UnknownConcept,
     read_json,
 )
-from .evaluation import Verdict, classify_cluster
+from .evaluation import AnswerRecord, Verdict, ask_and_judge, classify_cluster
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 
 SCENARIO_POLARITIES = ("grant", "restriction")
@@ -64,22 +65,12 @@ class ScenarioQuestion:
 
 
 @dataclass(frozen=True)
-class ScenarioAnswer:
-    scenario_id: str
-    kind: ScenarioQuestionKind
-    specialist: ConceptId
-    question: str
-    expected: Answer
-    raw: str
-    normalized: Answer
-    correct: bool
-    error: bool = False
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
+    """One scenario's questions and, position by position, their answer records."""
+
     scenario: PolicyScenario
-    answers: tuple[ScenarioAnswer, ...]
+    questions: tuple[ScenarioQuestion, ...]
+    answers: tuple[AnswerRecord, ...]
 
     @cached_property
     def verdict(self) -> Verdict:
@@ -188,6 +179,21 @@ def gen_scenario_questions(
     return out
 
 
+def _scenario_prompts(
+    scenarios: list[PolicyScenario],
+    specialists: list[ConceptId],
+    graph: ConceptGraph,
+    closure: DeductiveClosure,
+    template: PromptTemplate,
+) -> Iterator[tuple[PolicyScenario, list[tuple[ScenarioQuestion, str]]]]:
+    """Each scenario with its questions, each paired with its prompt: the policy text is the context."""
+    for scenario in scenarios:
+        yield scenario, [
+            (q, render_prompt(template, q.question, (scenario.policy_text,)))
+            for q in gen_scenario_questions(scenario, specialists, graph, closure)
+        ]
+
+
 class ScenarioOracle(Backend):
     """Answers every scenario question correctly.
 
@@ -208,11 +214,11 @@ class ScenarioOracle(Backend):
         id: str = "perfect",
     ):
         self.id = id
-        self._expected: dict[str, str] = {}
-        for scenario in scenarios:
-            for q in gen_scenario_questions(scenario, specialists, graph, closure):
-                rendered = render_prompt(template, q.question, (scenario.policy_text,))
-                self._expected[rendered] = q.expected.value
+        self._expected = {
+            rendered: q.expected.value
+            for _, pairs in _scenario_prompts(scenarios, specialists, graph, closure, template)
+            for q, rendered in pairs
+        }
 
     def answer(self, question: str, rendered_prompt: str) -> str:
         try:
@@ -231,31 +237,32 @@ def evaluate_scenarios(
     backend: Backend,
     template: PromptTemplate,
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
-    """Ask every scenario question; a backend failure is recorded, not fatal."""
+    """Ask every scenario question through `ask_and_judge`, as dataset questions are.
+
+    An answer record's cluster id is its scenario's id, and its question
+    index the question's position in that scenario.
+    """
     if not specialists:
         raise ConfigError("the specialist roster is empty")
-    results = []
-    for scenario in scenarios:
-        answers = []
-        for q in gen_scenario_questions(scenario, specialists, graph, closure):
-            rendered = render_prompt(template, q.question, (scenario.policy_text,))
-            try:
-                raw, error = backend.answer(q.question, rendered), False
-            except ConceptCheckError:
-                raw, error = "", True  # an empty answer normalizes to Other: incorrect
-            normalized = normalize_answer(raw).value
-            answers.append(
-                ScenarioAnswer(
-                    scenario_id=q.scenario_id, kind=q.kind, specialist=q.specialist,
-                    question=q.question, expected=q.expected, raw=raw,
-                    normalized=normalized, correct=normalized == q.expected, error=error,
-                )
-            )
-        results.append(ScenarioResult(scenario=scenario, answers=tuple(answers)))
-    asked = [a for r in results for a in r.answers]
+    asked = list(_scenario_prompts(scenarios, specialists, graph, closure, template))
+    jobs = [
+        (scenario.id, idx, q.question, rendered, q.expected)
+        for scenario, pairs in asked
+        for idx, (q, rendered) in enumerate(pairs)
+    ]
+    records = iter(ask_and_judge(jobs, backend))
+    results = [
+        ScenarioResult(
+            scenario=scenario,
+            questions=tuple(q for q, _ in pairs),
+            answers=tuple(islice(records, len(pairs))),
+        )
+        for scenario, pairs in asked
+    ]
+    answers = [a for r in results for a in r.answers]
     summary = ScenarioSummary(
-        total_questions=len(asked),
-        incorrect_questions=sum(1 for a in asked if not a.correct),
+        total_questions=len(answers),
+        incorrect_questions=sum(1 for a in answers if not a.correct),
         total_scenarios=len(results),
         inconsistent_scenarios=sum(1 for r in results if r.verdict is Verdict.INCONSISTENT),
     )
@@ -284,16 +291,16 @@ def write_scenario_results(
         )
     ]
     for result in results:
-        for a in result.answers:
+        for q, a in zip(result.questions, result.answers):
             lines.append(
                 json.dumps(
                     {
                         "record": "scenario_answer",
-                        "scenario_id": a.scenario_id,
-                        "kind": a.kind.value,
-                        "specialist": a.specialist,
-                        "question": a.question,
-                        "expected": a.expected.value,
+                        "scenario_id": q.scenario_id,
+                        "kind": q.kind.value,
+                        "specialist": q.specialist,
+                        "question": q.question,
+                        "expected": q.expected.value,
                         "raw": a.raw,
                         "normalized": a.normalized.value,
                         "correct": a.correct,

@@ -3,6 +3,10 @@ dataset are expensive enough to build once per session."""
 
 from __future__ import annotations
 
+import random
+import threading
+import time
+
 import pytest
 
 import conceptcheck as cc
@@ -42,3 +46,29 @@ def make_graph(edges, properties=(), same_as=(), extra=()):
 def ladder_edges(rungs: int) -> list[tuple[str, str]]:
     """A ladder: each rung a child of the two before it, so paths grow like Fibonacci numbers."""
     return [(f"r{i:02d}", f"r{j:02d}") for i in range(1, rungs) for j in (i - 1, i - 2) if j >= 0]
+
+
+class Jittery(cc.Backend):
+    """Forwards to `inner` after a random sleep of up to 2 ms, eight calls at a time.
+
+    `peak` is the most calls seen in flight at once.
+    """
+
+    id = "jittery"
+    concurrency = 8
+
+    def __init__(self, inner: cc.Backend):
+        self._inner = inner
+        self._rng = random.Random(0)
+        self._lock = threading.Lock()
+        self.peak = 0
+        self._live = 0
+
+    def answer(self, question, rendered_prompt):
+        with self._lock:
+            self._live += 1
+            self.peak = max(self.peak, self._live)
+        time.sleep(self._rng.random() / 500)
+        with self._lock:
+            self._live -= 1
+        return self._inner.answer(question, rendered_prompt)

@@ -21,12 +21,12 @@ from stubserver import serving
     ["yes", "Yes", " YES ", "yes.", "Yes, every surgeon is.", '"Yes"', "\nyes\n", "*yes*"],
 )
 def test_normalize_yes(raw):
-    assert cc.normalize_answer(raw).value is cc.Answer.YES
+    assert cc.normalize_answer(raw) is cc.Answer.YES
 
 
 @pytest.mark.parametrize("raw", ["no", "No.", "NO!", " no, not a chance", "(no)"])
 def test_normalize_no(raw):
-    assert cc.normalize_answer(raw).value is cc.Answer.NO
+    assert cc.normalize_answer(raw) is cc.Answer.NO
 
 
 @pytest.mark.parametrize(
@@ -34,13 +34,13 @@ def test_normalize_no(raw):
     ["", "   ", "maybe", "nope", "yess", "I think yes", "it depends", "not sure", "?", "affirmative"],
 )
 def test_normalize_other(raw):
-    assert cc.normalize_answer(raw).value is cc.Answer.OTHER
+    assert cc.normalize_answer(raw) is cc.Answer.OTHER
 
 
-def test_normalize_keeps_raw_and_is_idempotent():
+def test_normalize_is_idempotent():
     n = cc.normalize_answer(" Yes. ")
-    assert n.raw == " Yes. "
-    assert cc.normalize_answer(n.value.value).value is n.value
+    assert n is cc.Answer.YES
+    assert cc.normalize_answer(n.value) is n
 
 
 # --- prompt templates -----------------------------------------------------------

@@ -422,6 +422,18 @@ def test_scenarios_reject_empty_roster(runner, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_scenarios_reject_duplicate_backend_ids(runner, tmp_path):
+    result = run(
+        runner, "scenarios", "--graph", GRAPH,
+        "--backend", '{"kind": "perfect"}', "--backend", '{"kind": "perfect"}',
+        "--out-dir", tmp_path / "s", code=2,
+    )
+    assert result.stderr == (
+        "error: backend ids must be unique, got ['perfect', 'perfect']; set explicit 'id' fields\n"
+    )
+    assert not (tmp_path / "s").exists()
+
+
 def test_scenarios_reject_noisy_backend(runner, tmp_path):
     result = run(
         runner, "scenarios", "--graph", GRAPH,

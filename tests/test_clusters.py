@@ -247,6 +247,20 @@ def test_property_clusters_have_two_property_forms_per_specialty(medical_graph, 
         assert len(specialty_forms) == 2
 
 
+def test_property_cluster_ids_name_the_value_only_when_a_subject_has_several():
+    repeated = make_graph([("b", "a")], properties=[("a", "p", "v1"), ("a", "p", "v1")])
+    dataset = cc.generate_dataset(repeated, cc.GenerationConfig())
+    assert [c.id for c in clusters_of(dataset, T.PROPERTY_INHERITANCE)] == ["property:a:b:p"]
+
+    two_values = make_graph([("b", "a")], properties=[("a", "p", "v1"), ("a", "p", "V 2"), ("a", "q", "w")])
+    dataset = cc.generate_dataset(two_values, cc.GenerationConfig())
+    assert [c.id for c in clusters_of(dataset, T.PROPERTY_INHERITANCE)] == [
+        "property:a:b:p:v-2",
+        "property:a:b:p:v1",
+        "property:a:b:q",
+    ]
+
+
 # --- whole-dataset generation --------------------------------------------------
 
 

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import json
-import random
-import threading
-import time
 
 import pytest
 
 import conceptcheck as cc
-from conftest import make_graph
+from conftest import Jittery, make_graph
 
 V = cc.Verdict
 
@@ -116,28 +113,7 @@ def test_evaluate_lets_foreign_exceptions_propagate(chain, template):
 
 
 def test_evaluate_concurrent_backend_preserves_order(medical_dataset, medical_closure, template):
-    inner = cc.PerfectOracle(medical_closure, medical_dataset)
-
-    class Jittery(cc.Backend):
-        id = "jittery"
-        concurrency = 8
-
-        def __init__(self):
-            self._rng = random.Random(0)
-            self._lock = threading.Lock()
-            self.peak = 0
-            self._live = 0
-
-        def answer(self, question, rendered_prompt):
-            with self._lock:
-                self._live += 1
-                self.peak = max(self.peak, self._live)
-            time.sleep(self._rng.random() / 500)
-            with self._lock:
-                self._live -= 1
-            return inner.answer(question, rendered_prompt)
-
-    backend = Jittery()
+    backend = Jittery(cc.PerfectOracle(medical_closure, medical_dataset))
     rs = cc.evaluate_dataset(medical_dataset, backend, template)
     expected_order = [(c.id, i) for c in medical_dataset.clusters for i in range(4)]
     assert [(r.cluster_id, r.question_index) for r in rs.records] == expected_order

@@ -95,6 +95,14 @@ def test_duplicate_edges_collapse():
     assert len(g.edges) == 1
 
 
+def test_duplicate_property_assertions_collapse():
+    g = make_graph([("b", "a")], properties=[("a", "p", "v1"), ("a", "p", "v1"), ("a", "p", "v2")])
+    assert g.properties == (
+        cc.PropertyAssertion(subject="a", property="p", value="v1"),
+        cc.PropertyAssertion(subject="a", property="p", value="v2"),
+    )
+
+
 # --- deductive closure ------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import conceptcheck as cc
+from conftest import Jittery
 
 K = cc.ScenarioQuestionKind
 SPECIALISTS = list(cc.MEDICAL_SPECIALISTS)
@@ -199,7 +200,8 @@ def test_evaluate_scenarios_mixed_backend(medical_graph, medical_closure, grant,
         total_questions=14, incorrect_questions=10, total_scenarios=1, inconsistent_scenarios=1
     )
     assert results[0].verdict is cc.Verdict.INCONSISTENT
-    correct = {(a.kind, a.specialist) for a in results[0].answers if a.correct}
+    result = results[0]
+    correct = {(q.kind, q.specialist) for q, a in zip(result.questions, result.answers) if a.correct}
     assert correct == {
         (K.APPLICABILITY, "pediatric-surgeon"),
         (K.APPLICABILITY, "orthopedic-pediatric-surgeon"),
@@ -240,7 +242,10 @@ def test_evaluate_scenarios_records_backend_errors(
     )
     assert summary.incorrect_questions == 14
     answers = results[0].answers
-    assert all(a.error and not a.correct and a.normalized is cc.Answer.OTHER for a in answers)
+    assert len(answers) == 14
+    assert all(
+        a.error and not a.correct and a.raw == "" and a.normalized is cc.Answer.OTHER for a in answers
+    )
 
 
 def test_evaluate_scenarios_rejects_empty_roster(
@@ -251,9 +256,29 @@ def test_evaluate_scenarios_rejects_empty_roster(
         cc.evaluate_scenarios(
             [grant], [], medical_graph, medical_closure, cc.ScriptedBackend({}), template
         )
-    empty = cc.ScenarioResult(scenario=grant, answers=())
+    empty = cc.ScenarioResult(scenario=grant, questions=(), answers=())
     with pytest.raises(cc.SchemaViolation):
         empty.verdict
+
+
+def test_evaluate_scenarios_runs_a_concurrent_backend_in_order(
+    scenarios, medical_graph, medical_closure, template
+):
+    oracle = cc.ScenarioOracle(scenarios, SPECIALISTS, medical_graph, medical_closure, template)
+    backend = Jittery(oracle)
+    results, summary = cc.evaluate_scenarios(
+        scenarios, SPECIALISTS, medical_graph, medical_closure, backend, template
+    )
+    sequential = cc.evaluate_scenarios(
+        scenarios, SPECIALISTS, medical_graph, medical_closure, oracle, template
+    )
+    assert (results, summary) == sequential
+    assert all(a.correct for r in results for a in r.answers)
+    for r in results:
+        assert [(a.cluster_id, a.question_index) for a in r.answers] == [
+            (r.scenario.id, i) for i in range(len(r.questions))
+        ]
+    assert backend.peak > 1  # requests really overlapped
 
 
 def test_evaluate_scenarios_passes_policy_text_as_context(
