@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .answers import Answer, normalize_answer
+from .answers import Answer
 from .clusters import ClusterDataset
 from .errors import (
     AuthMissing,
@@ -127,8 +127,8 @@ class ResponseCache:
             log.warning("discarding unreadable cache entry %s", path.name)
             return None
 
-    def put(self, key: str, raw: str, normalized: Answer) -> None:
-        self.store(key, {"raw": raw, "normalized": normalized.value, "timestamp": time.time()})
+    def put(self, key: str, raw: str) -> None:
+        self.store(key, {"raw": raw, "timestamp": time.time()})
 
     def store(self, key: str, payload: dict) -> None:
         """Write any JSON object under `key`; fetch_live caches entity pages this way."""
@@ -313,7 +313,7 @@ class RemoteBackend(Backend):
             raise MalformedResponse(f"endpoint response missing 'text': {body!r:.200}")
         raw = body["text"]
         if self.cache is not None:
-            self.cache.put(key, raw, normalize_answer(raw))
+            self.cache.put(key, raw)
         return raw
 
 

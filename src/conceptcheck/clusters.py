@@ -30,6 +30,7 @@ from .hierarchy import (
     ConceptGraph,
     ConceptId,
     DeductiveClosure,
+    _slug,
     deductive_closure,
     implied_paths,
     unrelated_pairs,
@@ -229,11 +230,6 @@ def question_to_statement(question: str) -> str:
 
 
 # --- generators -------------------------------------------------------------
-
-
-def _slug(label: str) -> str:
-    out = re.sub(r"[^a-z0-9]+", "-", label.casefold()).strip("-")
-    return out or "x"
 
 
 def _subsumption_cluster(

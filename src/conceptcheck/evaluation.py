@@ -33,6 +33,8 @@ from .errors import (
 
 RESULTS_FORMAT_VERSION = "1"
 
+Job = tuple[str, int, str, tuple[str, ...], Answer]
+
 
 class Verdict(str, Enum):
     CONSISTENT = "consistent"
@@ -88,20 +90,22 @@ def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
     return Verdict.INCONSISTENT
 
 
-def ask_and_judge(jobs: Sequence[tuple[str, int, str, str, Answer]], backend: Backend) -> list[AnswerRecord]:
-    """Ask and judge (cluster_id, question_index, question, rendered_prompt, expected) jobs.
+def ask_and_judge(jobs: Sequence[Job], backend: Backend, template: PromptTemplate) -> list[AnswerRecord]:
+    """Ask and judge (cluster_id, question_index, question, context, expected) jobs.
 
-    Records come back in job order. A backend failure on one question is
-    recorded (as an incorrect Other answer with an empty raw text and the
-    error flag set) and evaluation continues; it never aborts the run.
-    Questions go out concurrently when the backend declares a concurrency
-    above one.
+    `context` is a tuple of statement lines, shared across jobs; each
+    prompt is rendered just before its question is asked and then dropped,
+    so memory holds one prompt per worker, not one per question. Records
+    come back in job order. A backend failure on one question is recorded
+    (as an incorrect Other answer with an empty raw text and the error flag
+    set) and evaluation continues; it never aborts the run. Questions go
+    out concurrently when the backend declares a concurrency above one.
     """
 
-    def ask(job: tuple[str, int, str, str, Answer]) -> AnswerRecord:
-        cluster_id, idx, question, rendered, expected = job
+    def ask(job: Job) -> AnswerRecord:
+        cluster_id, idx, question, context, expected = job
         try:
-            raw = backend.answer(question, rendered)
+            raw = backend.answer(question, render_prompt(template, question, context))
         except ConceptCheckError:
             return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
         normalized = normalize_answer(raw)
@@ -122,12 +126,14 @@ def evaluate_dataset(
 ) -> ResultSet:
     """Ask every dataset question and record normalized, judged answers.
 
-    Failures and concurrency are handled as in `ask_and_judge`; records
-    come back in dataset order.
+    Jobs share one context tuple and `ask_and_judge` holds one rendered
+    prompt per worker, so memory grows with questions plus context, not
+    with their product. Failures and concurrency are handled as in
+    `ask_and_judge`; records come back in dataset order.
     """
     statements = context.statements if context is not None else ()
     jobs = [
-        (cluster.id, idx, question, render_prompt(template, question, statements), cluster.expected)
+        (cluster.id, idx, question, statements, cluster.expected)
         for cluster in dataset.clusters
         for idx, question in enumerate(cluster.questions)
     ]
@@ -136,7 +142,7 @@ def evaluate_dataset(
         dataset_fingerprint=dataset_fingerprint(dataset),
         prompt_fingerprint=template.fingerprint(),
         context_fingerprint=context.fingerprint() if context is not None else None,
-        records=tuple(ask_and_judge(jobs, backend)),
+        records=tuple(ask_and_judge(jobs, backend, template)),
     )
 
 

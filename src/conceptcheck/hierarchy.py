@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -59,8 +60,10 @@ class PropertyAssertion:
     value: str
 
 
-def _normalize_label(label: str) -> str:
-    return " ".join(label.split()).casefold()
+def _slug(label: str) -> str:
+    """A label as it appears in cluster ids; two labels are the same when their slugs are."""
+    out = re.sub(r"[\W_]+", "-", label.casefold()).strip("-")
+    return out or "x"
 
 
 @dataclass(frozen=True)
@@ -181,11 +184,12 @@ def build_graph(
 ) -> ConceptGraph:
     """Validate and freeze a concept graph.
 
-    Rejects empty or duplicate ids (SchemaViolation), labels that collide
-    after whitespace/case normalization (DuplicateLabel), references to
-    unknown ids (DanglingReference), and any cycle in the subconcept
-    relation, self-edges included (CycleDetected). Repeated edges and
-    repeated property assertions collapse to one.
+    Rejects empty or duplicate ids (SchemaViolation), labels with equal
+    slugs (DuplicateLabel), property names or values of one subject that
+    differ but have equal slugs (SchemaViolation), references to unknown
+    ids (DanglingReference), and any cycle in the subconcept relation,
+    self-edges included (CycleDetected). Repeated edges and repeated
+    property assertions collapse to one.
     """
     concept_list = sorted(concepts, key=lambda c: c.id)
     ids: set[ConceptId] = set()
@@ -196,10 +200,10 @@ def build_graph(
         if c.id in ids:
             raise SchemaViolation(f"duplicate concept id: {c.id}")
         ids.add(c.id)
-        norm = _normalize_label(c.label)
-        if norm in seen_labels:
-            raise DuplicateLabel(f"label {c.label!r} of {c.id} collides with {seen_labels[norm]}")
-        seen_labels[norm] = c.id
+        slug = _slug(c.label)
+        if slug in seen_labels:
+            raise DuplicateLabel(f"label {c.label!r} of {c.id} collides with {seen_labels[slug]} as {slug!r}")
+        seen_labels[slug] = c.id
 
     edge_set: set[tuple[ConceptId, ConceptId]] = set()
     for child, parent in edges:
@@ -212,11 +216,17 @@ def build_graph(
         edge_set.add((child, parent))
 
     prop_list = sorted(set(properties), key=lambda p: (p.subject, p.property, p.value))
+    seen_parts: dict[tuple[str, ...], str] = {}
     for p in prop_list:
         if p.subject not in ids:
             raise DanglingReference(f"property subject {p.subject!r} is not a concept")
         if not p.property or not p.value:
             raise SchemaViolation(f"property assertion with empty field: {p!r}")
+        # Property names and values become cluster-id parts by their slugs.
+        parts = {(p.subject, _slug(p.property)): p.property, (p.subject, p.property, _slug(p.value)): p.value}
+        for key, text in parts.items():
+            if seen_parts.setdefault(key, text) != text:
+                raise SchemaViolation(f"{seen_parts[key]!r} and {text!r} of {p.subject} collide as {key[-1]!r}")
 
     same_pairs: set[tuple[ConceptId, ConceptId]] = set()
     for a, b in same_as:

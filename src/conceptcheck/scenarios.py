@@ -23,7 +23,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 from .answers import Answer
 from .backends import Backend, PromptTemplate, render_prompt
@@ -179,21 +178,6 @@ def gen_scenario_questions(
     return out
 
 
-def _scenario_prompts(
-    scenarios: list[PolicyScenario],
-    specialists: list[ConceptId],
-    graph: ConceptGraph,
-    closure: DeductiveClosure,
-    template: PromptTemplate,
-) -> Iterator[tuple[PolicyScenario, list[tuple[ScenarioQuestion, str]]]]:
-    """Each scenario with its questions, each paired with its prompt: the policy text is the context."""
-    for scenario in scenarios:
-        yield scenario, [
-            (q, render_prompt(template, q.question, (scenario.policy_text,)))
-            for q in gen_scenario_questions(scenario, specialists, graph, closure)
-        ]
-
-
 class ScenarioOracle(Backend):
     """Answers every scenario question correctly.
 
@@ -215,9 +199,9 @@ class ScenarioOracle(Backend):
     ):
         self.id = id
         self._expected = {
-            rendered: q.expected.value
-            for _, pairs in _scenario_prompts(scenarios, specialists, graph, closure, template)
-            for q, rendered in pairs
+            render_prompt(template, q.question, (scenario.policy_text,)): q.expected.value
+            for scenario in scenarios
+            for q in gen_scenario_questions(scenario, specialists, graph, closure)
         }
 
     def answer(self, question: str, rendered_prompt: str) -> str:
@@ -244,20 +228,16 @@ def evaluate_scenarios(
     """
     if not specialists:
         raise ConfigError("the specialist roster is empty")
-    asked = list(_scenario_prompts(scenarios, specialists, graph, closure, template))
+    asked = [(scenario, gen_scenario_questions(scenario, specialists, graph, closure)) for scenario in scenarios]
     jobs = [
-        (scenario.id, idx, q.question, rendered, q.expected)
-        for scenario, pairs in asked
-        for idx, (q, rendered) in enumerate(pairs)
+        (scenario.id, idx, q.question, (scenario.policy_text,), q.expected)
+        for scenario, questions in asked
+        for idx, q in enumerate(questions)
     ]
-    records = iter(ask_and_judge(jobs, backend))
+    records = iter(ask_and_judge(jobs, backend, template))
     results = [
-        ScenarioResult(
-            scenario=scenario,
-            questions=tuple(q for q, _ in pairs),
-            answers=tuple(islice(records, len(pairs))),
-        )
-        for scenario, pairs in asked
+        ScenarioResult(scenario, tuple(questions), answers=tuple(islice(records, len(questions))))
+        for scenario, questions in asked
     ]
     answers = [a for r in results for a in r.answers]
     summary = ScenarioSummary(

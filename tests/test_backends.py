@@ -124,10 +124,16 @@ def test_cache_round_trip(tmp_path):
     cache = cc.ResponseCache(tmp_path / "cache")
     key = cc.ResponseCache.key("m", "prompt", "q")
     assert cache.get(key) is None
-    cache.put(key, "Yes.", cc.Answer.YES)
+    cache.put(key, "Yes.")
     hit = cache.get(key)
     assert hit["raw"] == "Yes."
-    assert hit["normalized"] == "yes"
+    assert sorted(hit) == ["raw", "timestamp"]
+
+    # Entries written with the former `normalized` field still answer.
+    old_key = cc.ResponseCache.key("m", "p", "q")
+    cache.store(old_key, {"raw": "No.", "normalized": "no", "timestamp": 0.0})
+    offline = cc.RemoteBackend("http://127.0.0.1:9/gone", "m", cache=cache, retries=0)
+    assert offline.answer("q", "p") == "No."
 
 
 def test_cache_key_separates_inputs():
@@ -141,17 +147,17 @@ def test_cache_key_separates_inputs():
 def test_cache_survives_corrupt_entry(tmp_path):
     cache = cc.ResponseCache(tmp_path)
     key = cc.ResponseCache.key("m", "p", "q")
-    cache.put(key, "yes", cc.Answer.YES)
+    cache.put(key, "yes")
     (tmp_path / f"{key}.json").write_text("{torn write", encoding="utf-8")
     assert cache.get(key) is None
-    cache.put(key, "no", cc.Answer.NO)
+    cache.put(key, "no")
     assert cache.get(key)["raw"] == "no"
 
 
 def test_cache_leaves_no_temp_files(tmp_path):
     cache = cc.ResponseCache(tmp_path)
     for i in range(20):
-        cache.put(cc.ResponseCache.key("m", "p", str(i)), "yes", cc.Answer.YES)
+        cache.put(cc.ResponseCache.key("m", "p", str(i)), "yes")
     leftovers = [p for p in tmp_path.iterdir() if not p.name.endswith(".json")]
     assert leftovers == []
 

@@ -261,6 +261,14 @@ def test_property_cluster_ids_name_the_value_only_when_a_subject_has_several():
     ]
 
 
+def test_non_latin_labels_load_and_get_distinct_ids():
+    concepts = [cc.Concept(id="q1", label="Собака"), cc.Concept(id="q2", label="Млекопитающее")]
+    graph = cc.build_graph(concepts, [("q1", "q2")])
+    ids = [c.id for c in cc.generate_dataset(graph, cc.GenerationConfig()).clusters]
+    assert "positive-edge:собака:млекопитающее" in ids
+    assert len(ids) == len(set(ids))
+
+
 # --- whole-dataset generation --------------------------------------------------
 
 

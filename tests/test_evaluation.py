@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -121,26 +124,65 @@ def test_evaluate_concurrent_backend_preserves_order(medical_dataset, medical_cl
     assert backend.peak > 1  # requests really overlapped
 
 
-def test_evaluate_passes_context_to_prompts(chain, template):
-    _, closure, dataset = chain
-    seen: list[str] = []
+def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):
+    # Four workers, and each question still gets exactly its own rendered prompt.
+    oracle = cc.PerfectOracle(medical_closure, medical_dataset)
+    seen: list[tuple[str, str]] = []
+    lock = threading.Lock()
 
     class Recorder(cc.Backend):
         id = "recorder"
+        concurrency = 4
 
         def answer(self, question, rendered_prompt):
-            seen.append(rendered_prompt)
-            return "yes"
+            with lock:
+                seen.append((question, rendered_prompt))
+            return oracle.answer(question, rendered_prompt)
 
     context = cc.ContextBlock(
-        statements=("a b is a a",),
+        statements=tuple(c.statements[0] for c in medical_dataset.clusters[:40]),
+        source_cluster_ids=(),
+        backend_ids=("x",),
+        dataset_fingerprint=cc.dataset_fingerprint(medical_dataset),
+    )
+    rs = cc.evaluate_dataset(medical_dataset, Recorder(), template, context)
+    assert rs.context_fingerprint == context.fingerprint()
+    questions = [(c.id, i, q) for c in medical_dataset.clusters for i, q in enumerate(c.questions)]
+    assert Counter(seen) == Counter((q, cc.render_prompt(template, q, context.statements)) for _, _, q in questions)
+    assert [(r.cluster_id, r.question_index) for r in rs.records] == [(c, i) for c, i, _ in questions]
+    assert all(r.correct for r in rs.records)
+
+
+def test_evaluate_memory_grows_with_questions_plus_context(template):
+    # 2,000 questions, each asked with the same 24 kB context.
+    graph = make_graph([(f"leaf{i:03d}", "root") for i in range(250)])
+    dataset = cc.generate_dataset(graph, cc.GenerationConfig())
+    questions = sum(len(c.questions) for c in dataset.clusters)
+    context = cc.ContextBlock(
+        statements=tuple(f"statement {i:04d} " + "x" * 45 for i in range(400)),
         source_cluster_ids=(),
         backend_ids=("x",),
         dataset_fingerprint=cc.dataset_fingerprint(dataset),
     )
-    rs = cc.evaluate_dataset(dataset, Recorder(), template, context)
-    assert rs.context_fingerprint == context.fingerprint()
-    assert all("a b is a a\nQ: " in prompt for prompt in seen)
+    prompt_sizes: list[int] = []
+
+    class Sized(cc.Backend):
+        id = "sized"
+
+        def answer(self, question, rendered_prompt):
+            prompt_sizes.append(len(rendered_prompt))
+            return "yes"
+
+    tracemalloc.start()
+    try:
+        rs = cc.evaluate_dataset(dataset, Sized(), template, context)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert questions == len(rs.records) >= 2000
+    assert min(prompt_sizes) >= 20_000
+    # Holding every prompt at once would take questions x prompt size (> 40 MB).
+    assert peak < questions * min(prompt_sizes) / 10
 
 
 # --- report tallies ----------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_build_graph_rejects_duplicate_label_case_insensitively():
         cc.build_graph(concepts, [])
 
 
+def test_build_graph_rejects_labels_with_equal_slugs():
+    # `x y` and `x-y` would give the same cluster ids.
+    concepts = [cc.Concept(id="a", label="x y"), cc.Concept(id="b", label="x-y")]
+    with pytest.raises(cc.DuplicateLabel, match=r"'x-y' of b collides with a as 'x-y'"):
+        cc.build_graph(concepts, [])
+
+
 def test_build_graph_rejects_dangling_edge_endpoints():
     concepts = [cc.Concept(id="a", label="a", aliases=())]
     with pytest.raises(cc.DanglingReference):
@@ -101,6 +108,19 @@ def test_duplicate_property_assertions_collapse():
         cc.PropertyAssertion(subject="a", property="p", value="v1"),
         cc.PropertyAssertion(subject="a", property="p", value="v2"),
     )
+
+
+def test_build_graph_rejects_property_values_with_equal_slugs():
+    with pytest.raises(cc.SchemaViolation, match=r"'V 1' and 'v-1' of a collide as 'v-1'"):
+        make_graph([("b", "a")], properties=[("a", "p", "V 1"), ("a", "p", "v-1")])
+    # Other subjects and other properties may reuse the value.
+    make_graph([("b", "a")], properties=[("a", "p", "V 1"), ("b", "p", "v-1"), ("a", "q", "v-1")])
+
+
+def test_build_graph_rejects_property_names_with_equal_slugs():
+    with pytest.raises(cc.SchemaViolation, match=r"'Field' and 'field' of a collide as 'field'"):
+        make_graph([("b", "a")], properties=[("a", "field", "v1"), ("a", "Field", "v2")])
+    make_graph([("b", "a")], properties=[("a", "field", "v1"), ("b", "Field", "v2")])
 
 
 # --- deductive closure ------------------------------------------------------
