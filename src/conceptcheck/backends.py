@@ -55,6 +55,27 @@ class PromptTemplate:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def render_prefix(template: PromptTemplate, context_statements: tuple[str, ...] = ()) -> str:
+    """Render everything above a prompt's final question, once for many questions.
+
+    The preamble and a blank line, each few-shot pair and a blank line, then
+    the context statements verbatim: every line ends in a newline, so the
+    prefix is "" when all of them are empty.
+    """
+    parts: list[str] = []
+    if template.preamble:
+        parts += (template.preamble, "")
+    for shot_q, shot_a in template.few_shot:
+        parts += (f"Q: {shot_q}", f"A: {shot_a}", "")
+    parts.extend(context_statements)
+    return "".join(f"{part}\n" for part in parts)
+
+
+def prompt_with_prefix(prefix: str, question: str) -> str:
+    """The full prompt for one question below a prefix from `render_prefix`."""
+    return f"{prefix}Q: {question}\nA:"
+
+
 def render_prompt(
     template: PromptTemplate,
     question: str,
@@ -66,18 +87,7 @@ def render_prompt(
     own line, directly above the final question; everything else is byte
     identical to the context-free rendering.
     """
-    parts: list[str] = []
-    if template.preamble:
-        parts.append(template.preamble)
-        parts.append("")
-    for shot_q, shot_a in template.few_shot:
-        parts.append(f"Q: {shot_q}")
-        parts.append(f"A: {shot_a}")
-        parts.append("")
-    parts.extend(context_statements)
-    parts.append(f"Q: {question}")
-    parts.append("A:")
-    return "\n".join(parts)
+    return prompt_with_prefix(render_prefix(template, context_statements), question)
 
 
 def load_prompt_template(path: str | Path) -> PromptTemplate:

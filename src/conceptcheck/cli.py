@@ -300,10 +300,18 @@ def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: Clus
 
 
 def _check_unique_ids(backends: list[Backend]) -> None:
-    """Each backend's output files are named after its id, so ids must differ."""
+    """Each backend's output files are named after the slug of its id, so slugs must differ."""
     ids = [b.id for b in backends]
     if len(ids) != len(set(ids)):
         raise ConfigError(f"backend ids must be unique, got {ids}; set explicit 'id' fields")
+    by_slug: dict[str, str] = {}
+    for backend_id in ids:
+        first = by_slug.setdefault(_slug(backend_id), backend_id)
+        if first != backend_id:
+            raise ConfigError(
+                f"backend ids {first!r} and {backend_id!r} would both write files named "
+                f"{_slug(backend_id)!r}; set explicit 'id' fields"
+            )
 
 
 def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: str = "") -> tuple[list, int]:
@@ -385,6 +393,8 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
     context = build_context(
         baselines, dataset, granularity=_merge(granularity, config, "granularity", default="question")
     )
+    template = _load_prompt(prompt, config)
+    backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_context(context, out / "context.json")
@@ -392,9 +402,6 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
     if not context.statements:
         click.echo("nothing was missed by every baseline; skipping the augmented run")
         return
-
-    template = _load_prompt(prompt, config)
-    backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
 
     baseline_rows = {rs.backend_id: compute_report(rs, dataset) for rs in baselines}
     rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")

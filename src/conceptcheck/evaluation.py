@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .answers import Answer, normalize_answer
-from .backends import Backend, PromptTemplate, render_prompt
-from .clusters import ClusterDataset, ClusterType, QuestionCluster, dataset_fingerprint
+from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
+from .clusters import ClusterDataset, ClusterType, dataset_fingerprint
 from .errors import (
     ConceptCheckError,
     DenominatorMismatch,
@@ -33,7 +33,9 @@ from .errors import (
 
 RESULTS_FORMAT_VERSION = "1"
 
-Job = tuple[str, int, str, tuple[str, ...], Answer]
+# (cluster_id, question_index, question, prompt prefix, expected); jobs that
+# share a context share one prefix string from `render_prefix`.
+Job = tuple[str, int, str, str, Answer]
 
 
 class Verdict(str, Enum):
@@ -90,22 +92,24 @@ def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
     return Verdict.INCONSISTENT
 
 
-def ask_and_judge(jobs: Sequence[Job], backend: Backend, template: PromptTemplate) -> list[AnswerRecord]:
-    """Ask and judge (cluster_id, question_index, question, context, expected) jobs.
+def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
+    """Ask and judge (cluster_id, question_index, question, prefix, expected) jobs.
 
-    `context` is a tuple of statement lines, shared across jobs; each
-    prompt is rendered just before its question is asked and then dropped,
-    so memory holds one prompt per worker, not one per question. Records
-    come back in job order. A backend failure on one question is recorded
-    (as an incorrect Other answer with an empty raw text and the error flag
-    set) and evaluation continues; it never aborts the run. Questions go
-    out concurrently when the backend declares a concurrency above one.
+    `prefix` is the rendered preamble, few-shots and context, shared by
+    reference across jobs; each question is asked with `prefix` plus its
+    own question line, one copy of the prompt built just before the call
+    and then dropped, so memory holds one prompt per worker, not one per
+    question. Records come back in job order. A backend failure on one
+    question is recorded (as an incorrect Other answer with an empty raw
+    text and the error flag set) and evaluation continues; it never aborts
+    the run. Questions go out concurrently when the backend declares a
+    concurrency above one.
     """
 
     def ask(job: Job) -> AnswerRecord:
-        cluster_id, idx, question, context, expected = job
+        cluster_id, idx, question, prefix, expected = job
         try:
-            raw = backend.answer(question, render_prompt(template, question, context))
+            raw = backend.answer(question, prompt_with_prefix(prefix, question))
         except ConceptCheckError:
             return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
         normalized = normalize_answer(raw)
@@ -126,14 +130,15 @@ def evaluate_dataset(
 ) -> ResultSet:
     """Ask every dataset question and record normalized, judged answers.
 
-    Jobs share one context tuple and `ask_and_judge` holds one rendered
-    prompt per worker, so memory grows with questions plus context, not
-    with their product. Failures and concurrency are handled as in
-    `ask_and_judge`; records come back in dataset order.
+    The preamble, few-shots and context are rendered once, as one prefix
+    that every job shares, so each question costs one copy of its prompt
+    and memory grows with questions plus context, not with their product.
+    Failures and concurrency are handled as in `ask_and_judge`; records
+    come back in dataset order.
     """
-    statements = context.statements if context is not None else ()
+    prefix = render_prefix(template, context.statements if context is not None else ())
     jobs = [
-        (cluster.id, idx, question, statements, cluster.expected)
+        (cluster.id, idx, question, prefix, cluster.expected)
         for cluster in dataset.clusters
         for idx, question in enumerate(cluster.questions)
     ]
@@ -142,7 +147,7 @@ def evaluate_dataset(
         dataset_fingerprint=dataset_fingerprint(dataset),
         prompt_fingerprint=template.fingerprint(),
         context_fingerprint=context.fingerprint() if context is not None else None,
-        records=tuple(ask_and_judge(jobs, backend, template)),
+        records=tuple(ask_and_judge(jobs, backend)),
     )
 
 
@@ -237,12 +242,39 @@ def report_from_verdicts(backend_id: str, verdicts: dict[str, Verdict], dataset:
     )
 
 
+def _check_answers_match(resultset: ResultSet, dataset: ClusterDataset) -> None:
+    """A result set answers each dataset question exactly once, in dataset order.
+
+    Verdicts group records by position, so a missing, repeated or misplaced
+    record would otherwise change a score without an error.
+    """
+    records = resultset.records
+    n = 0
+    for cluster in dataset.clusters:
+        for idx in range(len(cluster.questions)):
+            if n == len(records) or records[n].cluster_id != cluster.id or records[n].question_index != idx:
+                _answer_mismatch(resultset, n, f"{cluster.id}[{idx}]")
+            n += 1
+    if n != len(records):
+        _answer_mismatch(resultset, n, "the end")
+
+
+def _answer_mismatch(resultset: ResultSet, n: int, expected: str) -> None:
+    records = resultset.records
+    found = f"{records[n].cluster_id}[{records[n].question_index}]" if n < len(records) else "the end"
+    raise MismatchedDataset(
+        f"result set {resultset.backend_id} does not follow the dataset at answer {n + 1}: "
+        f"found {found}, expected {expected}"
+    )
+
+
 def compute_report(resultset: ResultSet, dataset: ClusterDataset) -> ReportRow:
     """Tally the result set's verdicts against its dataset."""
     if resultset.dataset_fingerprint != dataset_fingerprint(dataset):
         raise MismatchedDataset(
             "result set was produced from a different dataset than the one given"
         )
+    _check_answers_match(resultset, dataset)
     return report_from_verdicts(resultset.backend_id, resultset.verdicts, dataset)
 
 
@@ -306,6 +338,7 @@ def build_context(
             raise MismatchedDataset(
                 f"result set {rs.backend_id} was produced from a different dataset"
             )
+        _check_answers_match(rs, dataset)
     statements: list[str] = []
     seen: set[str] = set()
     clusters_used: list[str] = []
@@ -320,7 +353,7 @@ def build_context(
             picked = [
                 idx
                 for idx in range(len(cluster.questions))
-                if all(not _record(rs, cluster, idx).correct for rs in resultsets)
+                if all(not rs.by_question[(cluster.id, idx)].correct for rs in resultsets)
             ]
         for idx in picked:
             cluster_hit = True
@@ -336,15 +369,6 @@ def build_context(
         backend_ids=tuple(rs.backend_id for rs in resultsets),
         dataset_fingerprint=ds_fp,
     )
-
-
-def _record(rs: ResultSet, cluster: QuestionCluster, idx: int) -> AnswerRecord:
-    try:
-        return rs.by_question[(cluster.id, idx)]
-    except KeyError:
-        raise MismatchedDataset(
-            f"result set {rs.backend_id} has no answer for {cluster.id}[{idx}]"
-        ) from None
 
 
 def save_context(context: ContextBlock, path: str | Path) -> None:
@@ -427,6 +451,11 @@ def read_results(path: str | Path) -> ResultSet:
             if header is not None:
                 raise SchemaViolation(f"{path}:{lineno}: duplicate header record")
             header = data
+            if data.get("version") != RESULTS_FORMAT_VERSION:
+                raise SchemaViolation(
+                    f"{path}:{lineno}: results format version {data.get('version')!r} is not "
+                    f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
+                )
         elif kind == "answer":
             try:
                 records.append(

@@ -25,7 +25,7 @@ from itertools import islice
 from pathlib import Path
 
 from .answers import Answer
-from .backends import Backend, PromptTemplate, render_prompt
+from .backends import Backend, PromptTemplate, render_prefix, render_prompt
 from .errors import (
     ConfigError,
     MismatchedDataset,
@@ -223,18 +223,19 @@ def evaluate_scenarios(
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
     """Ask every scenario question through `ask_and_judge`, as dataset questions are.
 
-    An answer record's cluster id is its scenario's id, and its question
-    index the question's position in that scenario.
+    Each scenario's policy line is the context of its questions, rendered
+    once per scenario into the prefix they share. An answer record's
+    cluster id is its scenario's id, and its question index the question's
+    position in that scenario.
     """
     if not specialists:
         raise ConfigError("the specialist roster is empty")
     asked = [(scenario, gen_scenario_questions(scenario, specialists, graph, closure)) for scenario in scenarios]
-    jobs = [
-        (scenario.id, idx, q.question, (scenario.policy_text,), q.expected)
-        for scenario, questions in asked
-        for idx, q in enumerate(questions)
-    ]
-    records = iter(ask_and_judge(jobs, backend, template))
+    jobs = []
+    for scenario, questions in asked:
+        prefix = render_prefix(template, (scenario.policy_text,))
+        jobs += [(scenario.id, idx, q.question, prefix, q.expected) for idx, q in enumerate(questions)]
+    records = iter(ask_and_judge(jobs, backend))
     results = [
         ScenarioResult(scenario, tuple(questions), answers=tuple(islice(records, len(questions))))
         for scenario, questions in asked

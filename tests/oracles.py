@@ -179,3 +179,26 @@ def random_dag(rng: random.Random, max_nodes: int = 50, edge_prob: float = 0.15)
             if rng.random() < edge_prob:
                 edges.add((order[i], order[j]))
     return nodes, edges
+
+
+def render_prompt_by_joining(
+    preamble: str,
+    few_shot: list[tuple[str, str]],
+    question: str,
+    context: list[str],
+) -> str:
+    """The prompt as one list of lines joined by newlines: the preamble and a
+    blank line, each few-shot pair and a blank line, the context lines, then
+    the question and the answer cue."""
+    parts: list[str] = []
+    if preamble:
+        parts.append(preamble)
+        parts.append("")
+    for shot_q, shot_a in few_shot:
+        parts.append(f"Q: {shot_q}")
+        parts.append(f"A: {shot_a}")
+        parts.append("")
+    parts.extend(context)
+    parts.append(f"Q: {question}")
+    parts.append("A:")
+    return "\n".join(parts)

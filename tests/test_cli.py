@@ -434,6 +434,29 @@ def test_scenarios_reject_duplicate_backend_ids(runner, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "augment", "scenarios"])
+def test_backend_ids_with_equal_file_names_rejected(runner, tmp_path, dataset_file, command):
+    eval_dir = tmp_path / "eval"
+    run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+        "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", eval_dir,
+    )
+    inputs = {
+        "evaluate": ["--dataset", dataset_file],
+        "augment": ["--dataset", dataset_file, "--baseline", eval_dir / "results-noisy-p0.3-s7.jsonl"],
+        "scenarios": [],
+    }[command]
+    result = run(
+        runner, command, *inputs, "--graph", GRAPH,
+        "--backend", '{"kind": "perfect", "id": "a/b"}', "--backend", '{"kind": "perfect", "id": "a-b"}',
+        "--out-dir", tmp_path / "out", code=2,
+    )
+    assert result.stderr == (
+        "error: backend ids 'a/b' and 'a-b' would both write files named 'a-b'; set explicit 'id' fields\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenarios_reject_noisy_backend(runner, tmp_path):
     result = run(
         runner, "scenarios", "--graph", GRAPH,

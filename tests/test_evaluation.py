@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
 import conceptcheck as cc
+from conceptcheck import evaluation, scenarios
 from conftest import Jittery, make_graph
 
 V = cc.Verdict
@@ -185,6 +188,40 @@ def test_evaluate_memory_grows_with_questions_plus_context(template):
     assert peak < questions * min(prompt_sizes) / 10
 
 
+def test_prefix_is_rendered_once_per_context(medical_graph, medical_closure, medical_dataset, template):
+    calls: list[tuple[str, ...]] = []
+
+    def counting(render):
+        def wrapper(template, context_statements=()):
+            calls.append(context_statements)
+            return render(template, context_statements)
+        return wrapper
+
+    context = cc.ContextBlock(
+        statements=tuple(c.statements[0] for c in medical_dataset.clusters[:40]),
+        source_cluster_ids=(),
+        backend_ids=("x",),
+        dataset_fingerprint=cc.dataset_fingerprint(medical_dataset),
+    )
+    oracle = cc.PerfectOracle(medical_closure, medical_dataset)
+    with patch.object(evaluation, "render_prefix", counting(evaluation.render_prefix)):
+        rs = cc.evaluate_dataset(medical_dataset, oracle, template, context)
+    assert len(rs.records) == 444
+    assert calls == [context.statements]
+
+    calls.clear()
+    policies = cc.load_medical_scenarios()
+    roster = list(cc.MEDICAL_SPECIALISTS)
+    backend = cc.ScenarioOracle(policies, roster, medical_graph, medical_closure, template)
+    with patch.object(scenarios, "render_prefix", counting(scenarios.render_prefix)):
+        results, summary = cc.evaluate_scenarios(
+            policies, roster, medical_graph, medical_closure, backend, template
+        )
+    assert calls == [(s.policy_text,) for s in policies]
+    assert summary.total_scenarios == len(policies) == 10
+    assert summary.incorrect_questions == 0
+
+
 # --- report tallies ----------------------------------------------------------------
 
 
@@ -223,6 +260,37 @@ def test_compute_report_checks_fingerprint(chain, medical_dataset, template):
     assert row.all.inconsistent == 0
     assert row.all.incomplete == 0
     assert row.all.consistent == row.all.total == 5
+
+
+def _misfiled(rs: cc.ResultSet, edit: str) -> tuple[cc.ResultSet, str]:
+    """The result set with one record missing, repeated or moved; the message expected."""
+    records = list(rs.records)
+    name = "{0.cluster_id}[{0.question_index}]".format
+    if edit == "missing":
+        del records[5]
+        message = f"answer 6: found {name(rs.records[6])}, expected {name(rs.records[5])}"
+    elif edit == "duplicate":
+        first = records[0]
+        records.append(dataclasses.replace(first, correct=not first.correct))
+        message = f"answer {len(rs.records) + 1}: found {name(first)}, expected the end"
+    else:
+        records.append(records.pop(0))
+        message = f"answer 1: found {name(rs.records[1])}, expected {name(rs.records[0])}"
+    return dataclasses.replace(rs, records=tuple(records)), message
+
+
+@pytest.mark.parametrize("edit", ["missing", "duplicate", "reordered"])
+def test_result_sets_must_answer_each_question_once_in_order(medical_dataset, medical_closure, template, edit):
+    noisy = cc.NoisyOracle(medical_closure, medical_dataset, flip_probability=0.3, seed=7)
+    rs, message = _misfiled(cc.evaluate_dataset(medical_dataset, noisy, template), edit)
+    expected = f"result set noisy-p0.3-s7 does not follow the dataset at {message}"
+    with pytest.raises(cc.MismatchedDataset) as err:
+        cc.compute_report(rs, medical_dataset)
+    assert str(err.value) == expected
+    for granularity in ("question", "cluster"):
+        with pytest.raises(cc.MismatchedDataset) as err:
+            cc.build_context([rs], medical_dataset, granularity=granularity)
+        assert str(err.value) == expected
 
 
 def test_group_count_pct_handles_empty_group():
@@ -410,6 +478,19 @@ def test_read_results_header_rules(tmp_path, chain, template):
 
     with pytest.raises(cc.UnreadableSource):
         cc.read_results(tmp_path / "absent.jsonl")
+
+
+def test_read_results_rejects_unknown_version(tmp_path, chain, template):
+    _, closure, dataset = chain
+    rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
+    path = tmp_path / "results.jsonl"
+    cc.write_results(rs, path)
+    header, *records = path.read_text().splitlines()
+    for version in ("2", None):
+        changed = {**json.loads(header), "version": version}
+        path.write_text("\n".join([json.dumps(changed), *records]) + "\n", encoding="utf-8")
+        with pytest.raises(cc.SchemaViolation, match=f":1: results format version {version!r} is not supported"):
+            cc.read_results(path)
 
 
 def test_read_results_tolerates_blank_lines(tmp_path, chain, template):

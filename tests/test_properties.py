@@ -1,5 +1,6 @@
 """Property tests: pair-mode path clusters, unrelated-pair sampling and the
-path count match the brute-force oracles on random DAGs with same-as links."""
+path count match the brute-force oracles on random DAGs with same-as links,
+and prompts rendered from a shared prefix match the joined-lines renderer."""
 
 from __future__ import annotations
 
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
-from conceptcheck import hierarchy
+from conceptcheck import backends, hierarchy
 from conceptcheck.clusters import SUBSUMPTION_FORMS, gen_path_clusters, subsumption_question
 from oracles import (
     all_paths_by_joining,
     first_path_per_pair,
+    render_prompt_by_joining,
     sampled_unrelated_pairs,
     unrelated_candidates,
 )
@@ -104,3 +106,26 @@ def test_implied_paths_count_and_cap_match_enumeration(dag, min_len):
     with patch.object(hierarchy, "MAX_ENUMERATED_PATHS", len(every) - 1):
         with pytest.raises(cc.ConfigError, match=f"has {len(every)} paths"):
             cc.implied_paths(graph, min_len)
+
+
+# Text with blank lines, newlines, prompt markers and non-ASCII and astral
+# characters mixed into arbitrary code points.
+prompt_text = st.text(
+    st.one_of(st.sampled_from("Q:A \n\u00e9\u4e2d\U0001f600\U00010348"), st.characters()), max_size=12
+)
+
+
+@CHECK
+@given(
+    preamble=st.one_of(st.just(""), prompt_text),
+    few_shot=st.lists(st.tuples(prompt_text, prompt_text), max_size=3),
+    context=st.lists(st.one_of(st.just(""), prompt_text), max_size=5),
+    question=prompt_text,
+)
+def test_render_prompt_matches_joining_oracle(preamble, few_shot, context, question):
+    template = cc.PromptTemplate(preamble=preamble, few_shot=tuple(few_shot))
+    expected = render_prompt_by_joining(preamble, few_shot, question, context)
+    assert cc.render_prompt(template, question, tuple(context)) == expected
+    prefix = backends.render_prefix(template, tuple(context))
+    assert backends.prompt_with_prefix(prefix, question) == expected
+    assert (prefix == "") == (not preamble and not few_shot and not context)
