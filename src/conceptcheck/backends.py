@@ -28,6 +28,7 @@ from .errors import (
     MalformedResponse,
     MismatchedDataset,
     SchemaViolation,
+    digest,
     read_json,
 )
 from .hierarchy import DeductiveClosure
@@ -47,12 +48,7 @@ class PromptTemplate:
     few_shot: tuple[tuple[str, str], ...] = ()
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(
-            {"preamble": self.preamble, "few_shot": [list(p) for p in self.few_shot]},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest({"preamble": self.preamble, "few_shot": [list(p) for p in self.few_shot]})
 
 
 def render_prefix(template: PromptTemplate, context_statements: tuple[str, ...] = ()) -> str:
@@ -116,12 +112,7 @@ class ResponseCache:
 
     @staticmethod
     def key(model: str, rendered_prompt: str, question: str) -> str:
-        canonical = json.dumps(
-            {"model": model, "prompt": rendered_prompt, "question": question},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest({"model": model, "prompt": rendered_prompt, "question": question})
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"

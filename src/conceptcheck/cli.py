@@ -28,12 +28,11 @@ from .clusters import (
     ClusterDataset,
     ClusterType,
     GenerationConfig,
-    dataset_fingerprint,
     generate_dataset,
     read_dataset,
     write_dataset,
 )
-from .errors import ConceptCheckError, ConfigError, SchemaViolation, read_json
+from .errors import ConceptCheckError, ConfigError, SchemaViolation, read_json, write_json
 from .evaluation import (
     build_context,
     compute_report,
@@ -244,7 +243,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
         "diagnostics": diagnostics,
     }
     manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest_path, manifest)
     click.echo(f"wrote {out_path} ({len(graph.concepts)} concepts, {len(graph.edges)} edges) + {manifest_path.name}")
 
 
@@ -367,7 +366,7 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, errors = _evaluate_backends(backends, dataset, template, context, out)
-    _write_reports(rows, out, dataset_fingerprint(dataset))
+    _write_reports(rows, out, dataset.fingerprint)
     click.echo(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
     _exit_if_failed(errors)
 
@@ -411,7 +410,7 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         only = next(iter(baseline_rows.values()))
         baseline_rows.update({row.backend_id: only for row in rows})
     _write_reports(
-        rows, out, dataset_fingerprint(dataset),
+        rows, out, dataset.fingerprint,
         baselines=baseline_rows, title="Consistency report (augmented)",
     )
     click.echo(f"augmented run finished -> {out}/report.md")
@@ -519,7 +518,7 @@ def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_reports(
-        rows, out, dataset_fingerprint(dataset),
+        rows, out, dataset.fingerprint,
         baselines=baselines, title=title or "Consistency report",
     )
     click.echo(f"wrote {out}/report.md and {out}/report.csv")

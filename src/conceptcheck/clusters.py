@@ -16,16 +16,15 @@ of (graph, config), so a fixed seed reproduces a dataset byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .answers import Answer
-from .errors import ConfigError, SchemaViolation, UnknownTemplate, read_json
+from .errors import ConfigError, SchemaViolation, UnknownTemplate, digest, read_json, write_json
 from .hierarchy import (
     ConceptGraph,
     ConceptId,
@@ -121,6 +120,11 @@ class ClusterDataset:
     graph_fingerprint: str
     config: GenerationConfig
     clusters: tuple[QuestionCluster, ...]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable content hash binding results files to this dataset."""
+        return digest(dataset_to_dict(self))
 
 
 # --- question and statement templates --------------------------------------
@@ -572,8 +576,7 @@ def dataset_from_dict(data: object) -> ClusterDataset:
 
 
 def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:
-    text = json.dumps(dataset_to_dict(dataset), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_json(path, dataset_to_dict(dataset))
 
 
 def read_dataset(path: str | Path) -> ClusterDataset:
@@ -582,6 +585,5 @@ def read_dataset(path: str | Path) -> ClusterDataset:
 
 
 def dataset_fingerprint(dataset: ClusterDataset) -> str:
-    """Stable content hash binding results files to their dataset."""
-    canonical = json.dumps(dataset_to_dict(dataset), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The dataset's `fingerprint`, computed once per dataset object."""
+    return dataset.fingerprint

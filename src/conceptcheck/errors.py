@@ -1,4 +1,5 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the JSON codec every
+artifact is read and written with.
 
 Every error callers are expected to handle derives from ConceptCheckError,
 so CLI code can map the whole family to a single exit code.
@@ -6,8 +7,10 @@ so CLI code can map the whole family to a single exit code.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
+from typing import Iterable
 
 
 class ConceptCheckError(Exception):
@@ -98,3 +101,23 @@ def read_json(path: str | Path, what: str) -> object:
         raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def canonical_json(obj: object) -> str:
+    """The compact form: sorted keys, no spaces, non-ASCII escaped."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def digest(obj: object) -> str:
+    """The fingerprint of `obj`: sha256 hex of its `canonical_json`."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """Write `obj` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_json_lines(path: str | Path, objs: Iterable[object]) -> None:
+    """Write each object as one `canonical_json` line."""
+    Path(path).write_text("".join(canonical_json(obj) + "\n" for obj in objs), encoding="utf-8")

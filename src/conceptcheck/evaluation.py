@@ -9,26 +9,28 @@ neither yes nor no count as incorrect.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .answers import Answer, normalize_answer
 from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
-from .clusters import ClusterDataset, ClusterType, dataset_fingerprint
+from .clusters import ClusterDataset, ClusterType
 from .errors import (
     ConceptCheckError,
     DenominatorMismatch,
     MismatchedDataset,
     SchemaViolation,
     UnreadableSource,
+    digest,
     read_json,
+    write_json,
+    write_json_lines,
 )
 
 RESULTS_FORMAT_VERSION = "1"
@@ -74,10 +76,6 @@ class ResultSet:
     @cached_property
     def error_count(self) -> int:
         return sum(1 for r in self.records if r.error)
-
-    @cached_property
-    def by_question(self) -> dict[tuple[str, int], AnswerRecord]:
-        return {(r.cluster_id, r.question_index): r for r in self.records}
 
 
 def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
@@ -144,7 +142,7 @@ def evaluate_dataset(
     ]
     return ResultSet(
         backend_id=backend.id,
-        dataset_fingerprint=dataset_fingerprint(dataset),
+        dataset_fingerprint=dataset.fingerprint,
         prompt_fingerprint=template.fingerprint(),
         context_fingerprint=context.fingerprint() if context is not None else None,
         records=tuple(ask_and_judge(jobs, backend)),
@@ -243,11 +241,14 @@ def report_from_verdicts(backend_id: str, verdicts: dict[str, Verdict], dataset:
 
 
 def _check_answers_match(resultset: ResultSet, dataset: ClusterDataset) -> None:
-    """A result set answers each dataset question exactly once, in dataset order.
+    """A result set comes from the dataset and answers each of its questions
+    exactly once, in dataset order.
 
-    Verdicts group records by position, so a missing, repeated or misplaced
-    record would otherwise change a score without an error.
+    Verdicts and context read records by position, so a missing, repeated or
+    misplaced record would otherwise change a score without an error.
     """
+    if resultset.dataset_fingerprint != dataset.fingerprint:
+        raise MismatchedDataset(f"result set {resultset.backend_id} was produced from a different dataset")
     records = resultset.records
     n = 0
     for cluster in dataset.clusters:
@@ -270,10 +271,6 @@ def _answer_mismatch(resultset: ResultSet, n: int, expected: str) -> None:
 
 def compute_report(resultset: ResultSet, dataset: ClusterDataset) -> ReportRow:
     """Tally the result set's verdicts against its dataset."""
-    if resultset.dataset_fingerprint != dataset_fingerprint(dataset):
-        raise MismatchedDataset(
-            "result set was produced from a different dataset than the one given"
-        )
     _check_answers_match(resultset, dataset)
     return report_from_verdicts(resultset.backend_id, resultset.verdicts, dataset)
 
@@ -308,12 +305,7 @@ class ContextBlock:
     dataset_fingerprint: str
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(
-            {"statements": list(self.statements), "dataset": self.dataset_fingerprint},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest({"statements": list(self.statements), "dataset": self.dataset_fingerprint})
 
 
 def build_context(
@@ -332,104 +324,95 @@ def build_context(
         raise SchemaViolation(f"unknown context granularity {granularity!r}")
     if not resultsets:
         raise MismatchedDataset("build_context needs at least one result set")
-    ds_fp = dataset_fingerprint(dataset)
     for rs in resultsets:
-        if rs.dataset_fingerprint != ds_fp:
-            raise MismatchedDataset(
-                f"result set {rs.backend_id} was produced from a different dataset"
-            )
         _check_answers_match(rs, dataset)
+    # Records follow dataset order, so missed[n] is about the dataset's n-th question.
+    missed = [not any(r.correct for r in answers) for answers in zip(*(rs.records for rs in resultsets))]
     statements: list[str] = []
     seen: set[str] = set()
     clusters_used: list[str] = []
+    n = 0
     for cluster in dataset.clusters:
-        cluster_hit = False
+        size = len(cluster.questions)
         if granularity == "cluster":
             if all(rs.verdicts.get(cluster.id) is not Verdict.CONSISTENT for rs in resultsets):
-                picked = range(len(cluster.questions))
+                picked = range(size)
             else:
                 picked = ()
         else:
-            picked = [
-                idx
-                for idx in range(len(cluster.questions))
-                if all(not rs.by_question[(cluster.id, idx)].correct for rs in resultsets)
-            ]
+            picked = [idx for idx in range(size) if missed[n + idx]]
+        n += size
         for idx in picked:
-            cluster_hit = True
             statement = cluster.statements[idx]
             if statement not in seen:
                 seen.add(statement)
                 statements.append(statement)
-        if cluster_hit:
+        if picked:
             clusters_used.append(cluster.id)
     return ContextBlock(
         statements=tuple(statements),
         source_cluster_ids=tuple(clusters_used),
         backend_ids=tuple(rs.backend_id for rs in resultsets),
-        dataset_fingerprint=ds_fp,
+        dataset_fingerprint=dataset.fingerprint,
     )
 
 
 def save_context(context: ContextBlock, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "statements": list(context.statements),
         "source_cluster_ids": list(context.source_cluster_ids),
         "backend_ids": list(context.backend_ids),
         "dataset_fingerprint": context.dataset_fingerprint,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 def load_context(path: str | Path) -> ContextBlock:
     data = read_json(path, "context file")
-    try:
-        return ContextBlock(
-            statements=tuple(data["statements"]),
-            source_cluster_ids=tuple(data["source_cluster_ids"]),
-            backend_ids=tuple(data["backend_ids"]),
-            dataset_fingerprint=data["dataset_fingerprint"],
-        )
-    except (TypeError, KeyError) as exc:
-        raise SchemaViolation(f"malformed context file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaViolation(f"context file {path} must hold a JSON object")
+    for field in ("statements", "source_cluster_ids", "backend_ids"):
+        value = data.get(field)
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise SchemaViolation(f"context file {path}: {field!r} must be a list of strings, got {value!r:.80}")
+    if not isinstance(data.get("dataset_fingerprint"), str):
+        raise SchemaViolation(f"context file {path}: 'dataset_fingerprint' must be a string")
+    return ContextBlock(
+        statements=tuple(data["statements"]),
+        source_cluster_ids=tuple(data["source_cluster_ids"]),
+        backend_ids=tuple(data["backend_ids"]),
+        dataset_fingerprint=data["dataset_fingerprint"],
+    )
 
 
 # --- results file (line-delimited JSON) --------------------------------------
 
+# JSON types of the answer record fields; a bool is not an int here.
+_ANSWER_FIELD_TYPES = {"cluster_id": str, "question_index": int, "raw": str, "correct": bool, "error": bool}
+
 
 def write_results(resultset: ResultSet, path: str | Path) -> None:
     """Write a header line, then one answer record per line."""
-    lines = [
-        json.dumps(
-            {
-                "record": "header",
-                "version": RESULTS_FORMAT_VERSION,
-                "backend": resultset.backend_id,
-                "dataset_fingerprint": resultset.dataset_fingerprint,
-                "prompt_fingerprint": resultset.prompt_fingerprint,
-                "context_fingerprint": resultset.context_fingerprint,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for r in resultset.records:
-        lines.append(
-            json.dumps(
-                {
-                    "record": "answer",
-                    "cluster_id": r.cluster_id,
-                    "question_index": r.question_index,
-                    "raw": r.raw,
-                    "normalized": r.normalized.value,
-                    "correct": r.correct,
-                    "error": r.error,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {
+        "record": "header",
+        "version": RESULTS_FORMAT_VERSION,
+        "backend": resultset.backend_id,
+        "dataset_fingerprint": resultset.dataset_fingerprint,
+        "prompt_fingerprint": resultset.prompt_fingerprint,
+        "context_fingerprint": resultset.context_fingerprint,
+    }
+    answers = (
+        {
+            "record": "answer",
+            "cluster_id": r.cluster_id,
+            "question_index": r.question_index,
+            "raw": r.raw,
+            "normalized": r.normalized.value,
+            "correct": r.correct,
+            "error": r.error,
+        }
+        for r in resultset.records
+    )
+    write_json_lines(path, chain([header], answers))
 
 
 def read_results(path: str | Path) -> ResultSet:
@@ -446,7 +429,7 @@ def read_results(path: str | Path) -> ResultSet:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        kind = data.get("record")
+        kind = data.get("record") if isinstance(data, dict) else None
         if kind == "header":
             if header is not None:
                 raise SchemaViolation(f"{path}:{lineno}: duplicate header record")
@@ -457,19 +440,24 @@ def read_results(path: str | Path) -> ResultSet:
                     f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
                 )
         elif kind == "answer":
-            try:
-                records.append(
-                    AnswerRecord(
-                        cluster_id=data["cluster_id"],
-                        question_index=int(data["question_index"]),
-                        raw=data["raw"],
-                        normalized=Answer(data["normalized"]),
-                        correct=bool(data["correct"]),
-                        error=bool(data.get("error", False)),
+            for field, field_type in _ANSWER_FIELD_TYPES.items():
+                if type(data.get(field)) is not field_type:
+                    raise SchemaViolation(
+                        f"{path}:{lineno}: answer field {field!r} must be {field_type.__name__}, "
+                        f"got {data.get(field)!r:.80}"
                     )
-                )
-            except (KeyError, ValueError) as exc:
+            try:
+                normalized = Answer(data.get("normalized"))
+            except ValueError as exc:
                 raise SchemaViolation(f"{path}:{lineno}: malformed answer record: {exc}") from exc
+            records.append(AnswerRecord(
+                cluster_id=data["cluster_id"],
+                question_index=data["question_index"],
+                raw=data["raw"],
+                normalized=normalized,
+                correct=data["correct"],
+                error=data["error"],
+            ))
         else:
             raise SchemaViolation(f"{path}:{lineno}: unknown record kind {kind!r}")
     if header is None:

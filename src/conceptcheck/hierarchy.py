@@ -10,7 +10,6 @@ not an approximation, and is bound to its source graph by fingerprint.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 import warnings
@@ -30,6 +29,7 @@ from .errors import (
     SchemaViolation,
     UnknownConcept,
     read_json,
+    write_json,
 )
 
 # Concept ids are opaque strings: an external KG id (Q-number) or a local slug.
@@ -146,34 +146,22 @@ def graph_fingerprint(edges: Iterable[tuple[ConceptId, ConceptId]]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _find_cycle(edges: frozenset[tuple[ConceptId, ConceptId]], nodes: Iterable[ConceptId]) -> list[ConceptId]:
-    parents: dict[ConceptId, list[ConceptId]] = {}
-    for a, b in edges:
-        parents.setdefault(a, []).append(b)
-    # Iterative DFS keeping the current path; first repeated node closes a cycle.
-    for start in sorted(nodes):
-        path: list[ConceptId] = []
-        on_path: set[ConceptId] = set()
-        done: set[ConceptId] = set()
-        stack: list[tuple[ConceptId, int]] = [(start, 0)]
-        while stack:
-            node, idx = stack.pop()
-            if idx == 0:
-                path.append(node)
-                on_path.add(node)
-            nexts = sorted(parents.get(node, ()))
-            if idx < len(nexts):
-                stack.append((node, idx + 1))
-                nxt = nexts[idx]
-                if nxt in on_path:
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in done:
-                    stack.append((nxt, 0))
-            else:
-                path.pop()
-                on_path.discard(node)
-                done.add(node)
-    return []
+def _find_cycle(graph: ConceptGraph) -> list[ConceptId]:
+    """A cycle among the concepts `parent_first` leaves out.
+
+    Each left-out concept has a left-out parent, or it would have been
+    ordered; walking from the least one to its least such parent must
+    return to a concept already visited, and that closes the cycle.
+    """
+    left_out = set(graph.concept_ids).difference(graph.parent_first)
+    node = min(left_out)
+    path: list[ConceptId] = []
+    visited: set[ConceptId] = set()
+    while node not in visited:
+        visited.add(node)
+        path.append(node)
+        node = min(p for p in graph.parents_map[node] if p in left_out)
+    return path[path.index(node):] + [node]
 
 
 def build_graph(
@@ -236,31 +224,16 @@ def build_graph(
             raise SchemaViolation(f"same-as pair of a concept with itself: {a}")
         same_pairs.add((min(a, b), max(a, b)))
 
-    # Kahn's algorithm; any remainder means a cycle exists.
-    remaining_parents = {i: 0 for i in ids}
-    children: dict[ConceptId, list[ConceptId]] = {i: [] for i in ids}
-    for child, parent in edge_set:
-        remaining_parents[child] += 1
-        children[parent].append(child)
-    queue = [i for i in sorted(ids) if remaining_parents[i] == 0]
-    visited = 0
-    while queue:
-        node = queue.pop()
-        visited += 1
-        for ch in children[node]:
-            remaining_parents[ch] -= 1
-            if remaining_parents[ch] == 0:
-                queue.append(ch)
-    if visited != len(ids):
-        leftovers = [i for i in ids if remaining_parents[i] > 0]
-        raise CycleDetected(_find_cycle(frozenset(edge_set), leftovers))
-
-    return ConceptGraph(
+    graph = ConceptGraph(
         concepts=tuple(concept_list),
         edges=tuple(sorted(edge_set)),
         properties=tuple(prop_list),
         same_as=tuple(sorted(same_pairs)),
     )
+    # Kahn's order leaves out exactly the concepts on or below a cycle.
+    if len(graph.parent_first) != len(graph.concepts):
+        raise CycleDetected(_find_cycle(graph))
+    return graph
 
 
 @dataclass(frozen=True)
@@ -534,8 +507,7 @@ def graph_from_dict(data: object) -> ConceptGraph:
 
 
 def save_graph(graph: ConceptGraph, path: str | Path) -> None:
-    text = json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_json(path, graph_to_dict(graph))
 
 
 def load_graph(path: str | Path) -> ConceptGraph:

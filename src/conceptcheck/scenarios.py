@@ -17,11 +17,10 @@ each question, so the model answers relative to the stated rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .answers import Answer
@@ -32,6 +31,7 @@ from .errors import (
     SchemaViolation,
     UnknownConcept,
     read_json,
+    write_json_lines,
 )
 from .evaluation import AnswerRecord, Verdict, ask_and_judge, classify_cluster
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
@@ -257,41 +257,31 @@ def write_scenario_results(
     path: str | Path,
 ) -> None:
     """Line-delimited JSON: header, then one record per answered question."""
-    lines = [
-        json.dumps(
-            {
-                "record": "header",
-                "backend": backend_id,
-                "total_questions": summary.total_questions,
-                "incorrect_questions": summary.incorrect_questions,
-                "total_scenarios": summary.total_scenarios,
-                "inconsistent_scenarios": summary.inconsistent_scenarios,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for result in results:
-        for q, a in zip(result.questions, result.answers):
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "scenario_answer",
-                        "scenario_id": q.scenario_id,
-                        "kind": q.kind.value,
-                        "specialist": q.specialist,
-                        "question": q.question,
-                        "expected": q.expected.value,
-                        "raw": a.raw,
-                        "normalized": a.normalized.value,
-                        "correct": a.correct,
-                        "error": a.error,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {
+        "record": "header",
+        "backend": backend_id,
+        "total_questions": summary.total_questions,
+        "incorrect_questions": summary.incorrect_questions,
+        "total_scenarios": summary.total_scenarios,
+        "inconsistent_scenarios": summary.inconsistent_scenarios,
+    }
+    answers = (
+        {
+            "record": "scenario_answer",
+            "scenario_id": q.scenario_id,
+            "kind": q.kind.value,
+            "specialist": q.specialist,
+            "question": q.question,
+            "expected": q.expected.value,
+            "raw": a.raw,
+            "normalized": a.normalized.value,
+            "correct": a.correct,
+            "error": a.error,
+        }
+        for result in results
+        for q, a in zip(result.questions, result.answers)
+    )
+    write_json_lines(path, chain([header], answers))
 
 
 def render_scenario_markdown(

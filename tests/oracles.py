@@ -7,6 +7,8 @@ inside its oracle.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 
@@ -202,3 +204,10 @@ def render_prompt_by_joining(
     parts.append(f"Q: {question}")
     parts.append("A:")
     return "\n".join(parts)
+
+
+def fingerprint_by_hand(obj: object) -> str:
+    """sha256 of the compact sorted-key JSON of `obj`, spelled out as each
+    fingerprint wrote it before they shared one codec."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

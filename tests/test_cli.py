@@ -531,6 +531,24 @@ def test_report_with_baseline_column(runner, tmp_path, dataset_file):
     assert report.splitlines()[-1].endswith("| 0 |")  # identical run: zero improvement
 
 
+@pytest.mark.parametrize("field, value", [("correct", "false"), ("question_index", None)])
+def test_report_refuses_mistyped_answer_records(runner, tmp_path, dataset_file, field, value):
+    eval_dir = tmp_path / "eval"
+    run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+        "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}',
+        "--out-dir", eval_dir,
+    )
+    path = eval_dir / "results-noisy-p0.3-s7.jsonl"
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    wrong = next(i for i, r in enumerate(records) if not r["correct"])
+    records[wrong][field] = value
+    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    result = run(runner, "report", "--dataset", dataset_file, "--results", path, "--out-dir", tmp_path / "r", code=2)
+    assert f"results-noisy-p0.3-s7.jsonl:{wrong + 2}: answer field '{field}' must be" in result.stderr
+
+
 # --- run-config files ----------------------------------------------------------------------
 
 

@@ -12,10 +12,11 @@ from unittest.mock import patch
 import pytest
 
 import conceptcheck as cc
-from conceptcheck import evaluation, scenarios
+from conceptcheck import clusters, evaluation, scenarios
 from conftest import Jittery, make_graph
 
 V = cc.Verdict
+MISSING = object()
 
 
 def record(cluster_id="c", idx=0, correct=True, error=False):
@@ -254,7 +255,7 @@ def test_report_from_verdicts_requires_every_cluster(medical_dataset):
 def test_compute_report_checks_fingerprint(chain, medical_dataset, template):
     _, closure, dataset = chain
     rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
-    with pytest.raises(cc.MismatchedDataset):
+    with pytest.raises(cc.MismatchedDataset, match="^result set perfect was produced from a different dataset$"):
         cc.compute_report(rs, medical_dataset)
     row = cc.compute_report(rs, dataset)
     assert row.all.inconsistent == 0
@@ -291,6 +292,17 @@ def test_result_sets_must_answer_each_question_once_in_order(medical_dataset, me
         with pytest.raises(cc.MismatchedDataset) as err:
             cc.build_context([rs], medical_dataset, granularity=granularity)
         assert str(err.value) == expected
+
+
+def test_dataset_is_serialized_for_its_fingerprint_at_most_once(medical_graph, medical_closure, template):
+    dataset = cc.generate_dataset(medical_graph, cc.MEDICAL_GENERATION)
+    noisy = cc.NoisyOracle(medical_closure, dataset, flip_probability=0.3, seed=7)
+    with patch.object(clusters, "dataset_to_dict", wraps=clusters.dataset_to_dict) as serialize:
+        rs = cc.evaluate_dataset(dataset, noisy, template)
+        cc.build_context([rs], dataset)
+        for _ in range(3):
+            cc.compute_report(rs, dataset)
+    assert serialize.call_count == 1
 
 
 def test_group_count_pct_handles_empty_group():
@@ -408,6 +420,20 @@ def test_context_round_trip(tmp_path, chain, template):
     assert cc.load_context(path) == context
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("statements", "a dog is an animal", "'statements' must be a list of strings"),
+    ("source_cluster_ids", ["c1", 2], "'source_cluster_ids' must be a list of strings"),
+    ("backend_ids", None, "'backend_ids' must be a list of strings"),
+    ("dataset_fingerprint", ["abc"], "'dataset_fingerprint' must be a string"),
+])
+def test_load_context_refuses_malformed_fields(tmp_path, field, value, message):
+    good = {"statements": ["s"], "source_cluster_ids": ["c1"], "backend_ids": ["b"], "dataset_fingerprint": "f"}
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps({**good, field: value}), encoding="utf-8")
+    with pytest.raises(cc.SchemaViolation, match=message):
+        cc.load_context(path)
+
+
 def test_load_context_errors(tmp_path):
     with pytest.raises(cc.UnreadableSource):
         cc.load_context(tmp_path / "absent.json")
@@ -454,6 +480,30 @@ def test_read_results_reports_line_numbers(tmp_path, chain, template):
     assert ":4:" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("correct", "false"),
+    ("error", 0),
+    ("question_index", None),
+    ("question_index", True),
+    ("question_index", "1"),
+    ("cluster_id", 7),
+    ("raw", None),
+    ("error", MISSING),
+])
+def test_read_results_refuses_mistyped_answer_fields(tmp_path, chain, template, field, value):
+    _, closure, dataset = chain
+    rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
+    path = tmp_path / "results.jsonl"
+    cc.write_results(rs, path)
+    lines = path.read_text().splitlines()
+    changed = {k: v for k, v in json.loads(lines[2]).items() if k != field}
+    if value is not MISSING:
+        changed[field] = value
+    path.write_text("\n".join([*lines[:2], json.dumps(changed), *lines[3:]]) + "\n", encoding="utf-8")
+    with pytest.raises(cc.SchemaViolation, match=f"results.jsonl:3: answer field '{field}' must be"):
+        cc.read_results(path)
+
+
 def test_read_results_header_rules(tmp_path, chain, template):
     _, closure, dataset = chain
     rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
@@ -472,9 +522,10 @@ def test_read_results_header_rules(tmp_path, chain, template):
         cc.read_results(two_headers)
 
     unknown = tmp_path / "unknown.jsonl"
-    unknown.write_text("\n".join([lines[0], json.dumps({"record": "telemetry"})]) + "\n")
-    with pytest.raises(cc.SchemaViolation):
-        cc.read_results(unknown)
+    for line in (json.dumps({"record": "telemetry"}), "[]"):
+        unknown.write_text("\n".join([lines[0], line]) + "\n")
+        with pytest.raises(cc.SchemaViolation, match=":2: unknown record kind"):
+            cc.read_results(unknown)
 
     with pytest.raises(cc.UnreadableSource):
         cc.read_results(tmp_path / "absent.jsonl")

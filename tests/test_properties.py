@@ -1,6 +1,7 @@
 """Property tests: pair-mode path clusters, unrelated-pair sampling and the
 path count match the brute-force oracles on random DAGs with same-as links,
-and prompts rendered from a shared prefix match the joined-lines renderer."""
+a back edge is reported as a real cycle, and prompts rendered from a shared
+prefix match the joined-lines renderer."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import warnings
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
@@ -106,6 +107,22 @@ def test_implied_paths_count_and_cap_match_enumeration(dag, min_len):
     with patch.object(hierarchy, "MAX_ENUMERATED_PATHS", len(every) - 1):
         with pytest.raises(cc.ConfigError, match=f"has {len(every)} paths"):
             cc.implied_paths(graph, min_len)
+
+
+@CHECK
+@given(dag=dags(), data=st.data())
+def test_cycle_detected_names_a_real_cycle(dag, data):
+    graph, labels, edges, _ = dag
+    implied = sorted(cc.deductive_closure(graph).implied)
+    assume(implied)
+    below, above = data.draw(st.sampled_from(implied), label="back edge")
+    looped = edges | {(above, below)}
+    with pytest.raises(cc.CycleDetected) as err:
+        cc.build_graph([cc.Concept(id=i, label=labels[i]) for i in labels], looped)
+    cycle = err.value.cycle
+    assert cycle[0] == cycle[-1]
+    assert len(set(cycle[:-1])) == len(cycle) - 1 >= 2
+    assert all(step in looped for step in zip(cycle, cycle[1:]))
 
 
 # Text with blank lines, newlines, prompt markers and non-ASCII and astral
