@@ -21,13 +21,13 @@ from pathlib import Path
 
 from .answers import Answer
 from .clusters import ClusterDataset
+from .errors import INTEGER, LIST, NUMBER, STRING, Kind, optional, read_fields
 from .errors import (
     AuthMissing,
     ConfigError,
     FingerprintMismatch,
     MalformedResponse,
     MismatchedDataset,
-    SchemaViolation,
     digest,
     read_json,
 )
@@ -86,18 +86,16 @@ def render_prompt(
     return prompt_with_prefix(render_prefix(template, context_statements), question)
 
 
+_TEMPLATE_FIELDS = {"preamble": STRING, "few_shot": optional(LIST, [])}
+_SHOT_FIELDS = {"question": STRING, "answer": STRING}
+
+
 def load_prompt_template(path: str | Path) -> PromptTemplate:
     """Read a template file: {"preamble": str, "few_shot": [{"question","answer"}]}."""
-    data = read_json(path, "prompt template")
-    if not isinstance(data, dict) or not isinstance(data.get("preamble"), str):
-        raise SchemaViolation("prompt template needs a string 'preamble'")
-    shots = []
-    for entry in data.get("few_shot", ()):
-        try:
-            shots.append((entry["question"], entry["answer"]))
-        except (TypeError, KeyError) as exc:
-            raise SchemaViolation(f"malformed few_shot entry: {entry!r}") from exc
-    return PromptTemplate(preamble=data["preamble"], few_shot=tuple(shots))
+    where = f"prompt template {path}"
+    preamble, shots = read_fields(read_json(path, "prompt template"), _TEMPLATE_FIELDS, where)
+    few_shot = (tuple(read_fields(s, _SHOT_FIELDS, f"{where} few_shot #{i}")) for i, s in enumerate(shots))
+    return PromptTemplate(preamble=preamble, few_shot=tuple(few_shot))
 
 
 # --- response cache ---------------------------------------------------------
@@ -237,17 +235,15 @@ class ScriptedBackend(Backend):
         raise MismatchedDataset(f"scripted answers do not cover: {question!r}")
 
 
+_ANSWER_FILE_FIELDS = {
+    "answers": Kind("an object of strings", (dict,), lambda v: all(type(a) is str for a in v.values())),
+    "default": optional(STRING),
+}
+
+
 def load_scripted_answers(path: str | Path) -> ScriptedBackend:
     """Read an answer file: {"answers": {question: raw}, "default"?: str}."""
-    data = read_json(path, "answer file")
-    answers = data.get("answers") if isinstance(data, dict) else None
-    if not isinstance(answers, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in answers.items()
-    ):
-        raise SchemaViolation("answer file needs an 'answers' object of strings")
-    default = data.get("default")
-    if default is not None and not isinstance(default, str):
-        raise SchemaViolation("answer file 'default' must be a string when present")
+    answers, default = read_fields(read_json(path, "answer file"), _ANSWER_FILE_FIELDS, f"answer file {path}")
     return ScriptedBackend(answers, default=default, id=Path(path).stem)
 
 
@@ -283,7 +279,7 @@ class RemoteBackend(Backend):
             raise ConfigError("concurrency must be >= 1")
         self.model = model
         self.max_tokens = max_tokens
-        self.temperature = temperature
+        self.temperature = float(temperature)  # posted as 0.0 even when given as 0
         self.concurrency = concurrency
         self.cache = cache
         self.id = id or f"remote-{model}"
@@ -310,16 +306,24 @@ class RemoteBackend(Backend):
             "max_tokens": self.max_tokens,
             "temperature": self.temperature,
         })
-        if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-            raise MalformedResponse(f"endpoint response missing 'text': {body!r:.200}")
-        raw = body["text"]
+        (raw,) = read_fields(body, {"text": STRING}, "endpoint response", MalformedResponse)
         if self.cache is not None:
             self.cache.put(key, raw)
         return raw
 
 
+SPEC_FIELDS = {"kind": STRING, "id": optional(STRING)}
+_NOISY_FIELDS = {"flip_probability": NUMBER, "seed": INTEGER}
+_SCRIPTED_FIELDS = {"answers": STRING}
+_REMOTE_FIELDS = {
+    "endpoint": STRING, "model": STRING, "auth_env": optional(STRING), "cache_dir": optional(STRING),
+    "max_tokens": optional(INTEGER, 16), "concurrency": optional(INTEGER, 1), "retries": optional(INTEGER, 3),
+    "temperature": optional(NUMBER, 0.0), "timeout": optional(NUMBER, 30.0),
+}
+
+
 def backend_from_config(
-    spec: dict,
+    spec: object,
     *,
     closure: DeductiveClosure | None = None,
     dataset: ClusterDataset | None = None,
@@ -329,47 +333,23 @@ def backend_from_config(
     The oracle kinds need the closure and dataset they answer from; the
     caller supplies those, the config only selects and parameterizes.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"backend config needs a 'kind': {spec!r}")
-    kind = spec["kind"]
-    explicit_id = spec.get("id")
+    kind, explicit_id = read_fields(spec, SPEC_FIELDS, "backend spec", ConfigError)
+    where = f"{kind} backend spec"
     if kind in ("perfect", "noisy"):
         if closure is None or dataset is None:
             raise ConfigError(f"backend kind {kind!r} needs a graph closure and dataset")
     if kind == "perfect":
         backend: Backend = PerfectOracle(closure, dataset)
     elif kind == "noisy":
-        try:
-            backend = NoisyOracle(
-                closure, dataset,
-                flip_probability=float(spec["flip_probability"]),
-                seed=int(spec["seed"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"noisy backend config missing {exc}") from exc
+        backend = NoisyOracle(closure, dataset, *read_fields(spec, _NOISY_FIELDS, where, ConfigError))
     elif kind == "scripted":
-        if "answers" not in spec:
-            raise ConfigError("scripted backend config needs 'answers' (a file path)")
-        backend = load_scripted_answers(spec["answers"])
+        backend = load_scripted_answers(*read_fields(spec, _SCRIPTED_FIELDS, where, ConfigError))
     elif kind == "remote":
-        try:
-            endpoint, model = spec["endpoint"], spec["model"]
-        except KeyError as exc:
-            raise ConfigError(f"remote backend config missing {exc}") from exc
-        cache = ResponseCache(spec["cache_dir"]) if spec.get("cache_dir") else None
-        backend = RemoteBackend(
-            endpoint,
-            model,
-            auth_env=spec.get("auth_env"),
-            max_tokens=int(spec.get("max_tokens", 16)),
-            temperature=float(spec.get("temperature", 0.0)),
-            timeout=float(spec.get("timeout", 30.0)),
-            concurrency=int(spec.get("concurrency", 1)),
-            cache=cache,
-            retries=int(spec.get("retries", 3)),
-        )
+        options = dict(zip(_REMOTE_FIELDS, read_fields(spec, _REMOTE_FIELDS, where, ConfigError)))
+        cache_dir = options.pop("cache_dir")
+        backend = RemoteBackend(**options, cache=ResponseCache(cache_dir) if cache_dir else None)
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
     if explicit_id:
-        backend.id = str(explicit_id)
+        backend.id = explicit_id
     return backend

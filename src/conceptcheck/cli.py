@@ -14,11 +14,13 @@ import json
 import logging
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from .backends import (
+    SPEC_FIELDS,
     Backend,
     PromptTemplate,
     backend_from_config,
@@ -32,7 +34,8 @@ from .clusters import (
     read_dataset,
     write_dataset,
 )
-from .errors import ConceptCheckError, ConfigError, SchemaViolation, read_json, write_json
+from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read_fields
+from .errors import ConceptCheckError, ConfigError, read_json, write_json
 from .evaluation import (
     build_context,
     compute_report,
@@ -73,25 +76,42 @@ def _fail_gracefully(fn):
     return wrapper
 
 
+_RUN_CONFIG_FIELDS = {
+    "graph": optional(OBJECT, {}),
+    "generation": optional(OBJECT, {}),
+    "backends": optional(LIST, []),
+    "specialists": optional(Kind(
+        "a comma-separated string or a list of strings", (str, list), lambda v: type(v) is str or STRINGS.test(v)
+    )),
+    **dict.fromkeys(("dataset", "prompt", "cache_dir", "granularity", "scenarios"), optional(STRING)),
+}
+_GRAPH_CONFIG_FIELDS = {
+    **dict.fromkeys(("path", "source", "endpoint"), optional(STRING)), "extraction": optional(OBJECT, {})
+}
+_EXTRACTION_CONFIG_FIELDS = {
+    **dict.fromkeys(("seed_concept", "seed_property", "direction", "language"), optional(STRING)),
+    "max_depth": optional(INTEGER),
+}
+
+
+def _config_section(data: object, fields: dict[str, Kind], where: str) -> dict:
+    return dict(zip(fields, read_fields(data, fields, where, ConfigError)))
+
+
 def _load_run_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = read_json(resolve_path(path), "config file")
-    if not isinstance(data, dict):
-        raise SchemaViolation("config file must hold a JSON object")
-    return data
+    """The run config with every key the commands read; one the file leaves out is null (an empty section)."""
+    data = read_json(resolve_path(path), "config file") if path is not None else {}
+    config = _config_section(data, _RUN_CONFIG_FIELDS, "config file")
+    graph = config["graph"] = _config_section(config["graph"], _GRAPH_CONFIG_FIELDS, "config 'graph'")
+    graph["extraction"] = _config_section(graph["extraction"], _EXTRACTION_CONFIG_FIELDS, "config 'graph.extraction'")
+    return config
 
 
-def _merge(flag_value, config: dict, *keys, default=None):
-    """Flag beats config beats default; config lookup walks nested keys."""
+def _merge(flag_value, config_value, default=None):
+    """Flag beats config beats default."""
     if flag_value is not None:
         return flag_value
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
+    return config_value if config_value is not None else default
 
 
 def _slug(text: str) -> str:
@@ -99,60 +119,35 @@ def _slug(text: str) -> str:
 
 
 def _load_prompt(prompt: str | None, config: dict) -> PromptTemplate:
-    path = _merge(prompt, config, "prompt")
+    path = _merge(prompt, config["prompt"])
     if path is None:
         return load_default_prompt()
     return load_prompt_template(resolve_path(path))
 
 
-def _backend_specs(backend_flags: tuple[str, ...], config: dict) -> list[dict]:
-    if backend_flags:
-        specs = []
-        for text in backend_flags:
-            try:
-                specs.append(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
-        return specs
-    from_config = config.get("backends")
-    if from_config:
-        if not isinstance(from_config, list):
-            raise ConfigError("config 'backends' must be a list of backend objects")
-        return from_config
-    return [{"kind": "perfect"}]
-
-
-def _apply_cache_dir(specs: list[dict], cache_dir: str | None, config: dict) -> list[dict]:
-    directory = _merge(cache_dir, config, "cache_dir")
-    if directory is None:
-        return specs
-    return [
-        {**spec, "cache_dir": spec.get("cache_dir", directory)} if spec.get("kind") == "remote" else spec
-        for spec in specs
-    ]
+def _backend_specs(backend_flags: tuple[str, ...], cache_dir: str | None, config: dict) -> list[dict]:
+    """The --backend (else config, else perfect) specs; a remote one without a
+    cache_dir takes --cache-dir (else the config's)."""
+    specs = []
+    for text in backend_flags:
+        try:
+            specs.append(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
+    specs = specs or config["backends"] or [{"kind": "perfect"}]
+    for i, spec in enumerate(specs, start=1):
+        read_fields(spec, SPEC_FIELDS, f"backend spec #{i}", ConfigError)
+    directory = _merge(cache_dir, config["cache_dir"])
+    return [{"cache_dir": directory, **spec} if spec["kind"] == "remote" else spec for spec in specs]
 
 
 def _generation_config(config: dict, **flags) -> GenerationConfig:
-    gen = config.get("generation", {})
-    if not isinstance(gen, dict):
-        raise ConfigError("config 'generation' must be an object")
-    defaults = GenerationConfig()
-    merged = {
-        name: flags.get(name) if flags.get(name) is not None else gen.get(name, getattr(defaults, name))
-        for name in (
-            "seed",
-            "negative_count",
-            "min_distance",
-            "min_path_len",
-            "article_style",
-            "path_granularity",
-        )
-    }
-    return GenerationConfig(**merged)
+    base = GenerationConfig.from_dict(config["generation"], "config 'generation'", ConfigError)
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _load_graph_arg(graph: str | None, config: dict) -> ConceptGraph:
-    path = _merge(graph, config, "graph", "path")
+    path = _merge(graph, config["graph"]["path"])
     if path is None:
         raise ConfigError("a graph file is required (--graph or config graph.path)")
     return load_graph(resolve_path(path))
@@ -189,12 +184,12 @@ def main(ctx: click.Context, config_path: str | None, verbose: bool) -> None:
 def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
             direction, language, cache_dir, out):
     """Build a native graph file from a dump, an endpoint, or a native file."""
-    config = ctx.obj or {}
-    graph_cfg = config.get("graph", {})
-    source_kind = graph_cfg.get("source")
-    dump = dump or (graph_cfg.get("path") if source_kind == "dump" else None)
-    native = native or (graph_cfg.get("path") if source_kind == "native" else None)
-    endpoint = endpoint or graph_cfg.get("endpoint")
+    config = ctx.obj
+    graph_cfg = config["graph"]
+    source_kind = graph_cfg["source"]
+    dump = dump or (graph_cfg["path"] if source_kind == "dump" else None)
+    native = native or (graph_cfg["path"] if source_kind == "native" else None)
+    endpoint = endpoint or graph_cfg["endpoint"]
     given = [name for name, value in (("--dump", dump), ("--native", native), ("--endpoint", endpoint)) if value]
     if len(given) != 1:
         raise ConfigError(f"exactly one of --dump, --native, --endpoint is required (got {given or 'none'})")
@@ -205,13 +200,13 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
         graph = load_graph(resolve_path(native))
         source = {"kind": "native", "path": str(native)}
     else:
-        extraction = graph_cfg.get("extraction", {})
+        extraction = graph_cfg["extraction"]
         spec = ExtractionSpec(
-            seed_concept=_merge(seed_concept, extraction, "seed_concept", default=""),
-            seed_property=_merge(seed_property, extraction, "seed_property"),
-            max_depth=_merge(max_depth, extraction, "max_depth", default=3),
-            direction=_merge(direction, extraction, "direction", default="descendants"),
-            language=_merge(language, extraction, "language", default="en"),
+            seed_concept=_merge(seed_concept, extraction["seed_concept"], ""),
+            seed_property=_merge(seed_property, extraction["seed_property"]),
+            max_depth=_merge(max_depth, extraction["max_depth"], 3),
+            direction=_merge(direction, extraction["direction"], "descendants"),
+            language=_merge(language, extraction["language"], "en"),
         )
         if dump:
             parsed = parse_entity_dump(resolve_path(dump))
@@ -221,7 +216,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
             entities = parsed.entities
             source = {"kind": "dump", "path": str(dump)}
         else:
-            entities = fetch_live(spec, endpoint, cache_dir=_merge(cache_dir, config, "cache_dir"))
+            entities = fetch_live(spec, endpoint, cache_dir=_merge(cache_dir, config["cache_dir"]))
             source = {"kind": "live", "endpoint": endpoint}
         graph = extract_fragment(spec, entities)
 
@@ -261,7 +256,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
 def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
              article_style, path_granularity, out):
     """Generate the question-cluster dataset from a graph file."""
-    config = ctx.obj or {}
+    config = ctx.obj
     loaded = _load_graph_arg(graph, config)
     gen_config = _generation_config(
         config,
@@ -285,13 +280,13 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
 
 def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: ClusterDataset) -> list[Backend]:
     """The --backend (or config) backends; the oracle kinds answer from the --graph closure."""
-    graph_path = _merge(graph, config, "graph", "path")
+    graph_path = _merge(graph, config["graph"]["path"])
     closure = deductive_closure(load_graph(resolve_path(graph_path))) if graph_path else None
     backends = []
-    for spec in _apply_cache_dir(_backend_specs(backend_flags, config), cache_dir, config):
-        if spec.get("kind") in ("perfect", "noisy") and closure is None:
+    for spec in _backend_specs(backend_flags, cache_dir, config):
+        if spec["kind"] in ("perfect", "noisy") and closure is None:
             raise ConfigError(
-                f"backend kind {spec.get('kind')!r} needs --graph to derive the answer key"
+                f"backend kind {spec['kind']!r} needs --graph to derive the answer key"
             )
         backends.append(backend_from_config(spec, closure=closure, dataset=dataset))
     _check_unique_ids(backends)
@@ -354,8 +349,8 @@ def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title=
 @_fail_gracefully
 def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cache_dir, out_dir):
     """Run backends over a dataset; write per-backend results and a report."""
-    config = ctx.obj or {}
-    dataset_path = _merge(dataset_path, config, "dataset")
+    config = ctx.obj
+    dataset_path = _merge(dataset_path, config["dataset"])
     if dataset_path is None:
         raise ConfigError("a dataset file is required (--dataset or config dataset)")
     dataset = read_dataset(resolve_path(dataset_path))
@@ -386,11 +381,11 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
 def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
             granularity, cache_dir, out_dir):
     """Build context from jointly-missed questions and re-evaluate with it."""
-    config = ctx.obj or {}
+    config = ctx.obj
     dataset = read_dataset(resolve_path(dataset_path))
     baselines = [read_results(resolve_path(p)) for p in baseline_paths]
     context = build_context(
-        baselines, dataset, granularity=_merge(granularity, config, "granularity", default="question")
+        baselines, dataset, granularity=_merge(granularity, config["granularity"], "question")
     )
     template = _load_prompt(prompt, config)
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
@@ -431,11 +426,11 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
 @_fail_gracefully
 def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cache_dir, out_dir):
     """Evaluate policy scenarios: applicability and policy questions per specialist."""
-    config = ctx.obj or {}
+    config = ctx.obj
     loaded_graph = _load_graph_arg(graph, config)
-    scenario_file = _merge(scenario_path, config, "scenarios", default="fixture:scenarios_medical.json")
+    scenario_file = _merge(scenario_path, config["scenarios"], "fixture:scenarios_medical.json")
     policy_scenarios = load_scenarios(resolve_path(scenario_file))
-    roster_text = _merge(specialists, config, "specialists")
+    roster_text = _merge(specialists, config["specialists"])
     if roster_text is None:
         roster = [s for s in MEDICAL_SPECIALISTS if s in loaded_graph]
         if len(roster) != len(MEDICAL_SPECIALISTS):
@@ -443,21 +438,21 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     elif isinstance(roster_text, list):
         roster = list(roster_text)
     else:
-        roster = [s.strip() for s in str(roster_text).split(",") if s.strip()]
+        roster = [s.strip() for s in roster_text.split(",") if s.strip()]
     closure = deductive_closure(loaded_graph)
     template = _load_prompt(prompt, config)
 
-    specs = _apply_cache_dir(_backend_specs(backend_flags, config), cache_dir, config)
+    specs = _backend_specs(backend_flags, cache_dir, config)
     backends = []
     for spec in specs:
-        if spec.get("kind") == "perfect":
+        if spec["kind"] == "perfect":
             backends.append(
                 ScenarioOracle(
                     policy_scenarios, roster, loaded_graph, closure, template,
-                    id=spec.get("id", "perfect"),
+                    id=spec.get("id") or "perfect",
                 )
             )
-        elif spec.get("kind") == "noisy":
+        elif spec["kind"] == "noisy":
             raise ConfigError("the noisy backend only evaluates cluster datasets")
         else:
             backends.append(backend_from_config(spec))

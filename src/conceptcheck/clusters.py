@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 from .answers import Answer
+from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
 from .errors import ConfigError, SchemaViolation, UnknownTemplate, digest, read_json, write_json
 from .hierarchy import (
     ConceptGraph,
@@ -95,23 +96,20 @@ class GenerationConfig:
             raise ConfigError(f"unknown template_set {self.template_set!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "negative_count": self.negative_count,
-            "min_distance": self.min_distance,
-            "min_path_len": self.min_path_len,
-            "article_style": self.article_style,
-            "path_granularity": self.path_granularity,
-            "template_set": self.template_set,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GenerationConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+    def from_dict(cls, data: object, where: str = "generation config", error=SchemaViolation) -> GenerationConfig:
+        config = cls(*read_fields(data, _CONFIG_FIELDS, where, error))
+        extra = set(data).difference(cls.__dataclass_fields__)
         if extra:
-            raise SchemaViolation(f"unknown generation config keys: {sorted(extra)}")
-        return cls(**data)
+            raise error(f"unknown {where} keys: {sorted(extra)}")
+        return config
+
+
+# Every field of the dataclass is a string or an integer (the seed may be null),
+# and a missing key takes its default.
+_CONFIG_FIELDS = {f.name: optional(STRING if f.type == "str" else INTEGER, f.default) for f in fields(GenerationConfig)}
 
 
 @dataclass(frozen=True)
@@ -512,58 +510,35 @@ def dataset_to_dict(dataset: ClusterDataset) -> dict:
     }
 
 
-def _cluster_from_dict(entry: dict) -> QuestionCluster:
-    cid = entry.get("id")
-    if not isinstance(cid, str) or not cid:
-        raise SchemaViolation(f"cluster with missing or empty id: {entry!r:.120}")
+# Enum members by value: a dict lookup costs far less than an Enum call.
+_CLUSTER_TYPES = {t.value: t for t in ClusterType}
+_EXPECTED = {a.value: a for a in (Answer.YES, Answer.NO)}
+_DATASET_FIELDS = {
+    "version": one_of(DATASET_FORMAT_VERSION), "graph_fingerprint": TEXT,
+    "config": optional(OBJECT, {}), "clusters": LIST,
+}
+_CLUSTER_FIELDS = {
+    "id": TEXT, "type": one_of(*_CLUSTER_TYPES), "expected": one_of(*_EXPECTED), "source": STRING, "target": STRING,
+    "questions": STRINGS, "statements": STRINGS, "path": optional(STRINGS),
+}
 
-    def fail(reason: str) -> SchemaViolation:
-        return SchemaViolation(f"cluster {cid}: {reason}")
 
-    try:
-        ctype = ClusterType(entry["type"])
-    except (KeyError, ValueError):
-        raise fail(f"unknown type {entry.get('type')!r}") from None
-    expected = entry.get("expected")
-    if expected not in (Answer.YES.value, Answer.NO.value):
-        raise fail(f"expected must be yes or no, got {expected!r}")
-    questions = entry.get("questions")
-    statements = entry.get("statements")
-    if not isinstance(questions, list) or not questions or not all(isinstance(q, str) for q in questions):
-        raise fail("questions must be a non-empty list of strings")
-    if not isinstance(statements, list) or len(statements) != len(questions):
-        raise fail("statements must parallel questions one to one")
-    source, target = entry.get("source"), entry.get("target")
-    if not isinstance(source, str) or not isinstance(target, str):
-        raise fail("source and target are required strings")
-    path = entry.get("path")
-    if path is not None and (not isinstance(path, list) or not all(isinstance(n, str) for n in path)):
-        raise fail("path must be a list of concept ids")
+def _cluster_from_dict(entry: object) -> QuestionCluster:
+    cid, ctype, expected, source, target, questions, statements, path = read_fields(
+        entry, _CLUSTER_FIELDS, "dataset cluster"
+    )
+    if not questions or len(statements) != len(questions):
+        raise SchemaViolation(f"dataset cluster {cid!r}: statements must parallel a non-empty list of questions")
+    path = tuple(path) if path is not None else None
     return QuestionCluster(
-        id=cid,
-        type=ctype,
-        expected=Answer(expected),
-        source=source,
-        target=target,
-        questions=tuple(questions),
-        statements=tuple(statements),
-        path=tuple(path) if path is not None else None,
+        cid, _CLUSTER_TYPES[ctype], _EXPECTED[expected], source, target, tuple(questions), tuple(statements), path
     )
 
 
 def dataset_from_dict(data: object) -> ClusterDataset:
-    if not isinstance(data, dict):
-        raise SchemaViolation("dataset file must hold a JSON object")
-    if data.get("version") != DATASET_FORMAT_VERSION:
-        raise SchemaViolation(f"unsupported dataset version {data.get('version')!r}")
-    fingerprint = data.get("graph_fingerprint")
-    if not isinstance(fingerprint, str) or not fingerprint:
-        raise SchemaViolation("dataset missing graph_fingerprint")
-    config = GenerationConfig.from_dict(data.get("config", {}))
-    clusters_raw = data.get("clusters")
-    if not isinstance(clusters_raw, list):
-        raise SchemaViolation("dataset clusters must be a list")
-    clusters = tuple(_cluster_from_dict(c) for c in clusters_raw)
+    _, fingerprint, config, clusters_raw = read_fields(data, _DATASET_FIELDS, "dataset file")
+    config = GenerationConfig.from_dict(config, "dataset config")
+    clusters = tuple(map(_cluster_from_dict, clusters_raw))
     dupes = _duplicate_ids(clusters)
     if dupes:
         raise SchemaViolation(f"duplicate cluster ids: {dupes}")

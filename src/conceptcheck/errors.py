@@ -1,5 +1,6 @@
-"""Exception types raised across the package, and the JSON codec every
-artifact is read and written with.
+"""Exception types raised across the package, the JSON codec every
+artifact is read and written with, and the one check of a JSON object's
+fields that every file and config reader uses.
 
 Every error callers are expected to handle derives from ConceptCheckError,
 so CLI code can map the whole family to a single exit code.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class ConceptCheckError(Exception):
@@ -101,6 +102,67 @@ def read_json(path: str | Path, what: str) -> object:
         raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+_REQUIRED: Any = object()
+
+
+class Kind(NamedTuple):
+    """The JSON type a field must have: one of the exact Python `types` (so a
+    bool is not an integer), with `test` holding of the value when set. A
+    missing or null field takes `default`, if the kind has one."""
+
+    name: str
+    types: tuple[type, ...]
+    test: Callable[[Any], bool] | None = None
+    default: Any = _REQUIRED
+
+
+STRING = Kind("a string", (str,))
+TEXT = Kind("a non-empty string", (str,), bool)
+INTEGER = Kind("an integer", (int,))
+NUMBER = Kind("a number", (int, float))
+BOOLEAN = Kind("a boolean", (bool,))
+LIST = Kind("a list", (list,))
+OBJECT = Kind("an object", (dict,))
+STRINGS = Kind("a list of strings", (list,), lambda v: all(type(s) is str for s in v))
+
+
+def one_of(*choices: str) -> Kind:
+    """A string equal to one of `choices`."""
+    return Kind(f"one of {', '.join(map(repr, choices))}", (str,), frozenset(choices).__contains__)
+
+
+def optional(kind: Kind, default: Any = None) -> Kind:
+    """`kind`, or `default` when the field is missing or null. The default
+    itself is returned, so callers must not change a mutable one."""
+    return kind._replace(default=default)
+
+
+def read_fields(
+    data: object, fields: dict[str, Kind], where: str, error: type[ConceptCheckError] = SchemaViolation
+) -> list:
+    """The values of the JSON object `data` under the keys of `fields`, in order.
+
+    Raises `error` naming `where`, and the key and the value found, when
+    `data` is not an object or a value is not of its field's kind. An object
+    with a string "id" is named by it too, so a caller need not build a name
+    for every object it reads.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object, got {data!r:.80}")
+    values = []
+    for key, (name, types, test, default) in fields.items():
+        value = data.get(key)
+        if type(value) in types and (test is None or test(value)):
+            values.append(value)
+        elif value is None and default is not _REQUIRED:
+            values.append(default)
+        else:
+            found = f"got {value!r:.80}" if key in data else "but is missing"
+            named = f"{where} {data['id']!r}" if type(data.get("id")) is str else where
+            raise error(f"{named} field {key!r} must be {name}, {found}")
+    return values
 
 
 def canonical_json(obj: object) -> str:

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .answers import Answer, normalize_answer
 from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
 from .clusters import ClusterDataset, ClusterType
+from .errors import BOOLEAN, INTEGER, STRING, STRINGS, one_of, optional, read_fields
 from .errors import (
     ConceptCheckError,
     DenominatorMismatch,
@@ -366,28 +367,29 @@ def save_context(context: ContextBlock, path: str | Path) -> None:
     })
 
 
+_CONTEXT_FIELDS = {
+    "statements": STRINGS, "source_cluster_ids": STRINGS, "backend_ids": STRINGS, "dataset_fingerprint": STRING
+}
+
+
 def load_context(path: str | Path) -> ContextBlock:
-    data = read_json(path, "context file")
-    if not isinstance(data, dict):
-        raise SchemaViolation(f"context file {path} must hold a JSON object")
-    for field in ("statements", "source_cluster_ids", "backend_ids"):
-        value = data.get(field)
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-            raise SchemaViolation(f"context file {path}: {field!r} must be a list of strings, got {value!r:.80}")
-    if not isinstance(data.get("dataset_fingerprint"), str):
-        raise SchemaViolation(f"context file {path}: 'dataset_fingerprint' must be a string")
-    return ContextBlock(
-        statements=tuple(data["statements"]),
-        source_cluster_ids=tuple(data["source_cluster_ids"]),
-        backend_ids=tuple(data["backend_ids"]),
-        dataset_fingerprint=data["dataset_fingerprint"],
+    statements, cluster_ids, backend_ids, fingerprint = read_fields(
+        read_json(path, "context file"), _CONTEXT_FIELDS, f"context file {path}"
     )
+    return ContextBlock(tuple(statements), tuple(cluster_ids), tuple(backend_ids), fingerprint)
 
 
 # --- results file (line-delimited JSON) --------------------------------------
 
-# JSON types of the answer record fields; a bool is not an int here.
-_ANSWER_FIELD_TYPES = {"cluster_id": str, "question_index": int, "raw": str, "correct": bool, "error": bool}
+_ANSWERS = {a.value: a for a in Answer}  # a dict lookup costs far less than an Enum call
+_HEADER_FIELDS = {
+    "backend": STRING, "dataset_fingerprint": STRING,
+    "prompt_fingerprint": STRING, "context_fingerprint": optional(STRING),
+}
+_ANSWER_FIELDS = {
+    "cluster_id": STRING, "question_index": INTEGER, "raw": STRING,
+    "normalized": one_of(*_ANSWERS), "correct": BOOLEAN, "error": BOOLEAN,
+}
 
 
 def write_results(resultset: ResultSet, path: str | Path) -> None:
@@ -420,52 +422,33 @@ def read_results(path: str | Path) -> ResultSet:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UnreadableSource(f"cannot read results file {path}: {exc}") from exc
-    header: dict | None = None
+    header: list | None = None
     records: list[AnswerRecord] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             data = json.loads(line)
+            kind = data.get("record") if isinstance(data, dict) else None
+            if kind == "answer":
+                cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")
+                records.append(AnswerRecord(cluster_id, index, raw, _ANSWERS[normalized], correct, error))
+            elif kind == "header" and header is None:
+                if data.get("version") != RESULTS_FORMAT_VERSION:
+                    raise SchemaViolation(
+                        f"results format version {data.get('version')!r} is not "
+                        f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
+                    )
+                header = read_fields(data, _HEADER_FIELDS, "header")
+            elif kind == "header":
+                raise SchemaViolation("duplicate header record")
+            else:
+                raise SchemaViolation(f"unknown record kind {kind!r}")
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        kind = data.get("record") if isinstance(data, dict) else None
-        if kind == "header":
-            if header is not None:
-                raise SchemaViolation(f"{path}:{lineno}: duplicate header record")
-            header = data
-            if data.get("version") != RESULTS_FORMAT_VERSION:
-                raise SchemaViolation(
-                    f"{path}:{lineno}: results format version {data.get('version')!r} is not "
-                    f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
-                )
-        elif kind == "answer":
-            for field, field_type in _ANSWER_FIELD_TYPES.items():
-                if type(data.get(field)) is not field_type:
-                    raise SchemaViolation(
-                        f"{path}:{lineno}: answer field {field!r} must be {field_type.__name__}, "
-                        f"got {data.get(field)!r:.80}"
-                    )
-            try:
-                normalized = Answer(data.get("normalized"))
-            except ValueError as exc:
-                raise SchemaViolation(f"{path}:{lineno}: malformed answer record: {exc}") from exc
-            records.append(AnswerRecord(
-                cluster_id=data["cluster_id"],
-                question_index=data["question_index"],
-                raw=data["raw"],
-                normalized=normalized,
-                correct=data["correct"],
-                error=data["error"],
-            ))
-        else:
-            raise SchemaViolation(f"{path}:{lineno}: unknown record kind {kind!r}")
+        except SchemaViolation as exc:
+            # Every error on a line names the file and the line.
+            raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
     if header is None:
         raise SchemaViolation(f"{path}: missing header record")
-    return ResultSet(
-        backend_id=header.get("backend", "unknown"),
-        dataset_fingerprint=header.get("dataset_fingerprint", ""),
-        prompt_fingerprint=header.get("prompt_fingerprint", ""),
-        context_fingerprint=header.get("context_fingerprint"),
-        records=tuple(records),
-    )
+    return ResultSet(*header, records=tuple(records))

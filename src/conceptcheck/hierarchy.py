@@ -20,6 +20,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
+from .errors import LIST, STRING, STRINGS, Kind, optional, read_fields
 from .errors import (
     ConfigError,
     CycleDetected,
@@ -484,26 +485,28 @@ def graph_to_dict(graph: ConceptGraph) -> dict:
     }
 
 
+_GRAPH_FIELDS = {
+    "concepts": LIST,
+    "edges": LIST,
+    "properties": optional(LIST, []),
+    "same_as": optional(Kind("a list of [id, id] pairs", (list,), lambda v: all(
+        type(p) is list and len(p) == 2 and STRINGS.test(p) for p in v
+    )), []),
+}
+_CONCEPT_FIELDS = {"id": STRING, "label": STRING, "aliases": optional(STRINGS, [])}
+_EDGE_FIELDS = {"child": STRING, "parent": STRING}
+_PROPERTY_FIELDS = {"subject": STRING, "property": STRING, "value": STRING}
+
+
 def graph_from_dict(data: object) -> ConceptGraph:
-    if not isinstance(data, dict):
-        raise SchemaViolation("graph file must hold a JSON object")
-    for key in ("concepts", "edges"):
-        if key not in data:
-            raise SchemaViolation(f"graph file missing required key {key!r}")
-    try:
-        concepts = [
-            Concept(id=c["id"], label=c["label"], aliases=tuple(c.get("aliases", ())))
-            for c in data["concepts"]
-        ]
-        edges = [(e["child"], e["parent"]) for e in data["edges"]]
-        properties = [
-            PropertyAssertion(subject=p["subject"], property=p["property"], value=p["value"])
-            for p in data.get("properties", ())
-        ]
-        same_as = [(a, b) for a, b in data.get("same_as", ())]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaViolation(f"malformed graph file: {exc}") from exc
-    return build_graph(concepts, edges, properties, same_as)
+    concepts, edges, props, same_as = read_fields(data, _GRAPH_FIELDS, "graph file")
+    concepts = [read_fields(c, _CONCEPT_FIELDS, f"graph concept #{i}") for i, c in enumerate(concepts)]
+    return build_graph(
+        [Concept(cid, label, tuple(aliases)) for cid, label, aliases in concepts],
+        [tuple(read_fields(e, _EDGE_FIELDS, f"graph edge #{i}")) for i, e in enumerate(edges)],
+        [PropertyAssertion(*read_fields(p, _PROPERTY_FIELDS, f"graph property #{i}")) for i, p in enumerate(props)],
+        [tuple(pair) for pair in same_as],
+    )
 
 
 def save_graph(graph: ConceptGraph, path: str | Path) -> None:

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .backends import ResponseCache
+from .errors import INTEGER, LIST, optional, read_fields
 from .errors import (
     ConfigError,
     EmptyFragment,
@@ -82,14 +83,19 @@ class ParseResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _claim_targets(snaks: object) -> tuple[str, ...]:
+def _as_object(value: object, what: str, problems: list[str]) -> dict:
+    """`value` if it is an object, else {}; noted in `problems` unless null."""
+    if value is not None and not isinstance(value, dict):
+        problems.append(f"{what} is not an object; left out")
+    return value if isinstance(value, dict) else {}
+
+
+def _claim_targets(snaks: object, claim: str, problems: list[str]) -> tuple[str, ...]:
     targets = []
-    if not isinstance(snaks, list):
-        return ()
-    for snak in snaks:
-        if not isinstance(snak, dict):
-            continue
-        value = snak.get("mainsnak", {}).get("datavalue", {}).get("value")
+    for i, snak in enumerate(snaks if isinstance(snaks, list) else ()):
+        where = f"{claim} #{i}"
+        mainsnak = _as_object(_as_object(snak, where, problems).get("mainsnak"), f"{where} mainsnak", problems)
+        value = _as_object(mainsnak.get("datavalue"), f"{where} datavalue", problems).get("value")
         if isinstance(value, dict) and isinstance(value.get("id"), str):
             targets.append(value["id"])
         elif isinstance(value, str):
@@ -97,12 +103,15 @@ def _claim_targets(snaks: object) -> tuple[str, ...]:
     return tuple(targets)
 
 
-def _parse_record(data: object) -> RawEntity | None:
+def _parse_record(data: object, problems: list[str]) -> RawEntity | None:
+    """The entity in one record, or None without a usable id. Parts of the
+    wrong JSON type are left out, each with a note in `problems`."""
     if not isinstance(data, dict) or not isinstance(data.get("id"), str) or not data["id"]:
         return None
+    where = f"record {data['id']}"
     labels = {
         lang: entry["value"]
-        for lang, entry in (data.get("labels") or {}).items()
+        for lang, entry in _as_object(data.get("labels"), f"{where} labels", problems).items()
         if isinstance(entry, dict) and isinstance(entry.get("value"), str)
     }
     aliases = {
@@ -111,13 +120,12 @@ def _parse_record(data: object) -> RawEntity | None:
             for entry in entries
             if isinstance(entry, dict) and isinstance(entry.get("value"), str)
         )
-        for lang, entries in (data.get("aliases") or {}).items()
+        for lang, entries in _as_object(data.get("aliases"), f"{where} aliases", problems).items()
         if isinstance(entries, list)
     }
     claims = {
-        pid: _claim_targets(snaks)
-        for pid, snaks in (data.get("claims") or {}).items()
-        if isinstance(pid, str)
+        pid: _claim_targets(snaks, f"{where} claim {pid}", problems)
+        for pid, snaks in _as_object(data.get("claims"), f"{where} claims", problems).items()
     }
     return RawEntity(id=data["id"], labels=labels, aliases=aliases, claims=claims)
 
@@ -152,7 +160,9 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
         except json.JSONDecodeError as exc:
             result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
             continue
-        entity = _parse_record(data)
+        problems: list[str] = []
+        entity = _parse_record(data, problems)
+        result.diagnostics += [f"line {lineno}: {problem}" for problem in problems]
         if entity is None:
             result.diagnostics.append(f"line {lineno}: record without a usable id")
             continue
@@ -287,6 +297,8 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
 
 # --- live fetching ----------------------------------------------------------
 
+_PAGE_FIELDS = {"entities": LIST, "next_page": optional(INTEGER)}
+
 
 def fetch_live(
     spec: ExtractionSpec,
@@ -322,13 +334,14 @@ def fetch_live(
         ).hexdigest()
         cached = cache.get(key) if cache is not None else None
         body = cached if cached is not None else client.request(params=params)
-        if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
-            raise MalformedResponse(f"page {page} response missing 'entities' list")
-        nxt = body.get("next_page")
-        if nxt is not None and (not isinstance(nxt, int) or nxt <= page):
+        records, nxt = read_fields(body, _PAGE_FIELDS, f"page {page} response", MalformedResponse)
+        if nxt is not None and nxt <= page:
             raise MalformedResponse(f"page {page} has non-advancing next_page {nxt!r}")
         if cache is not None and cached is None:
             cache.store(key, body)
-        entities += [e for e in map(_parse_record, body["entities"]) if e is not None]
+        problems = []
+        entities += [e for e in (_parse_record(r, problems) for r in records) if e is not None]
+        for problem in problems:
+            log.warning("page %s: %s", page, problem)
         page = nxt
     return entities

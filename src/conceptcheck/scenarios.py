@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .answers import Answer
 from .backends import Backend, PromptTemplate, render_prefix, render_prompt
+from .errors import TEXT, one_of, read_fields
 from .errors import (
     ConfigError,
     MismatchedDataset,
@@ -94,35 +95,18 @@ class ScenarioSummary:
         return 100.0 * self.inconsistent_scenarios / self.total_scenarios if self.total_scenarios else 0.0
 
 
-def _validate_scenario(entry: dict, index: int) -> PolicyScenario:
-    required = (
-        "id",
-        "policy_text",
-        "anchor",
-        "applicability_template",
-        "policy_question_template",
-        "polarity",
-    )
-    for key in required:
-        if not isinstance(entry.get(key), str) or not entry[key]:
-            raise SchemaViolation(f"scenario #{index}: missing or empty field {key!r}")
-    if entry["polarity"] not in SCENARIO_POLARITIES:
-        raise SchemaViolation(
-            f"scenario {entry['id']}: polarity must be one of {SCENARIO_POLARITIES}"
-        )
+_SCENARIO_FIELDS = {
+    **dict.fromkeys(("id", "policy_text", "anchor", "applicability_template", "policy_question_template"), TEXT),
+    "polarity": one_of(*SCENARIO_POLARITIES),
+}
+
+
+def _validate_scenario(entry: object, index: int) -> PolicyScenario:
+    scenario = PolicyScenario(*read_fields(entry, _SCENARIO_FIELDS, f"scenario #{index}"))
     for key in ("applicability_template", "policy_question_template"):
-        if entry[key].count("{specialist}") != 1:
-            raise SchemaViolation(
-                f"scenario {entry['id']}: {key} must contain {{specialist}} exactly once"
-            )
-    return PolicyScenario(
-        id=entry["id"],
-        policy_text=entry["policy_text"],
-        anchor=entry["anchor"],
-        applicability_template=entry["applicability_template"],
-        policy_question_template=entry["policy_question_template"],
-        polarity=entry["polarity"],
-    )
+        if getattr(scenario, key).count("{specialist}") != 1:
+            raise SchemaViolation(f"scenario {scenario.id}: {key} must contain {{specialist}} exactly once")
+    return scenario
 
 
 def load_scenarios(path: str | Path) -> list[PolicyScenario]:

@@ -211,3 +211,13 @@ def fingerprint_by_hand(obj: object) -> str:
     fingerprint wrote it before they shared one codec."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, truth: str) -> str:
+    """The noisy oracle's answer: `truth` flipped when the first eight bytes of
+    sha256("<seed>:<question>"), as a fraction of 2**64, fall below the flip
+    probability."""
+    draw = int.from_bytes(hashlib.sha256(f"{seed}:{question}".encode("utf-8")).digest()[:8], "big") / 2**64
+    if draw < flip_probability:
+        return {"yes": "no", "no": "yes"}[truth]
+    return truth

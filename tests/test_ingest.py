@@ -83,6 +83,34 @@ def test_parse_collects_diagnostics_and_keeps_good_records(tmp_path):
     assert "line 5" in result.diagnostics[3] and "duplicate" in result.diagnostics[3]
 
 
+def test_parse_turns_parts_of_the_wrong_type_into_diagnostics(tmp_path):
+    root = {"id": "Q1", "labels": {"en": {"value": "root"}}}
+    child = {"id": "Q2", "labels": {"en": {"value": "child"}}, "claims": {"P279": [
+        {"mainsnak": {"datavalue": {"value": {"id": "Q1"}}}},
+        {"mainsnak": "oops"},
+    ]}}
+    lines = [
+        root,
+        {"id": "Q3", "labels": ["x"]},
+        child,
+        {"id": "Q4", "labels": {"en": {"value": "other"}}, "claims": {"P279": [{"mainsnak": {"datavalue": "v"}}]}},
+    ]
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("\n".join(map(json.dumps, lines)) + "\n", encoding="utf-8")
+    result = cc.parse_entity_dump(dump)
+    assert [e.id for e in result.entities] == ["Q1", "Q2", "Q4"]
+    assert result.entities[1].claims == {"P279": ("Q1",)}  # the good claim stays
+    assert result.entities[2].claims == {"P279": ()}
+    assert result.diagnostics == [
+        "line 2: record Q3 labels is not an object; left out",
+        "line 2: record Q3 has no labels; skipped",
+        "line 3: record Q2 claim P279 #1 mainsnak is not an object; left out",
+        "line 4: record Q4 claim P279 #0 datavalue is not an object; left out",
+    ]
+    graph = cc.extract_fragment(cc.ExtractionSpec(seed_concept="Q1"), result.entities)
+    assert graph.edges == (("Q2", "Q1"),)
+
+
 def test_parse_tolerates_array_wrapper_and_trailing_commas(tmp_path):
     dump = tmp_path / "dump.json"
     dump.write_text(

@@ -1,11 +1,14 @@
 """Property tests: pair-mode path clusters, unrelated-pair sampling and the
 path count match the brute-force oracles on random DAGs with same-as links,
-a back edge is reported as a real cycle, and prompts rendered from a shared
-prefix match the joined-lines renderer."""
+a back edge is reported as a real cycle, prompts rendered from a shared
+prefix match the joined-lines renderer, an isolated concept changes no
+edge, path or property cluster, and the question order changes no noisy
+answer."""
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -18,6 +21,7 @@ from conceptcheck.clusters import SUBSUMPTION_FORMS, gen_path_clusters, subsumpt
 from oracles import (
     all_paths_by_joining,
     first_path_per_pair,
+    noisy_answer_by_hand,
     render_prompt_by_joining,
     sampled_unrelated_pairs,
     unrelated_candidates,
@@ -123,6 +127,70 @@ def test_cycle_detected_names_a_real_cycle(dag, data):
     assert cycle[0] == cycle[-1]
     assert len(set(cycle[:-1])) == len(cycle) - 1 >= 2
     assert all(step in looped for step in zip(cycle, cycle[1:]))
+
+
+@CHECK
+@given(
+    dag=dags(),
+    style=st.sampled_from(("literal", "grammatical")),
+    granularity=st.sampled_from(("pair", "path")),
+    min_len=st.integers(1, 3),
+    data=st.data(),
+)
+def test_an_isolated_concept_leaves_edge_path_and_property_clusters_unchanged(
+    dag, style, granularity, min_len, data
+):
+    graph, labels, edges, _ = dag
+    properties = [
+        cc.PropertyAssertion(subject, "p", value)
+        for subject, value in data.draw(st.lists(st.tuples(st.sampled_from(sorted(labels)), st.sampled_from("uv"))))
+    ]
+    # The isolated concept's label sorts anywhere among the others, and never shares their slug.
+    isolated = cc.Concept("zz", data.draw(st.text("aeb", min_size=4, max_size=5), label="isolated label"))
+    config = cc.GenerationConfig(article_style=style, path_granularity=granularity, min_path_len=min_len)
+    concepts = [cc.Concept(i, labels[i]) for i in labels]
+    kept = (T.POSITIVE_EDGE, T.INVERSE_EDGE, T.PATH, T.PROPERTY_INHERITANCE)
+
+    def clusters(extra):
+        bigger = cc.build_graph(concepts + extra, graph.edges, properties, graph.same_as)
+        return [c for c in cc.generate_dataset(bigger, config).clusters if c.type in kept]
+
+    before, after = clusters([]), clusters([isolated])
+    assert after == before
+    if granularity == "pair":
+        assert [c.path for c in after if c.type is T.PATH] == first_path_per_pair(labels, edges, min_len)
+
+
+@CHECK
+@given(dag=dags(), seed=st.integers(0, 1000), p=st.sampled_from((0.0, 0.3, 0.5, 1.0)), data=st.data())
+def test_shuffling_the_questions_leaves_every_noisy_answer_unchanged(dag, seed, p, data):
+    graph, _, _, _ = dag
+    dataset = cc.generate_dataset(graph, cc.GenerationConfig())
+    assume(dataset.clusters)
+    order = data.draw(st.permutations(range(len(dataset.clusters))), label="cluster order")
+    shuffled_clusters = []
+    for i in order:
+        cluster = dataset.clusters[i]
+        within = data.draw(st.permutations(range(len(cluster.questions))), label="question order")
+        shuffled_clusters.append(replace(
+            cluster,
+            questions=tuple(cluster.questions[j] for j in within),
+            statements=tuple(cluster.statements[j] for j in within),
+        ))
+    shuffled = replace(dataset, clusters=tuple(shuffled_clusters))
+    closure = cc.deductive_closure(graph)
+    template = cc.PromptTemplate(preamble="")
+
+    def answers(ds):
+        noisy = cc.NoisyOracle(closure, ds, flip_probability=p, seed=seed)
+        records = cc.evaluate_dataset(ds, noisy, template).records
+        questions = [q for c in ds.clusters for q in c.questions]
+        return {q: r.raw for q, r in zip(questions, records)}
+
+    got = answers(dataset)
+    assert answers(shuffled) == got
+    truth = {q: c.expected.value for c in dataset.clusters for q in c.questions}
+    assert got == {q: noisy_answer_by_hand(seed, p, q, truth[q]) for q in truth}
 
 
 # Text with blank lines, newlines, prompt markers and non-ASCII and astral
