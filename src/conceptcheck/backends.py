@@ -21,13 +21,14 @@ from pathlib import Path
 
 from .answers import Answer
 from .clusters import ClusterDataset
-from .errors import INTEGER, LIST, NUMBER, STRING, Kind, optional, read_fields
+from .errors import INTEGER, LIST, NUMBER, OBJECT, STRING, Kind, optional, read_fields
 from .errors import (
     AuthMissing,
     ConfigError,
     FingerprintMismatch,
     MalformedResponse,
     MismatchedDataset,
+    SchemaViolation,
     digest,
     read_json,
 )
@@ -101,40 +102,87 @@ def load_prompt_template(path: str | Path) -> PromptTemplate:
 # --- response cache ---------------------------------------------------------
 
 
+_RECORD_FIELDS = {"key": STRING, "entry": OBJECT}
+
+
 class ResponseCache:
-    """One JSON file per request key; writes are atomic (temp then rename)."""
+    """Entries by request key in one append-only log per directory, `responses.jsonl`.
+
+    Each `store` appends one line, {"key": ..., "entry": ...}, in a single
+    write, and the last line for a key wins. The log is indexed in memory
+    when the cache opens, and a miss first indexes the lines appended since,
+    so several objects and processes may share a directory. A line that does
+    not parse is skipped, and a torn last line is ended before the next
+    append so it cannot swallow it. A directory of the older layout, one
+    `<key>.json` file per entry, is read when the cache opens and never
+    written.
+    """
+
+    LOG_NAME = "responses.jsonl"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / self.LOG_NAME
+        self._lock = threading.Lock()
+        self._index: dict[str, dict] = {}
+        self._indexed = 0  # bytes of the log indexed so far, always whole lines
+        for legacy in sorted(self.directory.glob("*.json")):
+            try:
+                self._index_record({"key": legacy.stem, "entry": json.loads(legacy.read_bytes())}, legacy.name)
+            except (OSError, ValueError) as exc:
+                log.warning("skipping unreadable cache file %s: %s", legacy.name, exc)
+        self._catch_up()
 
     @staticmethod
     def key(model: str, rendered_prompt: str, question: str) -> str:
         return digest({"model": model, "prompt": rendered_prompt, "question": question})
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _index_record(self, record: object, where: str) -> None:
+        try:
+            key, entry = read_fields(record, _RECORD_FIELDS, where)
+        except SchemaViolation as exc:
+            log.warning("skipping damaged cache entry: %s", exc)
+        else:
+            self._index[key] = entry
+
+    def _catch_up(self) -> None:
+        """Index the whole lines the log gained since this object last read it."""
+        try:
+            with open(self.path, "rb") as f:
+                f.seek(self._indexed)
+                data = f.read()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        for line in filter(None, data[:end].split(b"\n")):  # a blank line holds nothing
+            try:
+                self._index_record(json.loads(line), f"{self.LOG_NAME} line")
+            except ValueError as exc:
+                log.warning("skipping unreadable line of %s: %s", self.path, exc)
+        self._indexed += end
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError):
-            # A damaged entry is a miss; the next put overwrites it.
-            log.warning("discarding unreadable cache entry %s", path.name)
-            return None
+        entry = self._index.get(key)
+        if entry is None:
+            with self._lock:
+                self._catch_up()
+                entry = self._index.get(key)
+        return entry
 
     def put(self, key: str, raw: str) -> None:
         self.store(key, {"raw": raw, "timestamp": time.time()})
 
     def store(self, key: str, payload: dict) -> None:
-        """Write any JSON object under `key`; fetch_live caches entity pages this way."""
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        """Append any JSON object under `key`; fetch_live caches entity pages this way."""
+        line = json.dumps({"key": key, "entry": payload}).encode("ascii") + b"\n"
+        with self._lock, open(self.path, "ab+", buffering=0) as f:
+            if f.seek(0, os.SEEK_END):
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":
+                    line = b"\n" + line  # end a torn last line, which is then skipped
+            f.write(line)
+            self._index[key] = payload
 
 
 # --- backends ---------------------------------------------------------------
@@ -247,6 +295,9 @@ def load_scripted_answers(path: str | Path) -> ScriptedBackend:
     return ScriptedBackend(answers, default=default, id=Path(path).stem)
 
 
+_ENTRY_FIELDS = {"raw": STRING}
+
+
 class RemoteBackend(Backend):
     """HTTP completion endpoint speaking a minimal JSON protocol.
 
@@ -299,7 +350,10 @@ class RemoteBackend(Backend):
             key = ResponseCache.key(self.model, rendered_prompt, question)
             hit = self.cache.get(key)
             if hit is not None:
-                return hit["raw"]
+                try:
+                    return read_fields(hit, _ENTRY_FIELDS, f"cache entry {key}")[0]
+                except SchemaViolation as exc:
+                    log.warning("asking again: %s", exc)
         body = self._client.request(payload={
             "model": self.model,
             "prompt": rendered_prompt,

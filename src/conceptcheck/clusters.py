@@ -186,30 +186,31 @@ SUBSUMPTION_FORMS = ("plain", "type_of", "every", "also")
 
 # Rewrite rules pair each question pattern with its statement builder.
 # Match order matters: specific templates come before the bare "is a X a Y"
-# form, which would otherwise swallow them.
+# form, which would otherwise swallow them. A label may hold a newline, so
+# every pattern is DOTALL.
 _REWRITE_RULES: tuple[tuple[re.Pattern[str], object], ...] = (
     (
-        re.compile(r"^is (a|an) (.+?) also (a|an) (.+?) \?$"),
+        re.compile(r"^is (a|an) (.+?) also (a|an) (.+?) \?$", re.DOTALL),
         lambda m: f"{m[1]} {m[2]} is also {m[3]} {m[4]}",
     ),
     (
-        re.compile(r"^is (a|an) (.+?) a type of (.+?) \?$"),
+        re.compile(r"^is (a|an) (.+?) a type of (.+?) \?$", re.DOTALL),
         lambda m: f"{m[1]} {m[2]} is a type of {m[3]}",
     ),
     (
-        re.compile(r"^is every (.+?) (a|an) (.+?) \?$"),
+        re.compile(r"^is every (.+?) (a|an) (.+?) \?$", re.DOTALL),
         lambda m: f"every {m[1]} is {m[2]} {m[3]}",
     ),
     (
-        re.compile(r"^is the (.+?) of (a|an) (.+?) (.+?) \?$"),
+        re.compile(r"^is the (.+?) of (a|an) (.+?) (.+?) \?$", re.DOTALL),
         lambda m: f"the {m[1]} of {m[2]} {m[3]} is {m[4]}",
     ),
     (
-        re.compile(r"^is (.+?) the (.+?) of (a|an) (.+?) \?$"),
+        re.compile(r"^is (.+?) the (.+?) of (a|an) (.+?) \?$", re.DOTALL),
         lambda m: f"{m[1]} is the {m[2]} of {m[3]} {m[4]}",
     ),
     (
-        re.compile(r"^is (a|an) (.+?) (a|an) (.+?) \?$"),
+        re.compile(r"^is (a|an) (.+?) (a|an) (.+?) \?$", re.DOTALL),
         lambda m: f"{m[1]} {m[2]} is {m[3]} {m[4]}",
     ),
 )

@@ -144,22 +144,81 @@ def test_cache_key_separates_inputs():
     assert cc.ResponseCache.key("m", "p", "q") == base
 
 
-def test_cache_survives_corrupt_entry(tmp_path):
+def test_cache_survives_corrupt_entry(tmp_path, caplog):
+    # A torn final log line and a line of the wrong shape are misses, and the
+    # torn line does not swallow the next append.
+    key, other = cc.ResponseCache.key("m", "p", "q"), cc.ResponseCache.key("m", "p", "q2")
+    cc.ResponseCache(tmp_path).put(other, "yes")
+    log_path = tmp_path / cc.ResponseCache.LOG_NAME
+    with log_path.open("ab") as f:
+        f.write(json.dumps({"key": other, "entry": "no"}).encode() + b"\n")
+        f.write(json.dumps({"key": key, "entry": {"raw": "yes"}}).encode()[:-5])
     cache = cc.ResponseCache(tmp_path)
-    key = cc.ResponseCache.key("m", "p", "q")
-    cache.put(key, "yes")
-    (tmp_path / f"{key}.json").write_text("{torn write", encoding="utf-8")
+    assert "skipping damaged cache entry" in caplog.text
     assert cache.get(key) is None
+    assert cache.get(other)["raw"] == "yes"
     cache.put(key, "no")
     assert cache.get(key)["raw"] == "no"
+    fresh = cc.ResponseCache(tmp_path)
+    assert fresh.get(key)["raw"] == "no"
+    assert fresh.get(other)["raw"] == "yes"
+    assert "skipping unreadable line" in caplog.text  # the torn line, now ended
 
 
 def test_cache_leaves_no_temp_files(tmp_path):
     cache = cc.ResponseCache(tmp_path)
     for i in range(20):
         cache.put(cc.ResponseCache.key("m", "p", str(i)), "yes")
-    leftovers = [p for p in tmp_path.iterdir() if not p.name.endswith(".json")]
-    assert leftovers == []
+    assert [p.name for p in tmp_path.iterdir()] == [cc.ResponseCache.LOG_NAME]
+    assert len((tmp_path / cc.ResponseCache.LOG_NAME).read_bytes().splitlines()) == 20
+
+
+def test_cache_log_is_shared_by_objects_and_threads(tmp_path):
+    # A remote backend at concurrency 8 appends through one cache object while
+    # eight threads append through a second object on the same directory.
+    def app(method, path, query, body):
+        return 200, {"text": body["prompt"].split("Q: ")[-1]}
+
+    questions = [f"question {i}" for i in range(240)]
+    asked = [cc.ResponseCache.key("m", f"Q: {q}", q) for q in questions]
+    stored = [cc.ResponseCache.key("other", "p", q) for q in questions]
+    first, second = cc.ResponseCache(tmp_path), cc.ResponseCache(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(app) as (url, log):
+            backend = cc.RemoteBackend(url, "m", concurrency=8, timeout=10.0, cache=first)
+            with ThreadPoolExecutor(max_workers=2 * backend.concurrency) as pool:
+                puts = [pool.submit(second.put, key, q) for key, q in zip(stored, questions)]
+                answers = list(pool.map(lambda q: backend.answer(q, f"Q: {q}"), questions, timeout=60))
+                for put in puts:
+                    put.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == questions
+    assert log.count == len(questions)
+    lines = (tmp_path / cc.ResponseCache.LOG_NAME).read_bytes().splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(asked + stored)
+    fresh = cc.ResponseCache(tmp_path)
+    for key, q in zip(asked + stored, questions + questions):
+        assert fresh.get(key)["raw"] == q
+        assert first.get(key)["raw"] == second.get(key)["raw"] == q
+
+
+@pytest.mark.parametrize("entry", [{"raw": 3}, [], {"text": "yes"}])
+def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog, entry):
+    def app(method, path, query, body):
+        return 200, {"text": "Yes."}
+
+    cache = cc.ResponseCache(tmp_path)
+    key = cc.ResponseCache.key("m", "p", "q")
+    cache.store(key, entry)
+    with serving(app) as (url, log):
+        assert cc.RemoteBackend(url, "m", cache=cache).answer("q", "p") == "Yes."
+        assert log.count == 1
+    assert "asking again" in caplog.text
+    assert cache.get(key)["raw"] == "Yes."
+    assert cc.ResponseCache(tmp_path).get(key)["raw"] == "Yes."
 
 
 # --- oracles -----------------------------------------------------------------------

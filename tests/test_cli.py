@@ -320,6 +320,45 @@ def test_evaluate_with_context_file(runner, tmp_path, dataset_file):
     assert results.context_fingerprint == context.fingerprint()
 
 
+def test_evaluate_replays_a_cache_of_one_file_per_entry(runner, tmp_path, dataset_file):
+    # The former cache layout, one <key>.json per entry written by hand, still
+    # replays with no request; a damaged file is a miss, and that layout is
+    # never written.
+    def answer(prompt):
+        return "Yes." if len(prompt) % 2 else "no"
+
+    def app(method, path, query, body):
+        return 200, {"text": answer(body["prompt"])}
+
+    def evaluate(url, out_dir, *cache):
+        spec = json.dumps({"kind": "remote", "endpoint": url, "model": "stub-model"})
+        run(runner, "evaluate", "--dataset", dataset_file, "--backend", spec, *cache, "--out-dir", out_dir)
+        return (out_dir / "results-remote-stub-model.jsonl").read_bytes()
+
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    with serving(app) as (url, log):
+        live = evaluate(url, tmp_path / "live")
+    for i, request in enumerate(log.requests):
+        prompt = request["body"]["prompt"]
+        question = prompt.rsplit("Q: ", 1)[1].removesuffix("\nA:")
+        entry = {"raw": answer(prompt), "timestamp": 0.0}
+        if i == 0:
+            entry["normalized"] = "other"  # a field older versions wrote
+        (legacy / f"{cc.ResponseCache.key('stub-model', prompt, question)}.json").write_text(json.dumps(entry))
+    files = sorted(legacy.iterdir())
+    with serving(app) as (url, log):
+        assert evaluate(url, tmp_path / "replay", "--cache-dir", legacy) == live
+        assert log.count == 0
+    files[1].write_text("{torn write", encoding="utf-8")
+    with serving(app) as (url, log):
+        assert evaluate(url, tmp_path / "damaged", "--cache-dir", legacy) == live
+        assert log.count == 1
+    assert sorted(legacy.glob("*.json")) == files
+    assert files[1].read_text(encoding="utf-8") == "{torn write"
+    assert len((legacy / cc.ResponseCache.LOG_NAME).read_bytes().splitlines()) == 1
+
+
 # --- augment --------------------------------------------------------------------------
 
 

@@ -2,11 +2,12 @@
 path count match the brute-force oracles on random DAGs with same-as links,
 a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
-edge, path or property cluster, and the question order changes no noisy
-answer."""
+edge, path or property cluster, the question order changes no noisy
+answer, and every generated question rewrites to its own statement."""
 
 from __future__ import annotations
 
+import random
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -22,6 +23,7 @@ from oracles import (
     all_paths_by_joining,
     first_path_per_pair,
     noisy_answer_by_hand,
+    random_dag,
     render_prompt_by_joining,
     sampled_unrelated_pairs,
     unrelated_candidates,
@@ -214,3 +216,35 @@ def test_render_prompt_matches_joining_oracle(preamble, few_shot, context, quest
     prefix = backends.render_prefix(template, tuple(context))
     assert backends.prompt_with_prefix(prefix, question) == expected
     assert (prefix == "") == (not preamble and not few_shot and not context)
+
+
+# Template words inside a label make any question ambiguous, so labels avoid them.
+TEMPLATE_WORDS = {"a", "an", "also", "every", "is", "of", "the", "type"}
+# Upper-case vowels take "an" in the grammatical style; "?" and "\n" sit inside labels.
+label_words = st.text("aAeEob?\n", min_size=1, max_size=3).filter(lambda w: w not in TEMPLATE_WORDS)
+
+
+@CHECK
+@given(
+    seed=st.integers(0, 10_000),
+    style=st.sampled_from(("literal", "grammatical")),
+    with_properties=st.booleans(),
+    data=st.data(),
+)
+def test_question_to_statement_inverts_every_generated_question(seed, style, with_properties, data):
+    nodes, edges = random_dag(random.Random(seed), max_nodes=7, edge_prob=0.4)
+    # "is the P of a S V ?" cannot tell a two-word subject S from the start of
+    # V, so concepts are one word each when the graph carries properties.
+    label = st.lists(label_words, min_size=1, max_size=1 if with_properties else 3).map(" ".join)
+    labels = data.draw(st.lists(label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
+    properties = data.draw(st.lists(
+        st.builds(cc.PropertyAssertion, st.sampled_from(nodes), label, label), max_size=3 if with_properties else 0
+    ))
+    graph = cc.build_graph([cc.Concept(n, l) for n, l in zip(nodes, labels)], edges, properties)
+    config = cc.GenerationConfig(seed=seed, negative_count=3, min_distance=1, article_style=style)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+        dataset = cc.generate_dataset(graph, config)
+    for cluster in dataset.clusters:
+        for question, statement in zip(cluster.questions, cluster.statements):
+            assert cc.question_to_statement(question) == statement
