@@ -14,8 +14,10 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,19 +105,25 @@ def load_prompt_template(path: str | Path) -> PromptTemplate:
 
 
 _RECORD_FIELDS = {"key": STRING, "entry": OBJECT}
+_KEY = re.compile(r"[0-9a-f]{64}")
+_LINE_HEAD = b'{"key": "'  # how every line `store` writes starts, followed by the 64-digit key
+_LINE_KEY = slice(len(_LINE_HEAD), len(_LINE_HEAD) + 64)
+_BLOCK = 1 << 20  # bytes of the log read at once while indexing it
 
 
 class ResponseCache:
     """Entries by request key in one append-only log per directory, `responses.jsonl`.
 
-    Each `store` appends one line, {"key": ..., "entry": ...}, in a single
-    write, and the last line for a key wins. The log is indexed in memory
-    when the cache opens, and a miss first indexes the lines appended since,
-    so several objects and processes may share a directory. A line that does
-    not parse is skipped, and a torn last line is ended before the next
-    append so it cannot swallow it. A directory of the older layout, one
-    `<key>.json` file per entry, is read when the cache opens and never
-    written.
+    A key is a lower-case sha256 hex digest, as `key` makes. Each `store`
+    appends one line, {"key": ..., "entry": ...}, in a single write, and the
+    last line for a key wins. Opening the cache indexes where each key's last
+    line lies, not the entries, so a hit reads and parses one line, and the
+    index costs time and memory in proportion to the lines in the log. A
+    miss first indexes the lines appended since, so several objects and
+    processes may share a directory, and then tries the older layout's
+    `<key>.json` file, which is read but never written. A line that does not
+    parse is a miss, and a torn last line is ended before the next append so
+    it cannot swallow it.
     """
 
     LOG_NAME = "responses.jsonl"
@@ -124,65 +132,79 @@ class ResponseCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / self.LOG_NAME
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        weakref.finalize(self, os.close, self._fd)
         self._lock = threading.Lock()
-        self._index: dict[str, dict] = {}
+        self._spans: dict[bytes, int] = {}  # key -> offset << 32 | length of its last line
         self._indexed = 0  # bytes of the log indexed so far, always whole lines
-        for legacy in sorted(self.directory.glob("*.json")):
-            try:
-                self._index_record({"key": legacy.stem, "entry": json.loads(legacy.read_bytes())}, legacy.name)
-            except (OSError, ValueError) as exc:
-                log.warning("skipping unreadable cache file %s: %s", legacy.name, exc)
         self._catch_up()
 
     @staticmethod
     def key(model: str, rendered_prompt: str, question: str) -> str:
         return digest({"model": model, "prompt": rendered_prompt, "question": question})
 
-    def _index_record(self, record: object, where: str) -> None:
-        try:
-            key, entry = read_fields(record, _RECORD_FIELDS, where)
-        except SchemaViolation as exc:
-            log.warning("skipping damaged cache entry: %s", exc)
-        else:
-            self._index[key] = entry
-
     def _catch_up(self) -> None:
         """Index the whole lines the log gained since this object last read it."""
-        try:
-            with open(self.path, "rb") as f:
-                f.seek(self._indexed)
-                data = f.read()
-        except FileNotFoundError:
-            return
-        end = data.rfind(b"\n") + 1
-        for line in filter(None, data[:end].split(b"\n")):  # a blank line holds nothing
-            try:
-                self._index_record(json.loads(line), f"{self.LOG_NAME} line")
-            except ValueError as exc:
-                log.warning("skipping unreadable line of %s: %s", self.path, exc)
-        self._indexed += end
+        end = os.fstat(self._fd).st_size
+        block = _BLOCK
+        while self._indexed < end:
+            data = os.pread(self._fd, min(block, end - self._indexed), self._indexed)
+            whole = data.rfind(b"\n") + 1
+            if not whole:
+                if len(data) < block:
+                    return  # a line still being written, or a torn one
+                block *= 2  # one line longer than the block
+                continue
+            offset = self._indexed
+            for line in data[:whole].split(b"\n")[:-1]:
+                if line.startswith(_LINE_HEAD):  # a line that is not, or a torn key, is only a miss
+                    self._spans[line[_LINE_KEY]] = offset << 32 | len(line)
+                offset += len(line) + 1
+            self._indexed = offset
 
     def get(self, key: str) -> dict | None:
-        entry = self._index.get(key)
-        if entry is None:
+        span = self._spans.get(key.encode())
+        if span is None:
             with self._lock:
                 self._catch_up()
-                entry = self._index.get(key)
-        return entry
+                span = self._spans.get(key.encode())
+        if span is None:
+            return self._get_old_layout(key)
+        offset, length = divmod(span, 1 << 32)
+        try:
+            record = json.loads(os.pread(self._fd, length, offset))
+            found, entry = read_fields(record, _RECORD_FIELDS, "cache log line")
+        except (ValueError, SchemaViolation) as exc:
+            log.warning("skipping damaged cache log line: %s", exc)
+            return None
+        return entry if found == key else None
+
+    def _get_old_layout(self, key: str) -> dict | None:
+        path = self.directory / f"{key}.json"
+        try:
+            return json.loads(path.read_bytes())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            log.warning("skipping unreadable cache file %s: %s", path.name, exc)
+            return None
 
     def put(self, key: str, raw: str) -> None:
         self.store(key, {"raw": raw, "timestamp": time.time()})
 
     def store(self, key: str, payload: dict) -> None:
         """Append any JSON object under `key`; fetch_live caches entity pages this way."""
-        line = json.dumps({"key": key, "entry": payload}).encode("ascii") + b"\n"
-        with self._lock, open(self.path, "ab+", buffering=0) as f:
-            if f.seek(0, os.SEEK_END):
-                f.seek(-1, os.SEEK_END)
-                if f.read(1) != b"\n":
-                    line = b"\n" + line  # end a torn last line, which is then skipped
-            f.write(line)
-            self._index[key] = payload
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"a cache key is a lower-case sha256 hex digest, got {key!r}")
+        record = json.dumps({"key": key, "entry": payload}).encode("ascii")
+        with self._lock:
+            size = os.fstat(self._fd).st_size
+            torn = size and os.pread(self._fd, 1, size - 1) != b"\n"
+            # A torn last line is ended first, so it is skipped, not glued on.
+            # The descriptor appends, so the write lands whole at the end.
+            os.write(self._fd, b"\n" * torn + record + b"\n")
+            end = os.lseek(self._fd, 0, os.SEEK_CUR)
+            self._spans[key.encode()] = (end - len(record) - 1) << 32 | len(record)
 
 
 # --- backends ---------------------------------------------------------------
@@ -381,11 +403,15 @@ def backend_from_config(
     *,
     closure: DeductiveClosure | None = None,
     dataset: ClusterDataset | None = None,
+    caches: dict[Path, ResponseCache] | None = None,
 ) -> Backend:
     """Build a backend from one config entry: {"kind": ..., ...}.
 
     The oracle kinds need the closure and dataset they answer from; the
-    caller supplies those, the config only selects and parameterizes.
+    caller supplies those, the config only selects and parameterizes. A
+    remote backend takes its directory's cache from `caches` and adds it
+    there when it opens one, so backends built with one `caches` share
+    one index per directory.
     """
     kind, explicit_id = read_fields(spec, SPEC_FIELDS, "backend spec", ConfigError)
     where = f"{kind} backend spec"
@@ -401,7 +427,11 @@ def backend_from_config(
     elif kind == "remote":
         options = dict(zip(_REMOTE_FIELDS, read_fields(spec, _REMOTE_FIELDS, where, ConfigError)))
         cache_dir = options.pop("cache_dir")
-        backend = RemoteBackend(**options, cache=ResponseCache(cache_dir) if cache_dir else None)
+        directory = Path(cache_dir).resolve() if cache_dir else None
+        caches = {} if caches is None else caches
+        if directory and directory not in caches:
+            caches[directory] = ResponseCache(directory)
+        backend = RemoteBackend(**options, cache=caches.get(directory))
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
     if explicit_id:

@@ -282,13 +282,13 @@ def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: Clus
     """The --backend (or config) backends; the oracle kinds answer from the --graph closure."""
     graph_path = _merge(graph, config["graph"]["path"])
     closure = deductive_closure(load_graph(resolve_path(graph_path))) if graph_path else None
-    backends = []
+    backends, caches = [], {}
     for spec in _backend_specs(backend_flags, cache_dir, config):
         if spec["kind"] in ("perfect", "noisy") and closure is None:
             raise ConfigError(
                 f"backend kind {spec['kind']!r} needs --graph to derive the answer key"
             )
-        backends.append(backend_from_config(spec, closure=closure, dataset=dataset))
+        backends.append(backend_from_config(spec, closure=closure, dataset=dataset, caches=caches))
     _check_unique_ids(backends)
     return backends
 
@@ -443,7 +443,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     template = _load_prompt(prompt, config)
 
     specs = _backend_specs(backend_flags, cache_dir, config)
-    backends = []
+    backends, caches = [], {}
     for spec in specs:
         if spec["kind"] == "perfect":
             backends.append(
@@ -455,7 +455,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
         elif spec["kind"] == "noisy":
             raise ConfigError("the noisy backend only evaluates cluster datasets")
         else:
-            backends.append(backend_from_config(spec))
+            backends.append(backend_from_config(spec, caches=caches))
     _check_unique_ids(backends)
 
     out = Path(out_dir)

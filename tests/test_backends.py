@@ -145,24 +145,60 @@ def test_cache_key_separates_inputs():
 
 
 def test_cache_survives_corrupt_entry(tmp_path, caplog):
-    # A torn final log line and a line of the wrong shape are misses, and the
-    # torn line does not swallow the next append.
-    key, other = cc.ResponseCache.key("m", "p", "q"), cc.ResponseCache.key("m", "p", "q2")
-    cc.ResponseCache(tmp_path).put(other, "yes")
+    # A line of the wrong shape and a torn final line are misses, and the torn
+    # line does not swallow the next append.
+    key, other, kept = (cc.ResponseCache.key("m", "p", q) for q in ("q", "q2", "q3"))
+    first = cc.ResponseCache(tmp_path)
+    first.put(other, "yes")
+    first.put(kept, "yes")
     log_path = tmp_path / cc.ResponseCache.LOG_NAME
     with log_path.open("ab") as f:
         f.write(json.dumps({"key": other, "entry": "no"}).encode() + b"\n")
         f.write(json.dumps({"key": key, "entry": {"raw": "yes"}}).encode()[:-5])
     cache = cc.ResponseCache(tmp_path)
-    assert "skipping damaged cache entry" in caplog.text
+    assert cache.get(other) is None  # its last line, the damaged one, wins
+    assert "skipping damaged cache log line" in caplog.text
     assert cache.get(key) is None
-    assert cache.get(other)["raw"] == "yes"
+    assert cache.get(kept)["raw"] == "yes"
     cache.put(key, "no")
     assert cache.get(key)["raw"] == "no"
     fresh = cc.ResponseCache(tmp_path)
     assert fresh.get(key)["raw"] == "no"
-    assert fresh.get(other)["raw"] == "yes"
-    assert "skipping unreadable line" in caplog.text  # the torn line, now ended
+    assert fresh.get(kept)["raw"] == "yes"
+    assert fresh.get(other) is None
+    assert first.get(key)["raw"] == "no"
+    assert log_path.read_bytes().count(b"\n") == 5  # the torn line was ended, not extended
+
+
+def test_cache_reads_only_request_keys_of_the_old_layout(tmp_path, caplog):
+    # Other JSON beside the cache (a dataset, an output) is never read.
+    (tmp_path / "dataset.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "report.json").write_text('{"raw": "yes"}', encoding="utf-8")
+    key = cc.ResponseCache.key("m", "p", "q")
+    (tmp_path / f"{key}.json").write_text('{"raw": "no", "timestamp": 0.0}', encoding="utf-8")
+    cache = cc.ResponseCache(tmp_path)
+    assert cache.get(cc.ResponseCache.key("m", "p", "q2")) is None
+    assert cache.get(key)["raw"] == "no"
+    assert caplog.text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["dataset.json", "report.json", f"{key}.json", cc.ResponseCache.LOG_NAME])
+
+
+def test_cache_indexes_lines_longer_than_a_read(tmp_path, monkeypatch):
+    # The log is indexed a block at a time; a line may span blocks or exceed one.
+    monkeypatch.setattr(cc.backends, "_BLOCK", 64)
+    entries = {cc.ResponseCache.key("m", "p", str(i)): {"raw": "x" * (i * 37 % 300)} for i in range(40)}
+    writer = cc.ResponseCache(tmp_path)
+    for key, entry in entries.items():
+        writer.store(key, entry)
+    fresh = cc.ResponseCache(tmp_path)
+    assert {key: fresh.get(key) for key in entries} == entries
+    assert fresh.get(cc.ResponseCache.key("m", "p", "missing")) is None
+
+
+def test_cache_keys_are_hex_digests(tmp_path):
+    with pytest.raises(ValueError, match="hex digest"):
+        cc.ResponseCache(tmp_path).put("my-key", "yes")
 
 
 def test_cache_leaves_no_temp_files(tmp_path):
@@ -205,8 +241,10 @@ def test_cache_log_is_shared_by_objects_and_threads(tmp_path):
         assert first.get(key)["raw"] == second.get(key)["raw"] == q
 
 
-@pytest.mark.parametrize("entry", [{"raw": 3}, [], {"text": "yes"}])
-def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog, entry):
+@pytest.mark.parametrize("entry, logged", [
+    ({"raw": 3}, "asking again"), ([], "skipping damaged cache log line"), ({"text": "yes"}, "asking again"),
+])
+def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog, entry, logged):
     def app(method, path, query, body):
         return 200, {"text": "Yes."}
 
@@ -216,7 +254,7 @@ def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog
     with serving(app) as (url, log):
         assert cc.RemoteBackend(url, "m", cache=cache).answer("q", "p") == "Yes."
         assert log.count == 1
-    assert "asking again" in caplog.text
+    assert logged in caplog.text
     assert cache.get(key)["raw"] == "Yes."
     assert cc.ResponseCache(tmp_path).get(key)["raw"] == "Yes."
 
@@ -517,6 +555,19 @@ def test_backend_from_config_kinds(tmp_path, medical_closure, medical_dataset):
     )
     assert isinstance(remote, cc.RemoteBackend)
     assert remote.cache is not None
+
+
+def test_backend_from_config_shares_one_cache_per_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    caches = {}
+    specs = [
+        {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": m, "cache_dir": d, "id": m}
+        for m, d in (("a", "c"), ("b", str(tmp_path / "c")), ("c", "./other/../c"), ("d", "d"))
+    ]
+    a, b, c, d = (cc.backend_from_config(spec, caches=caches) for spec in specs)
+    assert a.cache is b.cache is c.cache is not d.cache
+    assert sorted(caches) == [tmp_path.resolve() / "c", tmp_path.resolve() / "d"]
+    assert cc.backend_from_config(specs[0]).cache is not a.cache  # no `caches`, a cache of its own
 
 
 @pytest.mark.parametrize(

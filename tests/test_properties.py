@@ -231,12 +231,16 @@ label_words = st.text("aAeEob?\n", min_size=1, max_size=3).filter(lambda w: w no
     with_properties=st.booleans(),
     data=st.data(),
 )
-def test_question_to_statement_inverts_every_generated_question(seed, style, with_properties, data):
+def test_question_to_statement_inverts_generated_questions_with_one_word_property_subjects(
+    seed, style, with_properties, data
+):
     nodes, edges = random_dag(random.Random(seed), max_nodes=7, edge_prob=0.4)
     # "is the P of a S V ?" cannot tell a two-word subject S from the start of
-    # V, so concepts are one word each when the graph carries properties.
-    label = st.lists(label_words, min_size=1, max_size=1 if with_properties else 3).map(" ".join)
-    labels = data.draw(st.lists(label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
+    # V, so concepts are one word each when the graph carries properties;
+    # tests/test_clusters.py pins how a two-word subject is misread.
+    label = st.lists(label_words, min_size=1, max_size=3).map(" ".join)
+    concept_label = st.lists(label_words, min_size=1, max_size=1 if with_properties else 3).map(" ".join)
+    labels = data.draw(st.lists(concept_label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
     properties = data.draw(st.lists(
         st.builds(cc.PropertyAssertion, st.sampled_from(nodes), label, label), max_size=3 if with_properties else 0
     ))
