@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from string import Formatter
 
 from .answers import Answer
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
@@ -125,11 +126,28 @@ class ClusterDataset:
         return digest(dataset_to_dict(self))
 
 
-# --- question and statement templates --------------------------------------
+# --- question forms ------------------------------------------------------------
 #
-# The default article style reproduces the source phrasing literally: the
-# article is always "a", even before a vowel ("a orthopedic surgeon").
-# "grammatical" switches to a/an by leading letter.
+# One row per question form: the question and the statement it asserts, as
+# format strings over the labels a and b, the property p, the value v and the
+# articles ar_a and ar_b. The default article style reproduces the source
+# phrasing literally: the article is always "a", even before a vowel ("a
+# orthopedic surgeon"). "grammatical" switches to a/an by leading letter.
+#
+# question_to_statement tries the rows in this order: the specific forms come
+# before "plain", which would otherwise swallow them.
+QUESTION_FORMS = {
+    "also": ("is {ar_a} {a} also {ar_b} {b} ?", "{ar_a} {a} is also {ar_b} {b}"),
+    "type_of": ("is {ar_a} {a} a type of {b} ?", "{ar_a} {a} is a type of {b}"),
+    "every": ("is every {a} {ar_b} {b} ?", "every {a} is {ar_b} {b}"),
+    "property_of": ("is the {p} of {ar_a} {a} {v} ?", "the {p} of {ar_a} {a} is {v}"),
+    "value_is": ("is {v} the {p} of {ar_a} {a} ?", "{v} is the {p} of {ar_a} {a}"),
+    "plain": ("is {ar_a} {a} {ar_b} {b} ?", "{ar_a} {a} is {ar_b} {b}"),
+}
+SUBSUMPTION_FORMS = ("plain", "type_of", "every", "also")
+# A property cluster asks its premise on the ancestor in the property_of form,
+# then these forms with the descendant as subject.
+_INHERITANCE_FORMS = ("plain", "property_of", "value_is")
 
 
 def _article(label: str, style: str) -> str:
@@ -138,82 +156,28 @@ def _article(label: str, style: str) -> str:
     return "a"
 
 
-def subsumption_question(form: str, a: str, b: str, style: str = "literal") -> str:
-    ar_a, ar_b = _article(a, style), _article(b, style)
-    if form == "plain":
-        return f"is {ar_a} {a} {ar_b} {b} ?"
-    if form == "type_of":
-        return f"is {ar_a} {a} a type of {b} ?"
-    if form == "every":
-        return f"is every {a} {ar_b} {b} ?"
-    if form == "also":
-        return f"is {ar_a} {a} also {ar_b} {b} ?"
-    raise UnknownTemplate(form)
+def render_forms(forms: tuple[str, ...], fill: dict[str, str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The questions and, in parallel, the statements of `forms`, with each
+    field taken from `fill`; an unknown form raises UnknownTemplate."""
+    try:
+        rows = [QUESTION_FORMS[form] for form in forms]
+    except KeyError as exc:
+        raise UnknownTemplate(exc.args[0]) from None
+    return tuple(q.format_map(fill) for q, _ in rows), tuple(s.format_map(fill) for _, s in rows)
 
 
-def subsumption_statement(form: str, a: str, b: str, style: str = "literal") -> str:
-    ar_a, ar_b = _article(a, style), _article(b, style)
-    if form == "plain":
-        return f"{ar_a} {a} is {ar_b} {b}"
-    if form == "type_of":
-        return f"{ar_a} {a} is a type of {b}"
-    if form == "every":
-        return f"every {a} is {ar_b} {b}"
-    if form == "also":
-        return f"{ar_a} {a} is also {ar_b} {b}"
-    raise UnknownTemplate(form)
+def _question_pattern(question: str) -> re.Pattern[str]:
+    """A form's question as a regex: an article matches a or an, any other field
+    the shortest text. A label may hold a newline, so the pattern is DOTALL."""
+    parts = []
+    for literal, field, _, _ in Formatter().parse(question):
+        parts.append(re.escape(literal))
+        if field:
+            parts.append(f"(?P<{field}>{'a|an' if field.startswith('ar_') else '.+?'})")
+    return re.compile("".join(parts) + "$", re.DOTALL)
 
 
-def property_question(form: str, prop: str, subject: str, value: str, style: str = "literal") -> str:
-    ar_s = _article(subject, style)
-    if form == "property_of":
-        return f"is the {prop} of {ar_s} {subject} {value} ?"
-    if form == "value_is":
-        return f"is {value} the {prop} of {ar_s} {subject} ?"
-    raise UnknownTemplate(form)
-
-
-def property_statement(form: str, prop: str, subject: str, value: str, style: str = "literal") -> str:
-    ar_s = _article(subject, style)
-    if form == "property_of":
-        return f"the {prop} of {ar_s} {subject} is {value}"
-    if form == "value_is":
-        return f"{value} is the {prop} of {ar_s} {subject}"
-    raise UnknownTemplate(form)
-
-
-SUBSUMPTION_FORMS = ("plain", "type_of", "every", "also")
-
-# Rewrite rules pair each question pattern with its statement builder.
-# Match order matters: specific templates come before the bare "is a X a Y"
-# form, which would otherwise swallow them. A label may hold a newline, so
-# every pattern is DOTALL.
-_REWRITE_RULES: tuple[tuple[re.Pattern[str], object], ...] = (
-    (
-        re.compile(r"^is (a|an) (.+?) also (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is also {m[3]} {m[4]}",
-    ),
-    (
-        re.compile(r"^is (a|an) (.+?) a type of (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is a type of {m[3]}",
-    ),
-    (
-        re.compile(r"^is every (.+?) (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"every {m[1]} is {m[2]} {m[3]}",
-    ),
-    (
-        re.compile(r"^is the (.+?) of (a|an) (.+?) (.+?) \?$", re.DOTALL),
-        lambda m: f"the {m[1]} of {m[2]} {m[3]} is {m[4]}",
-    ),
-    (
-        re.compile(r"^is (.+?) the (.+?) of (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} is the {m[2]} of {m[3]} {m[4]}",
-    ),
-    (
-        re.compile(r"^is (a|an) (.+?) (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is {m[3]} {m[4]}",
-    ),
-)
+_REWRITES = tuple((_question_pattern(q), s) for q, s in QUESTION_FORMS.values())
 
 
 def question_to_statement(question: str) -> str:
@@ -225,10 +189,10 @@ def question_to_statement(question: str) -> str:
     value are both multi-word), the shortest-subject reading wins; datasets
     never rely on this because they store the paired statements.
     """
-    for pattern, build in _REWRITE_RULES:
+    for pattern, statement in _REWRITES:
         m = pattern.match(question)
         if m:
-            return build(m)
+            return statement.format_map(m.groupdict())
     raise UnknownTemplate(question)
 
 
@@ -247,8 +211,9 @@ def _subsumption_cluster(
     path: tuple[ConceptId, ...] | None = None,
     id_suffix: str = "",
 ) -> QuestionCluster:
-    questions = tuple(subsumption_question(f, a, b, style) for f in SUBSUMPTION_FORMS)
-    statements = tuple(subsumption_statement(f, a, b, style) for f in SUBSUMPTION_FORMS)
+    questions, statements = render_forms(
+        SUBSUMPTION_FORMS, {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style)}
+    )
     return QuestionCluster(
         id=f"{prefix}:{_slug(a)}:{_slug(b)}{id_suffix}",
         type=kind,
@@ -430,31 +395,27 @@ def gen_property_clusters(
         subject_label = label(assertion.subject)
         several_values = values[assertion.subject, assertion.property] > 1
         value_suffix = f":{_slug(assertion.value)}" if several_values else ""
+        prop, value, ar_subject = assertion.property, assertion.value, _article(subject_label, style)
+        (premise_q,), (premise_s,) = render_forms(
+            ("property_of",), {"a": subject_label, "ar_a": ar_subject, "p": prop, "v": value}
+        )
         descendants = sorted(closure.strict_descendants(assertion.subject), key=label)
         for desc in descendants:
             desc_label = label(desc)
-            questions = (
-                property_question("property_of", assertion.property, subject_label, assertion.value, style),
-                subsumption_question("plain", desc_label, subject_label, style),
-                property_question("property_of", assertion.property, desc_label, assertion.value, style),
-                property_question("value_is", assertion.property, desc_label, assertion.value, style),
-            )
-            statements = (
-                property_statement("property_of", assertion.property, subject_label, assertion.value, style),
-                subsumption_statement("plain", desc_label, subject_label, style),
-                property_statement("property_of", assertion.property, desc_label, assertion.value, style),
-                property_statement("value_is", assertion.property, desc_label, assertion.value, style),
-            )
+            questions, statements = render_forms(_INHERITANCE_FORMS, {
+                "a": desc_label, "ar_a": _article(desc_label, style),
+                "b": subject_label, "ar_b": ar_subject, "p": prop, "v": value,
+            })
             clusters.append(
                 QuestionCluster(
                     id=f"property:{_slug(subject_label)}:{_slug(desc_label)}:"
-                    f"{_slug(assertion.property)}{value_suffix}",
+                    f"{_slug(prop)}{value_suffix}",
                     type=ClusterType.PROPERTY_INHERITANCE,
                     expected=Answer.YES,
                     source=desc,
                     target=assertion.subject,
-                    questions=questions,
-                    statements=statements,
+                    questions=(premise_q, *questions),
+                    statements=(premise_s, *statements),
                 )
             )
     return clusters

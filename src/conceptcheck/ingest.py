@@ -151,7 +151,9 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
             raise UnreadableSource(f"cannot read dump file {source}: {exc}") from exc
     result = ParseResult(entities=[])
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only: str.splitlines would also break inside a JSON
+    # string at U+2028, U+0085 and other characters JSON leaves unescaped.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip().rstrip(",")
         if not stripped or stripped in ("[", "]"):
             continue

@@ -24,7 +24,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .answers import Answer
-from .backends import Backend, PromptTemplate, render_prefix, render_prompt
+from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
 from .errors import TEXT, one_of, read_fields
 from .errors import (
     ConfigError,
@@ -34,7 +34,7 @@ from .errors import (
     read_json,
     write_json_lines,
 )
-from .evaluation import AnswerRecord, Verdict, ask_and_judge, classify_cluster
+from .evaluation import AnswerRecord, Job, Verdict, ask_and_judge, classify_cluster
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 
 SCENARIO_POLARITIES = ("grant", "restriction")
@@ -162,13 +162,46 @@ def gen_scenario_questions(
     return out
 
 
+def _scenario_jobs(
+    scenarios: list[PolicyScenario],
+    specialists: list[ConceptId],
+    graph: ConceptGraph,
+    closure: DeductiveClosure,
+    template: PromptTemplate,
+) -> tuple[list[tuple[PolicyScenario, list[ScenarioQuestion]]], list[Job], dict[str, ScenarioQuestion]]:
+    """Each scenario with its questions, the `ask_and_judge` jobs that ask
+    them, and the question each full prompt asks.
+
+    Each scenario's policy line is the context of its questions, rendered
+    once per scenario into the prefix they share. A job's cluster id is its
+    scenario's id, and its question index the question's position in that
+    scenario. Raises SchemaViolation when one prompt would carry two
+    different expected answers, since no backend could then answer both.
+    """
+    asked, jobs, by_prompt = [], [], {}
+    for scenario in scenarios:
+        questions = gen_scenario_questions(scenario, specialists, graph, closure)
+        prefix = render_prefix(template, (scenario.policy_text,))
+        for idx, q in enumerate(questions):
+            first = by_prompt.setdefault(prompt_with_prefix(prefix, q.question), q)
+            if first.expected is not q.expected:
+                raise SchemaViolation(
+                    f"scenarios {first.scenario_id} and {q.scenario_id} ask {q.question!r} below one policy text "
+                    f"with expected answers {first.expected.value} and {q.expected.value}"
+                )
+            jobs.append((scenario.id, idx, q.question, prefix, q.expected))
+        asked.append((scenario, questions))
+    return asked, jobs, by_prompt
+
+
 class ScenarioOracle(Backend):
     """Answers every scenario question correctly.
 
     Keyed by the fully rendered prompt, not the bare question: scenarios
     routinely share an applicability template, so the same question text can
     carry different expected answers under different policies. The injected
-    policy line makes the rendered prompt unambiguous.
+    policy line makes the rendered prompt unambiguous, and scenarios whose
+    prompts would not be are refused with SchemaViolation.
     """
 
     def __init__(
@@ -182,11 +215,8 @@ class ScenarioOracle(Backend):
         id: str = "perfect",
     ):
         self.id = id
-        self._expected = {
-            render_prompt(template, q.question, (scenario.policy_text,)): q.expected.value
-            for scenario in scenarios
-            for q in gen_scenario_questions(scenario, specialists, graph, closure)
-        }
+        _, _, by_prompt = _scenario_jobs(scenarios, specialists, graph, closure, template)
+        self._expected = {prompt: q.expected.value for prompt, q in by_prompt.items()}
 
     def answer(self, question: str, rendered_prompt: str) -> str:
         try:
@@ -207,18 +237,12 @@ def evaluate_scenarios(
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
     """Ask every scenario question through `ask_and_judge`, as dataset questions are.
 
-    Each scenario's policy line is the context of its questions, rendered
-    once per scenario into the prefix they share. An answer record's
-    cluster id is its scenario's id, and its question index the question's
-    position in that scenario.
+    The jobs come from `_scenario_jobs`, so a prompt with two expected
+    answers raises SchemaViolation before any question is asked.
     """
     if not specialists:
         raise ConfigError("the specialist roster is empty")
-    asked = [(scenario, gen_scenario_questions(scenario, specialists, graph, closure)) for scenario in scenarios]
-    jobs = []
-    for scenario, questions in asked:
-        prefix = render_prefix(template, (scenario.policy_text,))
-        jobs += [(scenario.id, idx, q.question, prefix, q.expected) for idx, q in enumerate(questions)]
+    asked, jobs, _ = _scenario_jobs(scenarios, specialists, graph, closure, template)
     records = iter(ask_and_judge(jobs, backend))
     results = [
         ScenarioResult(scenario, tuple(questions), answers=tuple(islice(records, len(questions))))

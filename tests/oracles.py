@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 
 def floyd_warshall_reachability(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -221,3 +222,96 @@ def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, trut
     if draw < flip_probability:
         return {"yes": "no", "no": "yes"}[truth]
     return truth
+
+
+# --- question forms, spelled out one function and one regex per form ---------
+
+
+def article_by_hand(label: str, style: str) -> str:
+    """"an" before a leading vowel in the grammatical style, "a" otherwise."""
+    if style == "grammatical" and label[:1].lower() in "aeiou":
+        return "an"
+    return "a"
+
+
+def subsumption_question_by_hand(form: str, a: str, b: str, style: str = "literal") -> str:
+    ar_a, ar_b = article_by_hand(a, style), article_by_hand(b, style)
+    if form == "plain":
+        return f"is {ar_a} {a} {ar_b} {b} ?"
+    if form == "type_of":
+        return f"is {ar_a} {a} a type of {b} ?"
+    if form == "every":
+        return f"is every {a} {ar_b} {b} ?"
+    if form == "also":
+        return f"is {ar_a} {a} also {ar_b} {b} ?"
+    raise KeyError(form)
+
+
+def subsumption_statement_by_hand(form: str, a: str, b: str, style: str = "literal") -> str:
+    ar_a, ar_b = article_by_hand(a, style), article_by_hand(b, style)
+    if form == "plain":
+        return f"{ar_a} {a} is {ar_b} {b}"
+    if form == "type_of":
+        return f"{ar_a} {a} is a type of {b}"
+    if form == "every":
+        return f"every {a} is {ar_b} {b}"
+    if form == "also":
+        return f"{ar_a} {a} is also {ar_b} {b}"
+    raise KeyError(form)
+
+
+def property_question_by_hand(form: str, prop: str, subject: str, value: str, style: str = "literal") -> str:
+    ar_s = article_by_hand(subject, style)
+    if form == "property_of":
+        return f"is the {prop} of {ar_s} {subject} {value} ?"
+    if form == "value_is":
+        return f"is {value} the {prop} of {ar_s} {subject} ?"
+    raise KeyError(form)
+
+
+def property_statement_by_hand(form: str, prop: str, subject: str, value: str, style: str = "literal") -> str:
+    ar_s = article_by_hand(subject, style)
+    if form == "property_of":
+        return f"the {prop} of {ar_s} {subject} is {value}"
+    if form == "value_is":
+        return f"{value} is the {prop} of {ar_s} {subject}"
+    raise KeyError(form)
+
+
+# Each question pattern beside the function that builds its statement, most
+# specific first: the bare "is a X a Y" pattern would swallow the others.
+REWRITE_RULES_BY_HAND = (
+    (
+        re.compile(r"^is (a|an) (.+?) also (a|an) (.+?) \?$", re.DOTALL),
+        lambda m: f"{m[1]} {m[2]} is also {m[3]} {m[4]}",
+    ),
+    (
+        re.compile(r"^is (a|an) (.+?) a type of (.+?) \?$", re.DOTALL),
+        lambda m: f"{m[1]} {m[2]} is a type of {m[3]}",
+    ),
+    (
+        re.compile(r"^is every (.+?) (a|an) (.+?) \?$", re.DOTALL),
+        lambda m: f"every {m[1]} is {m[2]} {m[3]}",
+    ),
+    (
+        re.compile(r"^is the (.+?) of (a|an) (.+?) (.+?) \?$", re.DOTALL),
+        lambda m: f"the {m[1]} of {m[2]} {m[3]} is {m[4]}",
+    ),
+    (
+        re.compile(r"^is (.+?) the (.+?) of (a|an) (.+?) \?$", re.DOTALL),
+        lambda m: f"{m[1]} is the {m[2]} of {m[3]} {m[4]}",
+    ),
+    (
+        re.compile(r"^is (a|an) (.+?) (a|an) (.+?) \?$", re.DOTALL),
+        lambda m: f"{m[1]} {m[2]} is {m[3]} {m[4]}",
+    ),
+)
+
+
+def question_to_statement_by_hand(question: str) -> str | None:
+    """The statement of the first rule whose pattern matches, or None."""
+    for pattern, build in REWRITE_RULES_BY_HAND:
+        m = pattern.match(question)
+        if m:
+            return build(m)
+    return None

@@ -461,6 +461,20 @@ def test_scenarios_reject_empty_roster(runner, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_scenarios_reject_a_prompt_with_two_expected_answers(runner, tmp_path):
+    scenarios = json.loads(cc.fixture_path("scenarios_medical.json").read_text(encoding="utf-8"))
+    four_day_week = next(s for s in scenarios if s["id"] == "four-day-week")
+    four_day_week["policy_question_template"] = four_day_week["applicability_template"]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(scenarios), encoding="utf-8")
+    result = run(
+        runner, "scenarios", "--graph", GRAPH, "--scenarios", path, "--backend", '{"kind": "perfect"}',
+        "--out-dir", tmp_path / "s", code=2,
+    )
+    assert result.stderr.startswith("error: scenarios four-day-week and four-day-week ask ")
+    assert not (tmp_path / "s").exists()
+
+
 def test_scenarios_reject_duplicate_backend_ids(runner, tmp_path):
     result = run(
         runner, "scenarios", "--graph", GRAPH,

@@ -9,15 +9,13 @@ import pytest
 import conceptcheck as cc
 from conceptcheck.clusters import (
     SUBSUMPTION_FORMS,
+    _article,
     gen_inverse_clusters,
     gen_negative_clusters,
     gen_path_clusters,
     gen_positive_clusters,
     gen_property_clusters,
-    property_question,
-    property_statement,
-    subsumption_question,
-    subsumption_statement,
+    render_forms,
 )
 from conftest import ladder_edges, make_graph
 
@@ -28,64 +26,71 @@ def clusters_of(dataset, kind):
     return [c for c in dataset.clusters if c.type is kind]
 
 
+def fill(a, b="", style="literal", p="", v=""):
+    """Every field a question form reads, with articles in `style`."""
+    return {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style), "p": p, "v": v}
+
+
+def question(form, *labels, **fields):
+    return render_forms((form,), fill(*labels, **fields))[0][0]
+
+
 # --- templates ---------------------------------------------------------------
 
 
 def test_subsumption_question_forms():
-    a, b = "surgeon", "medical specialist"
-    assert subsumption_question("plain", a, b) == "is a surgeon a medical specialist ?"
-    assert subsumption_question("type_of", a, b) == "is a surgeon a type of medical specialist ?"
-    assert subsumption_question("every", a, b) == "is every surgeon a medical specialist ?"
-    assert subsumption_question("also", a, b) == "is a surgeon also a medical specialist ?"
+    questions, _ = render_forms(SUBSUMPTION_FORMS, fill("surgeon", "medical specialist"))
+    assert dict(zip(SUBSUMPTION_FORMS, questions)) == {
+        "plain": "is a surgeon a medical specialist ?",
+        "type_of": "is a surgeon a type of medical specialist ?",
+        "every": "is every surgeon a medical specialist ?",
+        "also": "is a surgeon also a medical specialist ?",
+    }
 
 
 def test_subsumption_statement_forms():
-    a, b = "surgeon", "medical specialist"
-    assert subsumption_statement("plain", a, b) == "a surgeon is a medical specialist"
-    assert subsumption_statement("type_of", a, b) == "a surgeon is a type of medical specialist"
-    assert subsumption_statement("every", a, b) == "every surgeon is a medical specialist"
-    assert subsumption_statement("also", a, b) == "a surgeon is also a medical specialist"
+    _, statements = render_forms(SUBSUMPTION_FORMS, fill("surgeon", "medical specialist"))
+    assert dict(zip(SUBSUMPTION_FORMS, statements)) == {
+        "plain": "a surgeon is a medical specialist",
+        "type_of": "a surgeon is a type of medical specialist",
+        "every": "every surgeon is a medical specialist",
+        "also": "a surgeon is also a medical specialist",
+    }
 
 
 def test_property_forms():
-    prop, subject, value = "field of occupation", "surgeon", "surgery"
-    assert (
-        property_question("property_of", prop, subject, value)
-        == "is the field of occupation of a surgeon surgery ?"
+    questions, statements = render_forms(
+        ("property_of", "value_is"), fill("surgeon", p="field of occupation", v="surgery")
     )
-    assert (
-        property_question("value_is", prop, subject, value)
-        == "is surgery the field of occupation of a surgeon ?"
+    assert questions == (
+        "is the field of occupation of a surgeon surgery ?",
+        "is surgery the field of occupation of a surgeon ?",
     )
-    assert (
-        property_statement("property_of", prop, subject, value)
-        == "the field of occupation of a surgeon is surgery"
-    )
-    assert (
-        property_statement("value_is", prop, subject, value)
-        == "surgery is the field of occupation of a surgeon"
+    assert statements == (
+        "the field of occupation of a surgeon is surgery",
+        "surgery is the field of occupation of a surgeon",
     )
 
 
 def test_literal_article_is_default_even_before_vowels():
     assert (
-        subsumption_question("plain", "orthopedic pediatric surgeon", "medical specialist")
+        question("plain", "orthopedic pediatric surgeon", "medical specialist")
         == "is a orthopedic pediatric surgeon a medical specialist ?"
     )
 
 
 def test_grammatical_article_style():
-    q = subsumption_question("plain", "orthopedian", "engineer", style="grammatical")
+    q = question("plain", "orthopedian", "engineer", style="grammatical")
     assert q == "is an orthopedian an engineer ?"
-    s = subsumption_statement("every", "surgeon", "expert", style="grammatical")
+    (s,) = render_forms(("every",), fill("surgeon", "expert", style="grammatical"))[1]
     assert s == "every surgeon is an expert"
 
 
 def test_unknown_template_form():
-    with pytest.raises(cc.UnknownTemplate):
-        subsumption_question("rhetorical", "a", "b")
-    with pytest.raises(cc.UnknownTemplate):
-        property_statement("rhetorical", "p", "s", "v")
+    with pytest.raises(cc.UnknownTemplate, match="rhetorical"):
+        render_forms(("rhetorical",), fill("a", "b"))
+    with pytest.raises(cc.UnknownTemplate, match="rhetorical"):
+        render_forms(("plain", "rhetorical"), fill("s", p="p", v="v"))
 
 
 # --- question_to_statement ---------------------------------------------------
@@ -94,14 +99,14 @@ def test_unknown_template_form():
 @pytest.mark.parametrize("a,b", [("surgeon", "medical specialist"), ("pediatric surgeon", "surgeon")])
 @pytest.mark.parametrize("form", SUBSUMPTION_FORMS)
 def test_question_to_statement_round_trips_subsumption(form, a, b):
-    q = subsumption_question(form, a, b)
-    assert cc.question_to_statement(q) == subsumption_statement(form, a, b)
+    (q,), (s,) = render_forms((form,), fill(a, b))
+    assert cc.question_to_statement(q) == s
 
 
 def test_question_to_statement_round_trips_properties():
-    q = property_question("property_of", "field of occupation", "surgeon", "surgery")
+    q = question("property_of", "surgeon", p="field of occupation", v="surgery")
     assert cc.question_to_statement(q) == "the field of occupation of a surgeon is surgery"
-    q = property_question("value_is", "field of occupation", "orthopedic pediatric surgeon", "pediatric surgery")
+    q = question("value_is", "orthopedic pediatric surgeon", p="field of occupation", v="pediatric surgery")
     assert (
         cc.question_to_statement(q)
         == "pediatric surgery is the field of occupation of a orthopedic pediatric surgeon"
@@ -112,7 +117,7 @@ def test_question_to_statement_ambiguous_property_takes_shortest_subject():
     # With a multi-word subject the property form is textually ambiguous;
     # the rewrite picks the shortest subject. Datasets are unaffected since
     # they carry the true statement alongside each question.
-    q = property_question("property_of", "field of occupation", "pediatric surgeon", "pediatric surgery")
+    q = question("property_of", "pediatric surgeon", p="field of occupation", v="pediatric surgery")
     assert cc.question_to_statement(q) == "the field of occupation of a pediatric is surgeon pediatric surgery"
 
 

@@ -111,6 +111,24 @@ def test_parse_turns_parts_of_the_wrong_type_into_diagnostics(tmp_path):
     assert graph.edges == (("Q2", "Q1"),)
 
 
+def test_parse_keeps_labels_holding_unicode_line_breaks(tmp_path):
+    # JSON leaves these unescaped inside strings; only "\n" ends a record.
+    breaks = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+    lines = [
+        json.dumps({"id": "Q1", "labels": {"en": {"value": "line\u2028separator"}}}, ensure_ascii=False),
+        json.dumps({"id": "Q2", "labels": {"en": {"value": f"next{breaks}line\x85"}}}, ensure_ascii=False),
+        "{broken json",
+        json.dumps({"id": "Q3", "labels": {"en": {"value": "three"}}}),
+    ]
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("\n".join(lines) + "\r\n", encoding="utf-8")
+    for source in (dump, io.StringIO("\n".join(lines))):
+        result = cc.parse_entity_dump(source)
+        assert [e.label("en") for e in result.entities] == ["line\u2028separator", f"next{breaks}line\x85", "three"]
+        assert len(result.diagnostics) == 1
+        assert result.diagnostics[0].startswith("line 3: not valid JSON")
+
+
 def test_parse_tolerates_array_wrapper_and_trailing_commas(tmp_path):
     dump = tmp_path / "dump.json"
     dump.write_text(

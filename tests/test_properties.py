@@ -3,7 +3,9 @@ path count match the brute-force oracles on random DAGs with same-as links,
 a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
-answer, and every generated question rewrites to its own statement."""
+answer, a consistent relabelling changes no verdict tally, the form table
+renders and inverts questions as the hand-written functions and rules do,
+and every generated question rewrites to its own statement."""
 
 from __future__ import annotations
 
@@ -18,14 +20,19 @@ from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import backends, hierarchy
-from conceptcheck.clusters import SUBSUMPTION_FORMS, gen_path_clusters, subsumption_question
+from conceptcheck.clusters import QUESTION_FORMS, SUBSUMPTION_FORMS, _article, gen_path_clusters, render_forms
 from oracles import (
     all_paths_by_joining,
     first_path_per_pair,
     noisy_answer_by_hand,
+    property_question_by_hand,
+    property_statement_by_hand,
+    question_to_statement_by_hand,
     random_dag,
     render_prompt_by_joining,
     sampled_unrelated_pairs,
+    subsumption_question_by_hand,
+    subsumption_statement_by_hand,
     unrelated_candidates,
 )
 
@@ -100,7 +107,8 @@ def test_generated_path_and_negative_clusters_match_oracles(dag, style, min_len,
     assert [(c.source, c.target) for c in negative] == expected
     for c in paths + negative:
         a, b = labels[c.source], labels[c.target]
-        assert c.questions == tuple(subsumption_question(f, a, b, style) for f in SUBSUMPTION_FORMS)
+        assert c.questions == tuple(subsumption_question_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS)
+        assert c.statements == tuple(subsumption_statement_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS)
 
 
 @CHECK
@@ -252,3 +260,79 @@ def test_question_to_statement_inverts_generated_questions_with_one_word_propert
     for cluster in dataset.clusters:
         for question, statement in zip(cluster.questions, cluster.statements):
             assert cc.question_to_statement(question) == statement
+
+
+PROPERTY_FORMS = ("property_of", "value_is")
+# Template words, articles, leading vowels of either case, "?", spaces and
+# newlines, strung together into labels.
+form_text = st.lists(
+    st.sampled_from(("a", "an", "An", "e", "b", "?", "\n", " ", "is", "the", "of", "also", "every")),
+    min_size=1, max_size=5,
+).map("".join)
+styles = st.sampled_from(("literal", "grammatical"))
+
+
+@CHECK
+@given(a=form_text, b=form_text, p=form_text, v=form_text, style=styles)
+def test_form_table_renders_the_hand_written_questions_and_statements(a, b, p, v, style):
+    fill = {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style), "p": p, "v": v}
+    assert set(QUESTION_FORMS) == set(SUBSUMPTION_FORMS + PROPERTY_FORMS)
+    questions, statements = render_forms(SUBSUMPTION_FORMS + PROPERTY_FORMS, fill)
+    assert questions == (
+        *(subsumption_question_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS),
+        *(property_question_by_hand(f, p, a, v, style) for f in PROPERTY_FORMS),
+    )
+    assert statements == (
+        *(subsumption_statement_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS),
+        *(property_statement_by_hand(f, p, a, v, style) for f in PROPERTY_FORMS),
+    )
+
+
+@CHECK
+@given(a=form_text, b=form_text, p=form_text, v=form_text, style=styles, text=form_text)
+def test_question_to_statement_matches_the_hand_written_rules(a, b, p, v, style, text):
+    fill = {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style), "p": p, "v": v}
+    questions, _ = render_forms(tuple(QUESTION_FORMS), fill)
+    for question in (*questions, *(q + "\n" for q in questions), f"is {text} ?", text):
+        expected = question_to_statement_by_hand(question)
+        if expected is None:
+            with pytest.raises(cc.UnknownTemplate):
+                cc.question_to_statement(question)
+        else:
+            assert cc.question_to_statement(question) == expected
+
+
+@CHECK
+@given(seed=st.integers(0, 10_000), style=styles, data=st.data())
+def test_a_consistent_relabelling_leaves_the_verdict_tallies_unchanged(seed, style, data):
+    rng = random.Random(seed)
+    nodes, edges = random_dag(rng, max_nodes=9, edge_prob=0.3)
+    properties = {cc.PropertyAssertion(rng.choice(nodes), "colour", rng.choice(("red", "blue"))) for _ in range(3)}
+    rank = rng.sample(range(len(nodes)), len(nodes))
+    word = st.text("aAbeE", min_size=1, max_size=4).filter(lambda w: w.lower() not in TEMPLATE_WORDS)
+
+    def sorted_labels(name):
+        labels = st.lists(word, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug)
+        return sorted(data.draw(labels, label=name))
+
+    config = cc.GenerationConfig(seed=seed, negative_count=4, min_distance=1, article_style=style)
+
+    def generate(labels):
+        graph = cc.build_graph([cc.Concept(n, labels[k]) for n, k in zip(nodes, rank)], edges, properties)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+            return graph, cc.generate_dataset(graph, config)
+
+    # The concept of rank k takes the k-th least label of each set, so the
+    # relabelling keeps label order and slug uniqueness.
+    graph, original = generate(sorted_labels("labels"))
+    _, relabelled = generate(sorted_labels("relabelled"))
+    template = cc.PromptTemplate(preamble="")
+    noisy = cc.NoisyOracle(cc.deductive_closure(graph), original, flip_probability=0.3, seed=seed)
+    answered = cc.evaluate_dataset(original, noisy, template)
+    replay: dict[str, str] = {}
+    relabelled_questions = (q for c in relabelled.clusters for q in c.questions)
+    for question, record in zip(relabelled_questions, answered.records, strict=True):
+        assert replay.setdefault(question, record.raw) == record.raw
+    replayed = cc.evaluate_dataset(relabelled, cc.ScriptedBackend(replay, id=noisy.id), template)
+    assert cc.compute_report(replayed, relabelled) == cc.compute_report(answered, original)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -137,8 +138,6 @@ def test_gen_scenario_questions_shape(medical_graph, medical_closure, grant):
 
 
 def test_gen_scenario_questions_unknown_anchor(medical_graph, medical_closure, grant):
-    import dataclasses
-
     foreign = dataclasses.replace(grant, anchor="podiatrist")
     with pytest.raises(cc.UnknownConcept):
         cc.gen_scenario_questions(foreign, SPECIALISTS, medical_graph, medical_closure)
@@ -184,6 +183,46 @@ def test_scenario_oracle_rejects_foreign_prompt(scenarios, medical_graph, medica
     oracle = cc.ScenarioOracle(scenarios[:1], SPECIALISTS, medical_graph, medical_closure, template)
     with pytest.raises(cc.MismatchedDataset):
         oracle.answer("Is water wet?", "Q: Is water wet?\nA:")
+
+
+def equal_templates(scenario):
+    return [dataclasses.replace(scenario, policy_question_template=scenario.applicability_template)]
+
+
+def moved_anchor(scenario):
+    return [scenario, dataclasses.replace(scenario, id=f"{scenario.id}-moved", anchor="pediatric-surgeon")]
+
+
+@pytest.mark.parametrize(
+    "variant,named",
+    [(equal_templates, "four-day-week and four-day-week"), (moved_anchor, "four-day-week and four-day-week-moved")],
+    ids=["equal-templates", "moved-anchor"],
+)
+def test_scenarios_refuse_a_prompt_with_two_expected_answers(
+    variant, named, restriction, medical_graph, medical_closure, template
+):
+    # A restriction whose two templates are equal asks one prompt expecting
+    # yes and no; so do two scenarios that share policy text and templates
+    # but not their anchor. A perfect oracle could not be perfect on either.
+    scenarios = variant(restriction)
+    with pytest.raises(cc.SchemaViolation, match=f"scenarios {named} ask .* expected answers (yes and no|no and yes)"):
+        cc.ScenarioOracle(scenarios, SPECIALISTS, medical_graph, medical_closure, template)
+    yes_man = cc.ScriptedBackend({}, default="yes", id="yes-man")
+    with pytest.raises(cc.SchemaViolation, match=f"scenarios {named} "):
+        cc.evaluate_scenarios(scenarios, SPECIALISTS, medical_graph, medical_closure, yes_man, template)
+
+
+def test_scenarios_sharing_a_prompt_and_its_answer_are_accepted(
+    restriction, medical_graph, medical_closure, template
+):
+    copy = dataclasses.replace(restriction, id="four-day-week-copy")
+    oracle = cc.ScenarioOracle([restriction, copy], SPECIALISTS, medical_graph, medical_closure, template)
+    _, summary = cc.evaluate_scenarios(
+        [restriction, copy], SPECIALISTS, medical_graph, medical_closure, oracle, template
+    )
+    assert summary == cc.ScenarioSummary(
+        total_questions=28, incorrect_questions=0, total_scenarios=2, inconsistent_scenarios=0
+    )
 
 
 # --- evaluation ------------------------------------------------------------------------
