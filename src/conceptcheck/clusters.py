@@ -16,13 +16,11 @@ of (graph, config), so a fixed seed reproduces a dataset byte for byte.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from string import Formatter
 
 from .answers import Answer
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
@@ -133,9 +131,6 @@ class ClusterDataset:
 # articles ar_a and ar_b. The default article style reproduces the source
 # phrasing literally: the article is always "a", even before a vowel ("a
 # orthopedic surgeon"). "grammatical" switches to a/an by leading letter.
-#
-# question_to_statement tries the rows in this order: the specific forms come
-# before "plain", which would otherwise swallow them.
 QUESTION_FORMS = {
     "also": ("is {ar_a} {a} also {ar_b} {b} ?", "{ar_a} {a} is also {ar_b} {b}"),
     "type_of": ("is {ar_a} {a} a type of {b} ?", "{ar_a} {a} is a type of {b}"),
@@ -164,36 +159,6 @@ def render_forms(forms: tuple[str, ...], fill: dict[str, str]) -> tuple[tuple[st
     except KeyError as exc:
         raise UnknownTemplate(exc.args[0]) from None
     return tuple(q.format_map(fill) for q, _ in rows), tuple(s.format_map(fill) for _, s in rows)
-
-
-def _question_pattern(question: str) -> re.Pattern[str]:
-    """A form's question as a regex: an article matches a or an, any other field
-    the shortest text. A label may hold a newline, so the pattern is DOTALL."""
-    parts = []
-    for literal, field, _, _ in Formatter().parse(question):
-        parts.append(re.escape(literal))
-        if field:
-            parts.append(f"(?P<{field}>{'a|an' if field.startswith('ar_') else '.+?'})")
-    return re.compile("".join(parts) + "$", re.DOTALL)
-
-
-_REWRITES = tuple((_question_pattern(q), s) for q, s in QUESTION_FORMS.values())
-
-
-def question_to_statement(question: str) -> str:
-    """Rewrite a templated question into the statement it asserts.
-
-    Works at template level against the registered question forms, not by
-    string heuristics, and raises UnknownTemplate for anything else. Where
-    a form is textually ambiguous (a property question whose subject and
-    value are both multi-word), the shortest-subject reading wins; datasets
-    never rely on this because they store the paired statements.
-    """
-    for pattern, statement in _REWRITES:
-        m = pattern.match(question)
-        if m:
-            return statement.format_map(m.groupdict())
-    raise UnknownTemplate(question)
 
 
 # --- generators -------------------------------------------------------------

@@ -42,7 +42,7 @@ class UnknownConcept(ConceptCheckError):
 
 
 class UnknownTemplate(ConceptCheckError):
-    """A question does not match any registered template."""
+    """A question form name is not in `clusters.QUESTION_FORMS`."""
 
 
 class SchemaViolation(ConceptCheckError):

@@ -30,12 +30,33 @@ def format_percent(count: int, total: int) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
-def _improvement_cell(baseline: ReportRow, augmented: ReportRow) -> str:
-    # Difference of exact counts, so the rendering matches rounding the
-    # exact improvement rather than subtracting two rounded displays.
-    return format_percent(
-        baseline.all.inconsistent - augmented.all.inconsistent, baseline.all.total
-    )
+# The headline columns: Markdown heading, CSV name, and the group and verdict
+# whose share of the group each one shows.
+_HEADLINES = (
+    ("% incomplete edges", "pct_incomplete_edges", "edges", "incomplete"),
+    ("% inconsistent edges", "pct_inconsistent_edges", "edges", "inconsistent"),
+    ("% inconsistent paths", "pct_inconsistent_paths", "paths", "inconsistent"),
+    ("% inconsistent properties", "pct_inconsistent_property", "property", "inconsistent"),
+    ("% all inconsistent", "pct_all_inconsistent", "all", "inconsistent"),
+)
+
+
+def _headline_cells(row: ReportRow, baselines: dict[str, ReportRow] | None) -> list[str]:
+    """The headline percentages of `row` and, when `baselines` is given, its
+    improvement over its baseline ("-" for a backend without one)."""
+    cells = []
+    for _, _, group, verdict in _HEADLINES:
+        count: GroupCount = getattr(row, group)
+        cells.append(format_percent(getattr(count, verdict), count.total))
+    if baselines is not None:
+        base = baselines.get(row.backend_id)
+        if base is None:
+            cells.append("-")
+        else:
+            # Difference of exact counts, so the rendering matches rounding the
+            # exact improvement rather than subtracting two rounded displays.
+            cells.append(format_percent(base.all.inconsistent - row.all.inconsistent, base.all.total))
+    return cells
 
 
 def render_markdown(
@@ -50,7 +71,6 @@ def render_markdown(
     When `baselines` maps backend ids to their un-augmented rows, an
     improvement column is appended.
     """
-    with_improvement = baselines is not None
     lines = [f"# {title}", ""]
     if dataset_fingerprint:
         lines += [f"Dataset fingerprint: `{dataset_fingerprint}`", ""]
@@ -61,28 +81,12 @@ def render_markdown(
             f"+ {denoms[2]} property inheritance.",
             "",
         ]
-    header = (
-        "| backend | % incomplete edges | % inconsistent edges | % inconsistent paths "
-        "| % inconsistent properties | % all inconsistent |"
-    )
-    divider = "|---|---|---|---|---|---|"
-    if with_improvement:
-        header += " % improvement |"
-        divider += "---|"
-    lines += [header, divider]
+    headings = ["backend", *(heading for heading, _, _, _ in _HEADLINES)]
+    if baselines is not None:
+        headings.append("% improvement")
+    lines += ["| " + " | ".join(headings) + " |", "|" + "---|" * len(headings)]
     for row in rows:
-        cells = [
-            row.backend_id,
-            format_percent(row.edges.incomplete, row.edges.total),
-            format_percent(row.edges.inconsistent, row.edges.total),
-            format_percent(row.paths.inconsistent, row.paths.total),
-            format_percent(row.property.inconsistent, row.property.total),
-            format_percent(row.all.inconsistent, row.all.total),
-        ]
-        if with_improvement:
-            base = baselines.get(row.backend_id)
-            cells.append(_improvement_cell(base, row) if base is not None else "-")
-        lines.append("| " + " | ".join(cells) + " |")
+        lines.append("| " + " | ".join([row.backend_id, *_headline_cells(row, baselines)]) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -100,13 +104,7 @@ def render_csv(
     head = ["backend"]
     for group in _GROUPS:
         head += [f"{group}_total", f"{group}_consistent", f"{group}_inconsistent", f"{group}_incomplete"]
-    head += [
-        "pct_incomplete_edges",
-        "pct_inconsistent_edges",
-        "pct_inconsistent_paths",
-        "pct_inconsistent_property",
-        "pct_all_inconsistent",
-    ]
+    head += [name for _, name, _, _ in _HEADLINES]
     if baselines is not None:
         head.append("pct_improvement")
     writer.writerow(head)
@@ -115,15 +113,5 @@ def render_csv(
         for group in _GROUPS:
             count: GroupCount = getattr(row, group)
             cells += [count.total, count.consistent, count.inconsistent, count.incomplete]
-        cells += [
-            format_percent(row.edges.incomplete, row.edges.total),
-            format_percent(row.edges.inconsistent, row.edges.total),
-            format_percent(row.paths.inconsistent, row.paths.total),
-            format_percent(row.property.inconsistent, row.property.total),
-            format_percent(row.all.inconsistent, row.all.total),
-        ]
-        if baselines is not None:
-            base = baselines.get(row.backend_id)
-            cells.append(_improvement_cell(base, row) if base is not None else "-")
-        writer.writerow(cells)
+        writer.writerow(cells + _headline_cells(row, baselines))
     return buffer.getvalue()

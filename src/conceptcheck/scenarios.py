@@ -17,6 +17,7 @@ each question, so the model answers relative to the stated rule.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -175,9 +176,19 @@ def _scenario_jobs(
     Each scenario's policy line is the context of its questions, rendered
     once per scenario into the prefix they share. A job's cluster id is its
     scenario's id, and its question index the question's position in that
-    scenario. Raises SchemaViolation when one prompt would carry two
-    different expected answers, since no backend could then answer both.
+    scenario. Refuses an empty roster, an unknown or repeated specialist,
+    and, with SchemaViolation, a prompt that would carry two different
+    expected answers, since no backend could then answer both.
     """
+    if not specialists:
+        # An empty roster asks nothing, so every scenario would pass vacuously.
+        raise ConfigError("the specialist roster is empty")
+    unknown = [s for s in dict.fromkeys(specialists) if s not in graph]
+    if unknown:
+        raise UnknownConcept(f"the specialist roster names unknown concepts: {', '.join(unknown)}")
+    repeated = [s for s, n in Counter(specialists).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"the specialist roster repeats {', '.join(repeated)}")
     asked, jobs, by_prompt = [], [], {}
     for scenario in scenarios:
         questions = gen_scenario_questions(scenario, specialists, graph, closure)
@@ -237,11 +248,9 @@ def evaluate_scenarios(
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
     """Ask every scenario question through `ask_and_judge`, as dataset questions are.
 
-    The jobs come from `_scenario_jobs`, so a prompt with two expected
-    answers raises SchemaViolation before any question is asked.
+    The jobs come from `_scenario_jobs`, so a bad roster or a prompt with
+    two expected answers is refused before any question is asked.
     """
-    if not specialists:
-        raise ConfigError("the specialist roster is empty")
     asked, jobs, _ = _scenario_jobs(scenarios, specialists, graph, closure, template)
     records = iter(ask_and_judge(jobs, backend))
     results = [

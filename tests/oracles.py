@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 
 
 def floyd_warshall_reachability(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -224,7 +223,7 @@ def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, trut
     return truth
 
 
-# --- question forms, spelled out one function and one regex per form ---------
+# --- question forms, spelled out one function per kind of text ---------------
 
 
 def article_by_hand(label: str, style: str) -> str:
@@ -276,42 +275,3 @@ def property_statement_by_hand(form: str, prop: str, subject: str, value: str, s
     if form == "value_is":
         return f"{value} is the {prop} of {ar_s} {subject}"
     raise KeyError(form)
-
-
-# Each question pattern beside the function that builds its statement, most
-# specific first: the bare "is a X a Y" pattern would swallow the others.
-REWRITE_RULES_BY_HAND = (
-    (
-        re.compile(r"^is (a|an) (.+?) also (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is also {m[3]} {m[4]}",
-    ),
-    (
-        re.compile(r"^is (a|an) (.+?) a type of (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is a type of {m[3]}",
-    ),
-    (
-        re.compile(r"^is every (.+?) (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"every {m[1]} is {m[2]} {m[3]}",
-    ),
-    (
-        re.compile(r"^is the (.+?) of (a|an) (.+?) (.+?) \?$", re.DOTALL),
-        lambda m: f"the {m[1]} of {m[2]} {m[3]} is {m[4]}",
-    ),
-    (
-        re.compile(r"^is (.+?) the (.+?) of (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} is the {m[2]} of {m[3]} {m[4]}",
-    ),
-    (
-        re.compile(r"^is (a|an) (.+?) (a|an) (.+?) \?$", re.DOTALL),
-        lambda m: f"{m[1]} {m[2]} is {m[3]} {m[4]}",
-    ),
-)
-
-
-def question_to_statement_by_hand(question: str) -> str | None:
-    """The statement of the first rule whose pattern matches, or None."""
-    for pattern, build in REWRITE_RULES_BY_HAND:
-        m = pattern.match(question)
-        if m:
-            return build(m)
-    return None

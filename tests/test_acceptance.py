@@ -132,10 +132,8 @@ def test_dataset_shape_matches_closed_forms(capsys, medical_graph):
         )
         assert by_type[cc.ClusterType.PROPERTY_INHERITANCE] == property_count == 9
 
-        # Every cluster carries four question/statement pairs; the pairs are
-        # token-parallel and (modulo the documented shortest-subject reading
-        # of property questions) reproduce each other mechanically.
-        ambiguous = 0
+        # Every cluster carries four question/statement pairs, and the pairs
+        # are token-parallel.
         for cluster in dataset.clusters:
             assert len(cluster.questions) == len(cluster.statements) == 4
             if cluster.type is cc.ClusterType.PROPERTY_INHERITANCE:
@@ -144,9 +142,6 @@ def test_dataset_shape_matches_closed_forms(capsys, medical_graph):
             for question, statement in zip(cluster.questions, cluster.statements):
                 assert question.endswith(" ?")
                 assert sorted(question[:-2].split()) == sorted(statement.split())
-                if cc.question_to_statement(question) != statement:
-                    ambiguous += 1
-                    assert cluster.type is cc.ClusterType.PROPERTY_INHERITANCE
 
         # Reference shape from the recorded large-scale run, for comparison;
         # matching it exactly depends on topology details the bundled graph

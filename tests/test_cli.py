@@ -461,6 +461,25 @@ def test_scenarios_reject_empty_roster(runner, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_scenarios_reject_unknown_specialists(runner, tmp_path):
+    result = run(
+        runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,nobody,ghost",
+        "--backend", '{"kind": "perfect"}', "--out-dir", tmp_path / "s", code=2,
+    )
+    assert result.stderr == "error: the specialist roster names unknown concepts: nobody, ghost\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_scenarios_reject_a_repeated_specialist(runner, tmp_path):
+    # Asking twice would double the questions: 0/40 incorrect where surgeon alone gives 0/20.
+    result = run(
+        runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,surgeon",
+        "--backend", '{"kind": "perfect"}', "--out-dir", tmp_path / "s", code=2,
+    )
+    assert result.stderr == "error: the specialist roster repeats surgeon\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_scenarios_reject_a_prompt_with_two_expected_answers(runner, tmp_path):
     scenarios = json.loads(cc.fixture_path("scenarios_medical.json").read_text(encoding="utf-8"))
     four_day_week = next(s for s in scenarios if s["id"] == "four-day-week")

@@ -93,40 +93,6 @@ def test_unknown_template_form():
         render_forms(("plain", "rhetorical"), fill("s", p="p", v="v"))
 
 
-# --- question_to_statement ---------------------------------------------------
-
-
-@pytest.mark.parametrize("a,b", [("surgeon", "medical specialist"), ("pediatric surgeon", "surgeon")])
-@pytest.mark.parametrize("form", SUBSUMPTION_FORMS)
-def test_question_to_statement_round_trips_subsumption(form, a, b):
-    (q,), (s,) = render_forms((form,), fill(a, b))
-    assert cc.question_to_statement(q) == s
-
-
-def test_question_to_statement_round_trips_properties():
-    q = question("property_of", "surgeon", p="field of occupation", v="surgery")
-    assert cc.question_to_statement(q) == "the field of occupation of a surgeon is surgery"
-    q = question("value_is", "orthopedic pediatric surgeon", p="field of occupation", v="pediatric surgery")
-    assert (
-        cc.question_to_statement(q)
-        == "pediatric surgery is the field of occupation of a orthopedic pediatric surgeon"
-    )
-
-
-def test_question_to_statement_ambiguous_property_takes_shortest_subject():
-    # With a multi-word subject the property form is textually ambiguous;
-    # the rewrite picks the shortest subject. Datasets are unaffected since
-    # they carry the true statement alongside each question.
-    q = question("property_of", "pediatric surgeon", p="field of occupation", v="pediatric surgery")
-    assert cc.question_to_statement(q) == "the field of occupation of a pediatric is surgeon pediatric surgery"
-
-
-def test_question_to_statement_rejects_foreign_text():
-    for bad in ("what is a surgeon ?", "is a surgeon a medical specialist", "yes", ""):
-        with pytest.raises(cc.UnknownTemplate):
-            cc.question_to_statement(bad)
-
-
 # --- per-type generators -----------------------------------------------------
 
 
@@ -321,19 +287,11 @@ def test_generated_expectations_match_closure(medical_dataset, medical_closure):
 
 
 def test_questions_and_statements_are_parallel(medical_dataset):
-    ambiguous = 0
     for c in medical_dataset.clusters:
         assert len(c.questions) == len(c.statements) == 4
         for q, s in zip(c.questions, c.statements):
             assert q.endswith(" ?")
             assert sorted(q[:-2].split()) == sorted(s.split())
-            rewritten = cc.question_to_statement(q)
-            if rewritten != s:
-                # Only the documented ambiguity: a property question whose
-                # subject label is multi-word.
-                assert c.type is T.PROPERTY_INHERITANCE
-                ambiguous += 1
-    assert ambiguous > 0  # the fixture exercises the ambiguous case
 
 
 def test_generate_dataset_binds_graph_fingerprint(medical_graph, medical_dataset):

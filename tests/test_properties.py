@@ -4,8 +4,8 @@ a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
 answer, a consistent relabelling changes no verdict tally, the form table
-renders and inverts questions as the hand-written functions and rules do,
-and every generated question rewrites to its own statement."""
+renders questions and statements as the hand-written functions do, and
+every generated question is paired with its own statement."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from oracles import (
     noisy_answer_by_hand,
     property_question_by_hand,
     property_statement_by_hand,
-    question_to_statement_by_hand,
     random_dag,
     render_prompt_by_joining,
     sampled_unrelated_pairs,
@@ -226,40 +225,10 @@ def test_render_prompt_matches_joining_oracle(preamble, few_shot, context, quest
     assert (prefix == "") == (not preamble and not few_shot and not context)
 
 
-# Template words inside a label make any question ambiguous, so labels avoid them.
+# Labels avoid the template words, so each question has one reading.
 TEMPLATE_WORDS = {"a", "an", "also", "every", "is", "of", "the", "type"}
 # Upper-case vowels take "an" in the grammatical style; "?" and "\n" sit inside labels.
 label_words = st.text("aAeEob?\n", min_size=1, max_size=3).filter(lambda w: w not in TEMPLATE_WORDS)
-
-
-@CHECK
-@given(
-    seed=st.integers(0, 10_000),
-    style=st.sampled_from(("literal", "grammatical")),
-    with_properties=st.booleans(),
-    data=st.data(),
-)
-def test_question_to_statement_inverts_generated_questions_with_one_word_property_subjects(
-    seed, style, with_properties, data
-):
-    nodes, edges = random_dag(random.Random(seed), max_nodes=7, edge_prob=0.4)
-    # "is the P of a S V ?" cannot tell a two-word subject S from the start of
-    # V, so concepts are one word each when the graph carries properties;
-    # tests/test_clusters.py pins how a two-word subject is misread.
-    label = st.lists(label_words, min_size=1, max_size=3).map(" ".join)
-    concept_label = st.lists(label_words, min_size=1, max_size=1 if with_properties else 3).map(" ".join)
-    labels = data.draw(st.lists(concept_label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
-    properties = data.draw(st.lists(
-        st.builds(cc.PropertyAssertion, st.sampled_from(nodes), label, label), max_size=3 if with_properties else 0
-    ))
-    graph = cc.build_graph([cc.Concept(n, l) for n, l in zip(nodes, labels)], edges, properties)
-    config = cc.GenerationConfig(seed=seed, negative_count=3, min_distance=1, article_style=style)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
-        dataset = cc.generate_dataset(graph, config)
-    for cluster in dataset.clusters:
-        for question, statement in zip(cluster.questions, cluster.statements):
-            assert cc.question_to_statement(question) == statement
 
 
 PROPERTY_FORMS = ("property_of", "value_is")
@@ -288,18 +257,54 @@ def test_form_table_renders_the_hand_written_questions_and_statements(a, b, p, v
     )
 
 
+def one_spelling_per_slug(assertions) -> bool:
+    """Whether the properties of each subject whose slugs agree are spelled
+    alike; two spellings of one slug would give two clusters one id."""
+    spelled: dict = {}
+    return all(spelled.setdefault((a.subject, hierarchy._slug(a.property)), a.property) == a.property for a in assertions)
+
+
 @CHECK
-@given(a=form_text, b=form_text, p=form_text, v=form_text, style=styles, text=form_text)
-def test_question_to_statement_matches_the_hand_written_rules(a, b, p, v, style, text):
-    fill = {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style), "p": p, "v": v}
-    questions, _ = render_forms(tuple(QUESTION_FORMS), fill)
-    for question in (*questions, *(q + "\n" for q in questions), f"is {text} ?", text):
-        expected = question_to_statement_by_hand(question)
-        if expected is None:
-            with pytest.raises(cc.UnknownTemplate):
-                cc.question_to_statement(question)
+@given(seed=st.integers(0, 10_000), style=styles, data=st.data())
+def test_each_generated_question_is_paired_with_its_own_statement(seed, style, data):
+    nodes, edges = random_dag(random.Random(seed), max_nodes=7, edge_prob=0.4)
+    # Concepts, properties and values all take labels of up to three words.
+    label = st.lists(label_words, min_size=1, max_size=3).map(" ".join)
+    names = data.draw(st.lists(label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
+    labels = dict(zip(nodes, names))
+    properties = data.draw(st.lists(
+        st.builds(cc.PropertyAssertion, st.sampled_from(nodes), label, label), max_size=4,
+        unique_by=lambda a: (a.subject, hierarchy._slug(a.property), hierarchy._slug(a.value)),
+    ).filter(one_spelling_per_slug))
+    graph = cc.build_graph([cc.Concept(n, labels[n]) for n in nodes], edges, properties)
+    config = cc.GenerationConfig(seed=seed, negative_count=3, min_distance=1, article_style=style)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+        dataset = cc.generate_dataset(graph, config)
+    for c in dataset.clusters:
+        a, b = labels[c.source], labels[c.target]
+        if c.type is T.PROPERTY_INHERITANCE:
+            # The premise names one assertion on the target: labels hold no template word.
+            ((p, v),) = {
+                (x.property, x.value) for x in properties
+                if x.subject == c.target and property_question_by_hand("property_of", x.property, b, x.value, style)
+                == c.questions[0]
+            }
+            questions = (
+                property_question_by_hand("property_of", p, b, v, style),
+                subsumption_question_by_hand("plain", a, b, style),
+                *(property_question_by_hand(f, p, a, v, style) for f in PROPERTY_FORMS),
+            )
+            statements = (
+                property_statement_by_hand("property_of", p, b, v, style),
+                subsumption_statement_by_hand("plain", a, b, style),
+                *(property_statement_by_hand(f, p, a, v, style) for f in PROPERTY_FORMS),
+            )
         else:
-            assert cc.question_to_statement(question) == expected
+            questions = tuple(subsumption_question_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS)
+            statements = tuple(subsumption_statement_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS)
+        assert c.questions == questions
+        assert c.statements == statements
 
 
 @CHECK

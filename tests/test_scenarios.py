@@ -287,6 +287,17 @@ def test_evaluate_scenarios_records_backend_errors(
     )
 
 
+@pytest.mark.parametrize("roster,error,message", [
+    (["surgeon", "nobody"], cc.UnknownConcept, "roster names unknown concepts: nobody"),
+    (["surgeon", "surgeon"], cc.ConfigError, "roster repeats surgeon"),
+])
+def test_evaluate_scenarios_rejects_a_bad_roster(
+    medical_graph, medical_closure, grant, template, roster, error, message
+):
+    with pytest.raises(error, match=message):
+        cc.evaluate_scenarios([grant], roster, medical_graph, medical_closure, cc.ScriptedBackend({}), template)
+
+
 def test_evaluate_scenarios_rejects_empty_roster(
     medical_graph, medical_closure, grant, template
 ):
