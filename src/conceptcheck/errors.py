@@ -165,9 +165,14 @@ def read_fields(
     return values
 
 
+# Built once: json.dumps with these arguments builds a new encoder per call.
+# `encode` keeps no state between calls, so threads may share it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """The compact form: sorted keys, no spaces, non-ASCII escaped."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def digest(obj: object) -> str:

@@ -10,6 +10,7 @@ neither yes nor no count as incorrect.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -98,11 +99,16 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     reference across jobs; each question is asked with `prefix` plus its
     own question line, one copy of the prompt built just before the call
     and then dropped, so memory holds one prompt per worker, not one per
-    question. Records come back in job order. A backend failure on one
-    question is recorded (as an incorrect Other answer with an empty raw
-    text and the error flag set) and evaluation continues; it never aborts
-    the run. Questions go out concurrently when the backend declares a
-    concurrency above one.
+    question. A backend failure on one question is recorded (as an
+    incorrect Other answer with an empty raw text and the error flag set)
+    and evaluation continues; it never aborts the run.
+
+    A backend that declares a concurrency above one is asked by that many
+    workers (never more than there are jobs); each takes the next job from
+    one shared list when its call returns and stores the record at the
+    job's index, so records come back in job order and at most
+    `concurrency` calls are in flight. Any other exception stops new calls:
+    the calls already in flight finish, then it reaches the caller.
     """
 
     def ask(job: Job) -> AnswerRecord:
@@ -114,11 +120,30 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
         normalized = normalize_answer(raw)
         return AnswerRecord(cluster_id, idx, raw=raw, normalized=normalized, correct=normalized == expected)
 
-    workers = getattr(backend, "concurrency", 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(ask, jobs))
-    return [ask(job) for job in jobs]
+    workers = min(getattr(backend, "concurrency", 1), len(jobs))
+    if workers <= 1:
+        return [ask(job) for job in jobs]
+    records: list = [None] * len(jobs)
+    pending = enumerate(jobs)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain() -> None:
+        try:
+            while not failed.is_set():
+                with lock:
+                    index, job = next(pending, (None, None))
+                if job is None:
+                    return
+                records[index] = ask(job)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for worker in [pool.submit(drain) for _ in range(workers)]:
+            worker.result()
+    return records
 
 
 def evaluate_dataset(
@@ -132,8 +157,11 @@ def evaluate_dataset(
     The preamble, few-shots and context are rendered once, as one prefix
     that every job shares, so each question costs one copy of its prompt
     and memory grows with questions plus context, not with their product.
-    Failures and concurrency are handled as in `ask_and_judge`; records
-    come back in dataset order.
+    Failures are handled as in `ask_and_judge`. A backend whose concurrency
+    is above one is asked by that many workers, each taking the next
+    question when its call returns; records come back in dataset order,
+    and an exception other than a `ConceptCheckError` stops new calls and
+    reaches the caller.
     """
     prefix = render_prefix(template, context.statements if context is not None else ())
     jobs = [
@@ -424,7 +452,9 @@ def read_results(path: str | Path) -> ResultSet:
         raise UnreadableSource(f"cannot read results file {path}: {exc}") from exc
     header: list | None = None
     records: list[AnswerRecord] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only: str.splitlines would also break inside a JSON
+    # string at U+2028, U+0085 and other characters JSON leaves unescaped.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from unittest.mock import patch
@@ -119,13 +121,63 @@ def test_evaluate_lets_foreign_exceptions_propagate(chain, template):
         cc.evaluate_dataset(dataset, Exploding(), template)
 
 
+def test_evaluate_concurrent_foreign_exception_stops_new_calls(chain, template):
+    # Four calls go out together; one raises, the other three are still in
+    # flight. They finish, no fifth call starts, and the error reaches us.
+    _, _, dataset = chain
+    lock = threading.Lock()
+    started: list[str] = []
+    finished: list[str] = []
+
+    class Exploding(cc.Backend):
+        id = "exploding"
+        concurrency = 4
+        barrier = threading.Barrier(concurrency, timeout=10)  # a timeout, not a hang, if calls never overlap
+
+        def answer(self, question, rendered_prompt):
+            with lock:
+                started.append(question)
+                first_wave = len(started) <= self.concurrency
+            if first_wave and self.barrier.wait() == 0:
+                raise RuntimeError("wires crossed")
+            time.sleep(0.1)  # outlast the failure, so a worker that would go on finds work left
+            with lock:
+                finished.append(question)
+            return "yes"
+
+    assert sum(len(c.questions) for c in dataset.clusters) > Exploding.concurrency
+    with pytest.raises(RuntimeError, match="wires crossed"):
+        cc.evaluate_dataset(dataset, Exploding(), template)
+    assert len(started) == Exploding.concurrency
+    assert len(finished) == Exploding.concurrency - 1
+
+
 def test_evaluate_concurrent_backend_preserves_order(medical_dataset, medical_closure, template):
     backend = Jittery(cc.PerfectOracle(medical_closure, medical_dataset))
-    rs = cc.evaluate_dataset(medical_dataset, backend, template)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race in taking jobs would show
+    try:
+        rs = cc.evaluate_dataset(medical_dataset, backend, template)
+    finally:
+        sys.setswitchinterval(interval)
     expected_order = [(c.id, i) for c in medical_dataset.clusters for i in range(4)]
     assert [(r.cluster_id, r.question_index) for r in rs.records] == expected_order
     assert all(r.correct for r in rs.records)
-    assert backend.peak > 1  # requests really overlapped
+    assert 1 < backend.peak <= backend.concurrency  # requests really overlapped, within the limit
+
+
+def test_evaluate_more_workers_than_questions(chain, template):
+    _, closure, dataset = chain
+    first = dataset.clusters[0]
+    small = dataclasses.replace(dataset, clusters=(
+        dataclasses.replace(first, questions=first.questions[:3], statements=first.statements[:3]),
+    ))
+    backend = Jittery(cc.PerfectOracle(closure, dataset))
+    assert backend.concurrency == 8
+    rs = cc.evaluate_dataset(small, backend, template)
+    assert [(r.cluster_id, r.question_index) for r in rs.records] == [(first.id, i) for i in range(3)]
+    assert [r.raw for r in rs.records] == [first.expected.value] * 3
+    assert all(r.correct for r in rs.records)
 
 
 def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):
@@ -552,3 +604,24 @@ def test_read_results_tolerates_blank_lines(tmp_path, chain, template):
     padded = tmp_path / "padded.jsonl"
     padded.write_text("\n\n".join(path.read_text().splitlines()) + "\n", encoding="utf-8")
     assert cc.read_results(padded) == rs
+
+
+def test_read_results_keeps_raw_answers_holding_unicode_line_breaks(tmp_path, chain, template):
+    # JSON leaves U+2028 and U+0085 unescaped inside strings; only "\n" ends a record.
+    _, closure, dataset = chain
+    rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
+    raws = ["yes\u2028really", "no\x85", "\u2028\x85"]
+    rs = dataclasses.replace(rs, records=tuple(
+        dataclasses.replace(r, raw=raw) for r, raw in zip(rs.records, raws)
+    ) + rs.records[len(raws):])
+    path = tmp_path / "results.jsonl"
+    cc.write_results(rs, path)
+    assert cc.read_results(path) == rs
+    unescaped = tmp_path / "unescaped.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    unescaped.write_text(
+        "\n".join(json.dumps(json.loads(line), ensure_ascii=False) for line in lines if line) + "\n",
+        encoding="utf-8",
+    )
+    assert "\u2028" in unescaped.read_text(encoding="utf-8")
+    assert cc.read_results(unescaped) == rs

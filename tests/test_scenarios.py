@@ -328,7 +328,7 @@ def test_evaluate_scenarios_runs_a_concurrent_backend_in_order(
         assert [(a.cluster_id, a.question_index) for a in r.answers] == [
             (r.scenario.id, i) for i in range(len(r.questions))
         ]
-    assert backend.peak > 1  # requests really overlapped
+    assert 1 < backend.peak <= backend.concurrency  # requests really overlapped, within the limit
 
 
 def test_evaluate_scenarios_passes_policy_text_as_context(
