@@ -32,7 +32,7 @@ print("fact list; the re-evaluation shows whether seeing it helps.")
 
 print("\nA prompt with context simply lists those statements above the question:\n")
 sample = dataset.clusters[0].questions[0]
-print(cc.render_prompt(template, sample, context.statements[:3]))
+print(cc.prompt_with_prefix(cc.render_prefix(template, context.statements[:3]), sample))
 
 print("\n=== re-evaluating the same noisy backends with the context ===")
 augmented = [

@@ -75,20 +75,6 @@ def prompt_with_prefix(prefix: str, question: str) -> str:
     return f"{prefix}Q: {question}\nA:"
 
 
-def render_prompt(
-    template: PromptTemplate,
-    question: str,
-    context_statements: tuple[str, ...] = (),
-) -> str:
-    """Render the full prompt for one question.
-
-    Context statements, when present, are inserted verbatim, each on its
-    own line, directly above the final question; everything else is byte
-    identical to the context-free rendering.
-    """
-    return prompt_with_prefix(render_prefix(template, context_statements), question)
-
-
 _TEMPLATE_FIELDS = {"preamble": STRING, "few_shot": optional(LIST, [])}
 _SHOT_FIELDS = {"question": STRING, "answer": STRING}
 

@@ -27,6 +27,8 @@ from .backends import (
     load_prompt_template,
 )
 from .clusters import (
+    ARTICLE_STYLES,
+    PATH_GRANULARITIES,
     ClusterDataset,
     ClusterType,
     GenerationConfig,
@@ -37,6 +39,7 @@ from .clusters import (
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read_fields
 from .errors import ConceptCheckError, ConfigError, read_json, write_json
 from .evaluation import (
+    CONTEXT_GRANULARITIES,
     build_context,
     compute_report,
     evaluate_dataset,
@@ -47,19 +50,18 @@ from .evaluation import (
 )
 from .fixtures import MEDICAL_SPECIALISTS, load_default_prompt, resolve_path
 from .hierarchy import ConceptGraph, deductive_closure, load_graph, save_graph
-from .ingest import ExtractionSpec, extract_fragment, fetch_live, parse_entity_dump
-from .reporting import format_percent, render_csv, render_markdown
+from .ingest import DIRECTIONS, ExtractionSpec, extract_fragment, fetch_live, parse_entity_dump
+from .reporting import render_csv, render_markdown
 from .scenarios import (
     ScenarioOracle,
     evaluate_scenarios,
     load_scenarios,
     render_scenario_markdown,
+    render_scenario_summary,
     write_scenario_results,
 )
 
 log = logging.getLogger(__name__)
-
-_DIRECTIONS = ("ancestors", "descendants", "both")
 
 
 def _fail_gracefully(fn):
@@ -175,7 +177,7 @@ def main(ctx: click.Context, config_path: str | None, verbose: bool) -> None:
 @click.option("--seed-concept", default=None, help="Entity id to start the walk from.")
 @click.option("--seed-property", default=None, help="Property id carried over as assertions.")
 @click.option("--max-depth", type=int, default=None)
-@click.option("--direction", type=click.Choice(_DIRECTIONS), default=None)
+@click.option("--direction", type=click.Choice(DIRECTIONS), default=None)
 @click.option("--language", default=None)
 @click.option("--cache-dir", default=None, metavar="DIR", help="Page cache for live crawls.")
 @click.option("--out", "-o", required=True, metavar="FILE", help="Native graph file to write.")
@@ -248,8 +250,8 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
 @click.option("--negative-count", type=int, default=None)
 @click.option("--min-distance", type=int, default=None)
 @click.option("--min-path-len", type=int, default=None)
-@click.option("--article-style", type=click.Choice(["literal", "grammatical"]), default=None)
-@click.option("--path-granularity", type=click.Choice(["pair", "path"]), default=None)
+@click.option("--article-style", type=click.Choice(ARTICLE_STYLES), default=None)
+@click.option("--path-granularity", type=click.Choice(PATH_GRANULARITIES), default=None)
 @click.option("--out", "-o", required=True, metavar="FILE", help="Dataset file to write.")
 @click.pass_context
 @_fail_gracefully
@@ -373,7 +375,7 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
 @click.option("--graph", default=None, metavar="FILE")
 @click.option("--prompt", default=None, metavar="FILE")
 @click.option("--backend", "backend_flags", multiple=True, metavar="JSON")
-@click.option("--granularity", type=click.Choice(["question", "cluster"]), default=None)
+@click.option("--granularity", type=click.Choice(CONTEXT_GRANULARITIES), default=None)
 @click.option("--cache-dir", default=None, metavar="DIR")
 @click.option("--out-dir", "-o", required=True, metavar="DIR")
 @click.pass_context
@@ -459,12 +461,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     _check_unique_ids(backends)
 
     out = Path(out_dir)
-    summary_lines = [
-        "# Scenario summary",
-        "",
-        "| backend | % incorrect answers | % inconsistent scenarios |",
-        "|---|---|---|",
-    ]
+    summaries = []
     errors = 0
     for backend in backends:
         results, summary = evaluate_scenarios(
@@ -477,16 +474,12 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
             render_scenario_markdown(results, summary, backend.id), encoding="utf-8"
         )
         errors += sum(1 for r in results for a in r.answers if a.error)
-        summary_lines.append(
-            f"| {backend.id} "
-            f"| {format_percent(summary.incorrect_questions, summary.total_questions)} "
-            f"| {format_percent(summary.inconsistent_scenarios, summary.total_scenarios)} |"
-        )
+        summaries.append((backend.id, summary))
         click.echo(
             f"{backend.id}: {summary.incorrect_questions}/{summary.total_questions} incorrect, "
             f"{summary.inconsistent_scenarios}/{summary.total_scenarios} inconsistent scenarios"
         )
-    (out / "scenario-summary.md").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    (out / "scenario-summary.md").write_text(render_scenario_summary(summaries), encoding="utf-8")
     _exit_if_failed(errors)
 
 

@@ -38,8 +38,8 @@ from .hierarchy import (
 DATASET_FORMAT_VERSION = "1"
 TEMPLATE_SET_VERSION = "v1"
 
-_ARTICLE_STYLES = ("literal", "grammatical")
-_PATH_GRANULARITIES = ("pair", "path")
+ARTICLE_STYLES = ("literal", "grammatical")
+PATH_GRANULARITIES = ("pair", "path")
 
 
 class ClusterType(str, Enum):
@@ -87,9 +87,9 @@ class GenerationConfig:
             raise ConfigError("min_distance must be >= 1")
         if self.min_path_len < 1:
             raise ConfigError("min_path_len must be >= 1")
-        if self.article_style not in _ARTICLE_STYLES:
+        if self.article_style not in ARTICLE_STYLES:
             raise ConfigError(f"unknown article_style {self.article_style!r}")
-        if self.path_granularity not in _PATH_GRANULARITIES:
+        if self.path_granularity not in PATH_GRANULARITIES:
             raise ConfigError(f"unknown path_granularity {self.path_granularity!r}")
         if self.template_set != TEMPLATE_SET_VERSION:
             raise ConfigError(f"unknown template_set {self.template_set!r}")

@@ -98,7 +98,7 @@ def read_json(path: str | Path, what: str) -> object:
     SchemaViolation messages."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc

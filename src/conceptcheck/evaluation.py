@@ -36,6 +36,7 @@ from .errors import (
 )
 
 RESULTS_FORMAT_VERSION = "1"
+CONTEXT_GRANULARITIES = ("question", "cluster")
 
 # (cluster_id, question_index, question, prompt prefix, expected); jobs that
 # share a context share one prefix string from `render_prefix`.
@@ -194,16 +195,20 @@ class GroupCount:
         return 100.0 * count / self.total if self.total else 0.0
 
 
-_EDGE_TYPES = (ClusterType.POSITIVE_EDGE, ClusterType.INVERSE_EDGE, ClusterType.NEGATIVE_EDGE)
+_REPORT_GROUPS = {
+    **dict.fromkeys((ClusterType.POSITIVE_EDGE, ClusterType.INVERSE_EDGE, ClusterType.NEGATIVE_EDGE), "edges"),
+    ClusterType.PATH: "paths",
+    ClusterType.PROPERTY_INHERITANCE: "property",
+}
 
 
 @dataclass(frozen=True)
 class ReportRow:
     """Verdict tallies for one backend, grouped the way the report prints.
 
-    Percentage properties are raw (unrounded) values; rendering applies
-    half-up rounding to two decimals. Incomplete tallies exist for every
-    group even though the rendered table only prints them for edges.
+    `pct_all_inconsistent` is raw (unrounded); rendering applies half-up
+    rounding to two decimals. Incomplete tallies exist for every group even
+    though the rendered table only prints them for edges.
     """
 
     backend_id: str
@@ -211,22 +216,6 @@ class ReportRow:
     paths: GroupCount
     property: GroupCount
     all: GroupCount
-
-    @property
-    def pct_incomplete_edges(self) -> float:
-        return self.edges.pct(self.edges.incomplete)
-
-    @property
-    def pct_inconsistent_edges(self) -> float:
-        return self.edges.pct(self.edges.inconsistent)
-
-    @property
-    def pct_inconsistent_paths(self) -> float:
-        return self.paths.pct(self.paths.inconsistent)
-
-    @property
-    def pct_inconsistent_property(self) -> float:
-        return self.property.pct(self.property.inconsistent)
 
     @property
     def pct_all_inconsistent(self) -> float:
@@ -248,24 +237,19 @@ def _tally(verdicts: Iterable[Verdict]) -> GroupCount:
 
 
 def report_from_verdicts(backend_id: str, verdicts: dict[str, Verdict], dataset: ClusterDataset) -> ReportRow:
-    by_type: dict[str, list[Verdict]] = {"edges": [], "paths": [], "property": [], "all": []}
+    by_group: dict[str, list[Verdict]] = {"edges": [], "paths": [], "property": [], "all": []}
     for cluster in dataset.clusters:
         verdict = verdicts.get(cluster.id)
         if verdict is None:
             raise MismatchedDataset(f"no verdict for cluster {cluster.id}")
-        by_type["all"].append(verdict)
-        if cluster.type in _EDGE_TYPES:
-            by_type["edges"].append(verdict)
-        elif cluster.type is ClusterType.PATH:
-            by_type["paths"].append(verdict)
-        else:
-            by_type["property"].append(verdict)
+        by_group["all"].append(verdict)
+        by_group[_REPORT_GROUPS[cluster.type]].append(verdict)
     return ReportRow(
         backend_id=backend_id,
-        edges=_tally(by_type["edges"]),
-        paths=_tally(by_type["paths"]),
-        property=_tally(by_type["property"]),
-        all=_tally(by_type["all"]),
+        edges=_tally(by_group["edges"]),
+        paths=_tally(by_group["paths"]),
+        property=_tally(by_group["property"]),
+        all=_tally(by_group["all"]),
     )
 
 
@@ -304,17 +288,21 @@ def compute_report(resultset: ResultSet, dataset: ClusterDataset) -> ReportRow:
     return report_from_verdicts(resultset.backend_id, resultset.verdicts, dataset)
 
 
-def improvement(baseline: ReportRow, augmented: ReportRow) -> float:
-    """How much context augmentation shrank the all-inconsistent share.
-
-    Computed from the raw fractions, not the rounded displays, so rendering
-    the difference matches rounding the exact count delta.
-    """
+def inconsistent_drop(baseline: ReportRow, augmented: ReportRow) -> int:
+    """How many fewer clusters `augmented` has inconsistent than `baseline`;
+    DenominatorMismatch unless both rows count the same clusters per group."""
     if baseline.denominators != augmented.denominators:
         raise DenominatorMismatch(
             f"baseline denominators {baseline.denominators} != augmented {augmented.denominators}"
         )
-    return baseline.pct_all_inconsistent - augmented.pct_all_inconsistent
+    return baseline.all.inconsistent - augmented.all.inconsistent
+
+
+def improvement(baseline: ReportRow, augmented: ReportRow) -> float:
+    """How much context augmentation shrank the all-inconsistent share: the
+    `inconsistent_drop` as a percentage of all clusters, so the report's
+    improvement cell is this value rounded, not a difference of two roundings."""
+    return baseline.all.pct(inconsistent_drop(baseline, augmented))
 
 
 # --- context augmentation ---------------------------------------------------
@@ -349,7 +337,7 @@ def build_context(
     result set answered its question incorrectly. Cluster granularity: all
     four statements join when no backend got the whole cluster right.
     """
-    if granularity not in ("question", "cluster"):
+    if granularity not in CONTEXT_GRANULARITIES:
         raise SchemaViolation(f"unknown context granularity {granularity!r}")
     if not resultsets:
         raise MismatchedDataset("build_context needs at least one result set")
@@ -448,7 +436,7 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
 def read_results(path: str | Path) -> ResultSet:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableSource(f"cannot read results file {path}: {exc}") from exc
     header: list | None = None
     records: list[AnswerRecord] = []

@@ -39,6 +39,7 @@ log = logging.getLogger(__name__)
 
 SUBCLASS_PROPERTIES = ("P279", "P31")
 SAME_AS_PROPERTY = "P460"
+DIRECTIONS = ("ancestors", "descendants", "both")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class ExtractionSpec:
             raise ConfigError("seed_concept is required")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        if self.direction not in ("ancestors", "descendants", "both"):
+        if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}")
         if not self.subclass_properties:
             raise ConfigError("at least one subclass property is required")
@@ -138,16 +139,17 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
     exports carry them.
     """
     if hasattr(source, "read"):
+        where = f"dump stream {source.name}" if hasattr(source, "name") else "dump stream"
         try:
             text = source.read()
-        except OSError as exc:
-            raise UnreadableSource(f"cannot read dump stream: {exc}") from exc
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnreadableSource(f"cannot read {where}: {exc}") from exc
     else:
         try:
             text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UnreadableSource(f"cannot read dump file {source}: {exc}") from exc
     result = ParseResult(entities=[])
     seen: set[str] = set()

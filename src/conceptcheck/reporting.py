@@ -12,7 +12,7 @@ import io
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .evaluation import GroupCount, ReportRow
+from .evaluation import GroupCount, ReportRow, inconsistent_drop
 
 
 def round_percent(count: int, total: int) -> Decimal:
@@ -50,12 +50,7 @@ def _headline_cells(row: ReportRow, baselines: dict[str, ReportRow] | None) -> l
         cells.append(format_percent(getattr(count, verdict), count.total))
     if baselines is not None:
         base = baselines.get(row.backend_id)
-        if base is None:
-            cells.append("-")
-        else:
-            # Difference of exact counts, so the rendering matches rounding the
-            # exact improvement rather than subtracting two rounded displays.
-            cells.append(format_percent(base.all.inconsistent - row.all.inconsistent, base.all.total))
+        cells.append("-" if base is None else format_percent(inconsistent_drop(base, row), base.all.total))
     return cells
 
 
@@ -69,7 +64,8 @@ def render_markdown(
     """One table row per backend, mirroring the evaluation summary layout.
 
     When `baselines` maps backend ids to their un-augmented rows, an
-    improvement column is appended.
+    improvement column is appended; a baseline from another dataset raises
+    DenominatorMismatch, as `improvement` does.
     """
     lines = [f"# {title}", ""]
     if dataset_fingerprint:

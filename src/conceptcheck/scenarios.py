@@ -23,6 +23,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
+from string import Formatter
 
 from .answers import Answer
 from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .evaluation import AnswerRecord, Job, Verdict, ask_and_judge, classify_cluster
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
+from .reporting import format_percent
 
 SCENARIO_POLARITIES = ("grant", "restriction")
 
@@ -87,14 +89,6 @@ class ScenarioSummary:
     total_scenarios: int
     inconsistent_scenarios: int
 
-    @property
-    def pct_incorrect(self) -> float:
-        return 100.0 * self.incorrect_questions / self.total_questions if self.total_questions else 0.0
-
-    @property
-    def pct_inconsistent_scenarios(self) -> float:
-        return 100.0 * self.inconsistent_scenarios / self.total_scenarios if self.total_scenarios else 0.0
-
 
 _SCENARIO_FIELDS = {
     **dict.fromkeys(("id", "policy_text", "anchor", "applicability_template", "policy_question_template"), TEXT),
@@ -105,8 +99,15 @@ _SCENARIO_FIELDS = {
 def _validate_scenario(entry: object, index: int) -> PolicyScenario:
     scenario = PolicyScenario(*read_fields(entry, _SCENARIO_FIELDS, f"scenario #{index}"))
     for key in ("applicability_template", "policy_question_template"):
-        if getattr(scenario, key).count("{specialist}") != 1:
-            raise SchemaViolation(f"scenario {scenario.id}: {key} must contain {{specialist}} exactly once")
+        try:  # parse yields (literal text, field name, format spec, conversion) tuples
+            fields = [part[1:] for part in Formatter().parse(getattr(scenario, key)) if part[1] is not None]
+        except ValueError:  # a single "{" or "}"
+            fields = None
+        if fields != [("specialist", "", None)]:
+            raise SchemaViolation(
+                f"scenario {scenario.id}: {key} must hold exactly one replacement field, a bare {{specialist}}; "
+                f"write a literal brace twice"
+            )
     return scenario
 
 
@@ -301,13 +302,19 @@ def write_scenario_results(
     write_json_lines(path, chain([header], answers))
 
 
+def _share_cells(summary: ScenarioSummary) -> tuple[str, str]:
+    """The rounded percentages of incorrect answers and of inconsistent scenarios."""
+    return (
+        format_percent(summary.incorrect_questions, summary.total_questions),
+        format_percent(summary.inconsistent_scenarios, summary.total_scenarios),
+    )
+
+
 def render_scenario_markdown(
     results: list[ScenarioResult],
     summary: ScenarioSummary,
     backend_id: str,
 ) -> str:
-    from .reporting import format_percent  # local import to keep modules acyclic
-
     lines = [
         "# Scenario report",
         "",
@@ -322,14 +329,25 @@ def render_scenario_markdown(
             f"| {result.scenario.id} | {result.scenario.anchor} | {result.scenario.polarity} "
             f"| {wrong}/{len(result.answers)} | {result.verdict.value} |"
         )
+    incorrect, inconsistent = _share_cells(summary)
     lines += [
         "",
-        f"Incorrect individual answers: "
-        f"{format_percent(summary.incorrect_questions, summary.total_questions)}% "
-        f"({summary.incorrect_questions}/{summary.total_questions})",
+        f"Incorrect individual answers: {incorrect}% ({summary.incorrect_questions}/{summary.total_questions})",
         "",
-        f"Inconsistent scenarios: "
-        f"{format_percent(summary.inconsistent_scenarios, summary.total_scenarios)}% "
-        f"({summary.inconsistent_scenarios}/{summary.total_scenarios})",
+        f"Inconsistent scenarios: {inconsistent}% ({summary.inconsistent_scenarios}/{summary.total_scenarios})",
     ]
+    return "\n".join(lines) + "\n"
+
+
+def render_scenario_summary(summaries: list[tuple[str, ScenarioSummary]]) -> str:
+    """One table row of headline shares per (backend id, summary) pair."""
+    lines = [
+        "# Scenario summary",
+        "",
+        "| backend | % incorrect answers | % inconsistent scenarios |",
+        "|---|---|---|",
+    ]
+    for backend_id, summary in summaries:
+        incorrect, inconsistent = _share_cells(summary)
+        lines.append(f"| {backend_id} | {incorrect} | {inconsistent} |")
     return "\n".join(lines) + "\n"

@@ -51,7 +51,7 @@ def test_render_prompt_layout():
         preamble="Answer with yes or no.",
         few_shot=(("is a cat a mammal ?", "yes"), ("is a mammal a cat ?", "no")),
     )
-    assert cc.render_prompt(template, "is a dog a mammal ?") == (
+    assert cc.prompt_with_prefix(cc.render_prefix(template), "is a dog a mammal ?") == (
         "Answer with yes or no.\n"
         "\n"
         "Q: is a cat a mammal ?\n"
@@ -67,10 +67,10 @@ def test_render_prompt_layout():
 
 def test_render_prompt_inserts_context_above_question():
     template = cc.PromptTemplate(preamble="", few_shot=())
-    plain = cc.render_prompt(template, "is a dog a mammal ?")
+    plain = cc.prompt_with_prefix(cc.render_prefix(template), "is a dog a mammal ?")
     assert plain == "Q: is a dog a mammal ?\nA:"
-    with_context = cc.render_prompt(
-        template, "is a dog a mammal ?", ("a dog is a canine", "a canine is a mammal")
+    with_context = cc.prompt_with_prefix(
+        cc.render_prefix(template, ("a dog is a canine", "a canine is a mammal")), "is a dog a mammal ?"
     )
     assert with_context == (
         "a dog is a canine\n"

@@ -624,6 +624,26 @@ def test_report_refuses_mistyped_answer_records(runner, tmp_path, dataset_file, 
 # --- run-config files ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command, flag, what", [
+    ("generate", "--graph", "graph file"),
+    ("report", "--dataset", "dataset file"),
+    ("report", "--results", "results file"),
+    ("extract", "--dump", "dump file"),
+])
+def test_non_utf8_input_exits_2_naming_the_file(runner, tmp_path, dataset_file, command, flag, what):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"label": "Gefäßchirurg"}\n'.encode("latin-1"))
+    options = {
+        "generate": ["--graph", GRAPH, "--out", tmp_path / "dataset-2.json"],
+        "report": ["--dataset", dataset_file, "--results", dataset_file, "--out-dir", tmp_path / "out"],
+        "extract": ["--dump", DUMP, "--seed-concept", "Q3332438", "--out", tmp_path / "graph.json"],
+    }[command]
+    options[options.index(flag) + 1] = bad
+    result = run(runner, command, *options, code=2)
+    assert result.stderr.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode byte 0xe4")
+    assert result.stderr.count("\n") == 1
+
+
 def test_config_file_supplies_defaults(runner, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(

@@ -204,7 +204,8 @@ def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, te
     rs = cc.evaluate_dataset(medical_dataset, Recorder(), template, context)
     assert rs.context_fingerprint == context.fingerprint()
     questions = [(c.id, i, q) for c in medical_dataset.clusters for i, q in enumerate(c.questions)]
-    assert Counter(seen) == Counter((q, cc.render_prompt(template, q, context.statements)) for _, _, q in questions)
+    prefix = cc.render_prefix(template, context.statements)
+    assert Counter(seen) == Counter((q, cc.prompt_with_prefix(prefix, q)) for _, _, q in questions)
     assert [(r.cluster_id, r.question_index) for r in rs.records] == [(c, i) for c, i, _ in questions]
     assert all(r.correct for r in rs.records)
 
@@ -293,8 +294,8 @@ def test_report_from_verdicts_groups_by_family(medical_dataset):
     assert row.paths == cc.GroupCount(total=6, consistent=4, inconsistent=2, incomplete=0)
     assert row.property == cc.GroupCount(total=9, consistent=8, inconsistent=1, incomplete=0)
     assert row.all == cc.GroupCount(total=111, consistent=101, inconsistent=6, incomplete=4)
-    assert row.pct_inconsistent_edges == pytest.approx(100 * 3 / 96)
-    assert row.pct_incomplete_edges == pytest.approx(100 * 4 / 96)
+    assert row.edges.pct(row.edges.inconsistent) == pytest.approx(100 * 3 / 96)
+    assert row.edges.pct(row.edges.incomplete) == pytest.approx(100 * 4 / 96)
     assert row.pct_all_inconsistent == pytest.approx(100 * 6 / 111)
 
 

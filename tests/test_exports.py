@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import ast
 import inspect
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import conceptcheck as cc
+
+PACKAGE_DIR = Path(cc.__file__).parent
 
 
 def imported_public_names() -> set[str]:
@@ -25,3 +33,25 @@ def test_export_list_is_sorted_unique_and_matches_the_imports():
     assert len(exports) == len(set(exports))
     assert all(hasattr(cc, name) for name in exports)
     assert set(exports) == imported_public_names()
+
+
+# The package's __init__ imports every module in one fixed order, so a cycle
+# between two modules shows only when the other one is imported first. Each
+# module is therefore imported first, in a fresh interpreter, under a bare
+# package object that skips __init__.
+IMPORT_FIRST = """
+import importlib, sys, types
+package = types.ModuleType("conceptcheck")
+package.__path__ = [sys.argv[1]]
+sys.modules["conceptcheck"] = package
+importlib.import_module("conceptcheck." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)])))
+def test_every_module_imports_on_its_own(module):
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_FIRST, str(PACKAGE_DIR), module],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -158,6 +158,17 @@ def test_parse_empty_stream():
     assert result.diagnostics == []
 
 
+def test_parse_refuses_bytes_that_are_not_utf8(tmp_path):
+    dump = tmp_path / "latin1.jsonl"
+    dump.write_bytes(json.dumps({"id": "Q1", "labels": {"en": {"value": "Gefäß"}}}, ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(cc.UnreadableSource, match=f"^cannot read dump file {dump}: 'utf-8' codec can't decode"):
+        cc.parse_entity_dump(dump)
+    with dump.open("rb") as stream, pytest.raises(cc.UnreadableSource, match=f"^cannot read dump stream {dump}: "):
+        cc.parse_entity_dump(stream)
+    with pytest.raises(cc.UnreadableSource, match="^cannot read dump stream: "):
+        cc.parse_entity_dump(io.BytesIO(dump.read_bytes()))
+
+
 def test_parse_missing_file(tmp_path):
     with pytest.raises(cc.UnreadableSource):
         cc.parse_entity_dump(tmp_path / "absent.jsonl")

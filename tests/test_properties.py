@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
-from conceptcheck import backends, hierarchy
+from conceptcheck import hierarchy
 from conceptcheck.clusters import QUESTION_FORMS, SUBSUMPTION_FORMS, _article, gen_path_clusters, render_forms
 from oracles import (
     all_paths_by_joining,
@@ -219,9 +219,8 @@ prompt_text = st.text(
 def test_render_prompt_matches_joining_oracle(preamble, few_shot, context, question):
     template = cc.PromptTemplate(preamble=preamble, few_shot=tuple(few_shot))
     expected = render_prompt_by_joining(preamble, few_shot, question, context)
-    assert cc.render_prompt(template, question, tuple(context)) == expected
-    prefix = backends.render_prefix(template, tuple(context))
-    assert backends.prompt_with_prefix(prefix, question) == expected
+    prefix = cc.render_prefix(template, tuple(context))
+    assert cc.prompt_with_prefix(prefix, question) == expected
     assert (prefix == "") == (not preamble and not few_shot and not context)
 
 

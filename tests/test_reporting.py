@@ -98,6 +98,19 @@ def test_render_markdown_improvement_comes_from_count_delta():
     assert cc.format_percent(23, 119) == "19.33"
 
 
+@pytest.mark.parametrize("render", [cc.render_markdown, cc.render_csv])
+def test_render_refuses_a_baseline_with_other_denominators(render):
+    # Same cluster total, split differently across groups: printing a share
+    # of its improvement would compare two datasets, as `improvement` refuses to.
+    augmented = row("m", edges=group(96), paths=group(12), prop=group(11))
+    baseline = row("m", edges=group(95, inconsistent=9), paths=group(13), prop=group(11))
+    assert baseline.all.total == augmented.all.total
+    with pytest.raises(cc.DenominatorMismatch):
+        cc.improvement(baseline, augmented)
+    with pytest.raises(cc.DenominatorMismatch):
+        render([augmented], baselines={"m": baseline})
+
+
 def test_render_markdown_improvement_dash_without_baseline():
     text = cc.render_markdown([row("m")], baselines={})
     assert text.splitlines()[-1].endswith("| - |")

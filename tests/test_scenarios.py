@@ -8,6 +8,7 @@ import json
 import pytest
 
 import conceptcheck as cc
+from conceptcheck.scenarios import render_scenario_summary
 from conftest import Jittery
 
 K = cc.ScenarioQuestionKind
@@ -64,13 +65,30 @@ def test_load_scenarios_field_validation(tmp_path):
         valid_entry(id=""),
         valid_entry(policy_text=None),
         valid_entry(polarity="ban"),
-        valid_entry(applicability_template="Does the policy apply?"),
-        valid_entry(policy_question_template="Is every {specialist} of {specialist} allowed?"),
         {"id": "x"},
     ):
         write_scenarios(path, [broken])
         with pytest.raises(cc.SchemaViolation):
             cc.load_scenarios(path)
+    # A template holds one replacement field, a bare {specialist}; other braces are doubled.
+    for key, template in (
+        ("applicability_template", "Does the policy apply?"),
+        ("policy_question_template", "Is every {specialist} of {specialist} allowed?"),
+        ("policy_question_template", "may {specialist} operate on {day} ?"),
+        ("policy_question_template", "may {specialist} operate on day 3} ?"),
+        ("applicability_template", "Does {the policy apply to every {specialist}?"),
+        ("applicability_template", "Does the policy apply to every {{specialist}}?"),
+        ("applicability_template", "Does the policy apply to every {specialist!r}?"),
+        ("applicability_template", "Does the policy apply to every {specialist:>20}?"),
+        ("applicability_template", "Does the policy apply to every {specialist.title}?"),
+        ("applicability_template", "Does the policy apply to every {}?"),
+    ):
+        write_scenarios(path, [valid_entry(**{key: template})])
+        with pytest.raises(cc.SchemaViolation, match=f"^scenario night-shift: {key} must hold "):
+            cc.load_scenarios(path)
+    write_scenarios(path, [valid_entry(policy_question_template="Is every {specialist} on the {{night}} rota?")])
+    (scenario,) = cc.load_scenarios(path)
+    assert scenario.policy_question_template.format(specialist="surgeon") == "Is every surgeon on the {night} rota?"
 
 
 def test_load_scenarios_envelope_errors(tmp_path):
@@ -155,8 +173,7 @@ def test_scenario_oracle_is_perfect(scenarios, medical_graph, medical_closure, t
         total_questions=140, incorrect_questions=0, total_scenarios=10, inconsistent_scenarios=0
     )
     assert all(r.verdict is cc.Verdict.CONSISTENT for r in results)
-    assert summary.pct_incorrect == 0.0
-    assert summary.pct_inconsistent_scenarios == 0.0
+    assert render_scenario_summary([("perfect", summary)]).endswith("\n| perfect | 0 | 0 |\n")
 
 
 def test_scenario_oracle_distinguishes_shared_question_text(
@@ -173,8 +190,8 @@ def test_scenario_oracle_distinguishes_shared_question_text(
     oracle = cc.ScenarioOracle(
         [grant, restriction], SPECIALISTS, medical_graph, medical_closure, template
     )
-    under_grant = cc.render_prompt(template, question, (grant.policy_text,))
-    under_restriction = cc.render_prompt(template, question, (restriction.policy_text,))
+    under_grant = cc.prompt_with_prefix(cc.render_prefix(template, (grant.policy_text,)), question)
+    under_restriction = cc.prompt_with_prefix(cc.render_prefix(template, (restriction.policy_text,)), question)
     assert oracle.answer(question, under_grant) == "no"
     assert oracle.answer(question, under_restriction) == "yes"
 
@@ -393,5 +410,4 @@ def test_scenario_summary_handles_empty():
     summary = cc.ScenarioSummary(
         total_questions=0, incorrect_questions=0, total_scenarios=0, inconsistent_scenarios=0
     )
-    assert summary.pct_incorrect == 0.0
-    assert summary.pct_inconsistent_scenarios == 0.0
+    assert render_scenario_summary([("idle", summary)]).endswith("\n| idle | - | - |\n")
