@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -336,6 +337,12 @@ class RemoteBackend(Backend):
     ):
         if concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
+        if not 0 < timeout < math.inf:  # also false for NaN, which JSON files may hold
+            raise ConfigError(f"timeout must be a finite number of seconds above 0, got {timeout!r}")
+        if retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {retries!r}")
+        if max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {max_tokens!r}")
         self.model = model
         self.max_tokens = max_tokens
         self.temperature = float(temperature)  # posted as 0.0 even when given as 0
@@ -382,6 +389,20 @@ _REMOTE_FIELDS = {
     "max_tokens": optional(INTEGER, 16), "concurrency": optional(INTEGER, 1), "retries": optional(INTEGER, 3),
     "temperature": optional(NUMBER, 0.0), "timeout": optional(NUMBER, 30.0),
 }
+# The keys each kind reads besides SPEC_FIELDS; a spec holding any other is refused.
+_KIND_FIELDS = {"perfect": {}, "noisy": _NOISY_FIELDS, "scripted": _SCRIPTED_FIELDS, "remote": _REMOTE_FIELDS}
+
+
+def read_spec(spec: object, where: str = "backend spec") -> tuple[str, str | None]:
+    """The kind and explicit id of a backend spec, named `where` in errors; ConfigError
+    for an unknown kind or a key its kind does not read, so a misspelt option is not ignored."""
+    kind, explicit_id = read_fields(spec, SPEC_FIELDS, where, ConfigError)
+    if kind not in _KIND_FIELDS:
+        raise ConfigError(f"unknown backend kind {kind!r}")
+    extra = set(spec).difference(SPEC_FIELDS, _KIND_FIELDS[kind])
+    if extra:
+        raise ConfigError(f"unknown {where} keys for kind {kind!r}: {sorted(extra)}")
+    return kind, explicit_id
 
 
 def backend_from_config(
@@ -399,27 +420,26 @@ def backend_from_config(
     there when it opens one, so backends built with one `caches` share
     one index per directory.
     """
-    kind, explicit_id = read_fields(spec, SPEC_FIELDS, "backend spec", ConfigError)
-    where = f"{kind} backend spec"
-    if kind in ("perfect", "noisy"):
-        if closure is None or dataset is None:
-            raise ConfigError(f"backend kind {kind!r} needs a graph closure and dataset")
+    kind, explicit_id = read_spec(spec)
+    if kind in ("perfect", "noisy") and (closure is None or dataset is None):
+        raise ConfigError(f"backend kind {kind!r} needs a graph closure and dataset")
+    values = read_fields(spec, _KIND_FIELDS[kind], f"{kind} backend spec", ConfigError)
     if kind == "perfect":
         backend: Backend = PerfectOracle(closure, dataset)
     elif kind == "noisy":
-        backend = NoisyOracle(closure, dataset, *read_fields(spec, _NOISY_FIELDS, where, ConfigError))
+        backend = NoisyOracle(closure, dataset, *values)
     elif kind == "scripted":
-        backend = load_scripted_answers(*read_fields(spec, _SCRIPTED_FIELDS, where, ConfigError))
-    elif kind == "remote":
-        options = dict(zip(_REMOTE_FIELDS, read_fields(spec, _REMOTE_FIELDS, where, ConfigError)))
-        cache_dir = options.pop("cache_dir")
-        directory = Path(cache_dir).resolve() if cache_dir else None
-        caches = {} if caches is None else caches
-        if directory and directory not in caches:
-            caches[directory] = ResponseCache(directory)
-        backend = RemoteBackend(**options, cache=caches.get(directory))
+        backend = load_scripted_answers(*values)
     else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
+        options = dict(zip(_REMOTE_FIELDS, values))
+        cache_dir = options.pop("cache_dir")
+        backend = RemoteBackend(**options)  # checks the options before a cache directory is made
+        if cache_dir:
+            directory = Path(cache_dir).resolve()
+            caches = {} if caches is None else caches
+            if directory not in caches:
+                caches[directory] = ResponseCache(directory)
+            backend.cache = caches[directory]
     if explicit_id:
         backend.id = explicit_id
     return backend

@@ -14,17 +14,18 @@ import json
 import logging
 import re
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
 
 from .backends import (
-    SPEC_FIELDS,
     Backend,
     PromptTemplate,
     backend_from_config,
     load_prompt_template,
+    read_spec,
 )
 from .clusters import (
     ARTICLE_STYLES,
@@ -40,6 +41,8 @@ from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read
 from .errors import ConceptCheckError, ConfigError, read_json, write_json
 from .evaluation import (
     CONTEXT_GRANULARITIES,
+    ReportRow,
+    ResultSet,
     build_context,
     compute_report,
     evaluate_dataset,
@@ -138,7 +141,7 @@ def _backend_specs(backend_flags: tuple[str, ...], cache_dir: str | None, config
             raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
     specs = specs or config["backends"] or [{"kind": "perfect"}]
     for i, spec in enumerate(specs, start=1):
-        read_fields(spec, SPEC_FIELDS, f"backend spec #{i}", ConfigError)
+        read_spec(spec, f"backend spec #{i}")
     directory = _merge(cache_dir, config["cache_dir"])
     return [{"cache_dir": directory, **spec} if spec["kind"] == "remote" else spec for spec in specs]
 
@@ -226,13 +229,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
     save_graph(graph, out_path)
     manifest = {
         "source": source,
-        "extraction": None if spec is None else {
-            "seed_concept": spec.seed_concept,
-            "seed_property": spec.seed_property,
-            "max_depth": spec.max_depth,
-            "direction": spec.direction,
-            "language": spec.language,
-        },
+        "extraction": None if spec is None else asdict(spec),
         "concepts": len(graph.concepts),
         "edges": len(graph.edges),
         "properties": len(graph.properties),
@@ -271,11 +268,9 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
     )
     dataset = generate_dataset(loaded, gen_config)
     write_dataset(dataset, out)
-    by_type = {kind.value: 0 for kind in ClusterType}
-    for cluster in dataset.clusters:
-        by_type[cluster.type.value] += 1
-    for kind, count in by_type.items():
-        click.echo(f"{kind}: {count}")
+    by_type = Counter(cluster.type for cluster in dataset.clusters)
+    for kind in ClusterType:
+        click.echo(f"{kind.value}: {by_type[kind]}")
     questions = sum(len(c.questions) for c in dataset.clusters)
     click.echo(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
 
@@ -320,6 +315,23 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
         rows.append(compute_report(resultset, dataset))
         errors += resultset.error_count
     return rows, errors
+
+
+def _read_baselines(paths: tuple[str, ...], dataset: ClusterDataset) -> tuple[list[ResultSet], dict[str, ReportRow]]:
+    """Each --baseline file's result set, and its report row by backend id;
+    rows are matched by that id, so two files holding one id are refused."""
+    resultsets, rows, files = [], {}, {}
+    for path in paths:
+        resultset = read_results(resolve_path(path))
+        if resultset.backend_id in files:
+            raise ConfigError(
+                f"baseline files {files[resultset.backend_id]} and {path} both hold "
+                f"results of backend id {resultset.backend_id!r}"
+            )
+        files[resultset.backend_id] = path
+        resultsets.append(resultset)
+        rows[resultset.backend_id] = compute_report(resultset, dataset)
+    return resultsets, rows
 
 
 def _exit_if_failed(errors: int) -> None:
@@ -385,7 +397,7 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
     """Build context from jointly-missed questions and re-evaluate with it."""
     config = ctx.obj
     dataset = read_dataset(resolve_path(dataset_path))
-    baselines = [read_results(resolve_path(p)) for p in baseline_paths]
+    baselines, baseline_rows = _read_baselines(baseline_paths, dataset)
     context = build_context(
         baselines, dataset, granularity=_merge(granularity, config["granularity"], "question")
     )
@@ -399,7 +411,6 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         click.echo("nothing was missed by every baseline; skipping the augmented run")
         return
 
-    baseline_rows = {rs.backend_id: compute_report(rs, dataset) for rs in baselines}
     rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
     if len(baseline_rows) == 1:
         # A lone baseline pairs with every augmented row even when the ids
@@ -497,12 +508,7 @@ def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
     """Re-render the consistency report from stored results files."""
     dataset = read_dataset(resolve_path(dataset_path))
     rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
-    baselines = None
-    if baseline_paths:
-        baselines = {
-            rs.backend_id: compute_report(rs, dataset)
-            for rs in (read_results(resolve_path(p)) for p in baseline_paths)
-        }
+    baselines = _read_baselines(baseline_paths, dataset)[1] if baseline_paths else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_reports(

@@ -164,31 +164,40 @@ def render_forms(forms: tuple[str, ...], fill: dict[str, str]) -> tuple[tuple[st
 # --- generators -------------------------------------------------------------
 
 
-def _subsumption_cluster(
-    kind: ClusterType,
-    prefix: str,
-    a_id: ConceptId,
-    b_id: ConceptId,
-    a: str,
-    b: str,
-    expected: Answer,
-    style: str,
-    path: tuple[ConceptId, ...] | None = None,
-    id_suffix: str = "",
-) -> QuestionCluster:
-    questions, statements = render_forms(
-        SUBSUMPTION_FORMS, {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style)}
-    )
-    return QuestionCluster(
-        id=f"{prefix}:{_slug(a)}:{_slug(b)}{id_suffix}",
-        type=kind,
-        expected=expected,
-        source=a_id,
-        target=b_id,
-        questions=questions,
-        statements=statements,
-        path=path,
-    )
+# The expected answer of each family asking whether one concept is a kind of
+# another; a family's id prefix is its type's value.
+_SUBSUMPTION_EXPECTED = {
+    ClusterType.POSITIVE_EDGE: Answer.YES,
+    ClusterType.INVERSE_EDGE: Answer.NO,
+    ClusterType.NEGATIVE_EDGE: Answer.NO,
+    ClusterType.PATH: Answer.YES,
+}
+
+
+def _subsumption_clusters(
+    graph: ConceptGraph, kind: ClusterType, pairs: list[tuple[ConceptId, ...]], style: str, via: bool = False
+) -> list[QuestionCluster]:
+    """One cluster of SUBSUMPTION_FORMS per pair, asking whether its first
+    concept is a kind of its last.
+
+    A PATH pair is a whole path, which its cluster records; with `via` the
+    id also names the path's inner concepts, so each path gets its own id.
+    """
+    label = graph.label_of
+    expected = _SUBSUMPTION_EXPECTED[kind]
+    prefix = kind.value.replace("_", "-")
+    clusters = []
+    for pair in pairs:
+        a, b = label(pair[0]), label(pair[-1])
+        questions, statements = render_forms(
+            SUBSUMPTION_FORMS, {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style)}
+        )
+        suffix = ":via:" + "-".join(_slug(label(n)) for n in pair[1:-1]) if via else ""
+        clusters.append(QuestionCluster(
+            f"{prefix}:{_slug(a)}:{_slug(b)}{suffix}", kind, expected, pair[0], pair[-1],
+            questions, statements, pair if kind is ClusterType.PATH else None,
+        ))
+    return clusters
 
 
 def _edges_by_label(graph: ConceptGraph) -> list[tuple[ConceptId, ConceptId]]:
@@ -198,15 +207,7 @@ def _edges_by_label(graph: ConceptGraph) -> list[tuple[ConceptId, ConceptId]]:
 
 def gen_positive_clusters(graph: ConceptGraph, config: GenerationConfig) -> list[QuestionCluster]:
     """One expected-yes cluster per direct edge, asked child -> parent."""
-    label = graph.label_of
-    return [
-        _subsumption_cluster(
-            ClusterType.POSITIVE_EDGE, "positive-edge",
-            child, parent, label(child), label(parent),
-            Answer.YES, config.article_style,
-        )
-        for child, parent in _edges_by_label(graph)
-    ]
+    return _subsumption_clusters(graph, ClusterType.POSITIVE_EDGE, _edges_by_label(graph), config.article_style)
 
 
 def gen_inverse_clusters(graph: ConceptGraph, config: GenerationConfig) -> list[QuestionCluster]:
@@ -215,19 +216,11 @@ def gen_inverse_clusters(graph: ConceptGraph, config: GenerationConfig) -> list[
     Edges whose endpoints are linked by same-as are skipped: asking whether
     the parent is a kind of the child is not false for a synonym pair.
     """
-    label = graph.label_of
-    out = []
-    for child, parent in _edges_by_label(graph):
-        if frozenset((child, parent)) in graph.same_as_sets:
-            continue
-        out.append(
-            _subsumption_cluster(
-                ClusterType.INVERSE_EDGE, "inverse-edge",
-                parent, child, label(parent), label(child),
-                Answer.NO, config.article_style,
-            )
-        )
-    return out
+    pairs = [
+        (parent, child) for child, parent in _edges_by_label(graph)
+        if frozenset((child, parent)) not in graph.same_as_sets
+    ]
+    return _subsumption_clusters(graph, ClusterType.INVERSE_EDGE, pairs, config.article_style)
 
 
 def gen_negative_clusters(
@@ -238,19 +231,11 @@ def gen_negative_clusters(
     """Expected-no clusters over sampled unrelated, far-apart pairs."""
     if config.negative_count == 0:
         return []
-    label = graph.label_of
     pairs = unrelated_pairs(
         graph, closure, config.negative_count,
         seed=config.seed, min_distance=config.min_distance,
     )
-    return [
-        _subsumption_cluster(
-            ClusterType.NEGATIVE_EDGE, "negative-edge",
-            a, b, label(a), label(b),
-            Answer.NO, config.article_style,
-        )
-        for a, b in pairs
-    ]
+    return _subsumption_clusters(graph, ClusterType.NEGATIVE_EDGE, pairs, config.article_style)
 
 
 def _longest_paths(graph: ConceptGraph, closure: DeductiveClosure) -> dict[tuple[ConceptId, ConceptId], int]:
@@ -315,7 +300,6 @@ def gen_path_clusters(
     by `implied_paths`, which refuses graphs with more than
     MAX_ENUMERATED_PATHS of them.
     """
-    label = graph.label_of
     by_path = config.path_granularity == "path"
     if by_path:
         # a redundant direct edge is not strictly implied
@@ -325,16 +309,7 @@ def gen_path_clusters(
         ]
     else:
         paths = _least_witness_paths(graph, closure, config.min_path_len)
-    return [
-        _subsumption_cluster(
-            ClusterType.PATH, "path",
-            path[0], path[-1], label(path[0]), label(path[-1]),
-            Answer.YES, config.article_style,
-            path=path,
-            id_suffix=":via:" + "-".join(_slug(label(n)) for n in path[1:-1]) if by_path else "",
-        )
-        for path in paths
-    ]
+    return _subsumption_clusters(graph, ClusterType.PATH, paths, config.article_style, via=by_path)
 
 
 def gen_property_clusters(

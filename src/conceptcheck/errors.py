@@ -93,13 +93,19 @@ class InsufficientPairsWarning(UserWarning):
     """Fewer unrelated pairs exist than were requested; non-fatal."""
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the file at `path`; UnreadableSource names it as `what`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_json(path: str | Path, what: str) -> object:
     """Parse the JSON file at `path`, named `what` in UnreadableSource and
     SchemaViolation messages."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
+        return json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
 

@@ -28,9 +28,9 @@ from .errors import (
     DenominatorMismatch,
     MismatchedDataset,
     SchemaViolation,
-    UnreadableSource,
     digest,
     read_json,
+    read_text,
     write_json,
     write_json_lines,
 )
@@ -434,10 +434,7 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> ResultSet:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableSource(f"cannot read results file {path}: {exc}") from exc
+    text = read_text(path, "results file")
     header: list | None = None
     records: list[AnswerRecord] = []
     # Records end at "\n" only: str.splitlines would also break inside a JSON

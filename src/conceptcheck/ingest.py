@@ -31,6 +31,7 @@ from .errors import (
     MalformedResponse,
     SeedNotFound,
     UnreadableSource,
+    read_text,
 )
 from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
 from .transport import JsonClient
@@ -61,8 +62,6 @@ class ExtractionSpec:
 
     seed_concept: str
     seed_property: str | None = None
-    subclass_properties: tuple[str, ...] = SUBCLASS_PROPERTIES
-    same_as_property: str = SAME_AS_PROPERTY
     max_depth: int = 3
     direction: str = "descendants"
     language: str = "en"
@@ -74,8 +73,6 @@ class ExtractionSpec:
             raise ConfigError("max_depth must be >= 1")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}")
-        if not self.subclass_properties:
-            raise ConfigError("at least one subclass property is required")
 
 
 @dataclass
@@ -147,10 +144,7 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
         except (OSError, UnicodeDecodeError) as exc:
             raise UnreadableSource(f"cannot read {where}: {exc}") from exc
     else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableSource(f"cannot read dump file {source}: {exc}") from exc
+        text = read_text(source, "dump file")
     result = ParseResult(entities=[])
     seen: set[str] = set()
     # Records end at "\n" only: str.splitlines would also break inside a JSON
@@ -215,7 +209,7 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
         entity = by_id[eid]
         out = {
             target
-            for pid in spec.subclass_properties
+            for pid in SUBCLASS_PROPERTIES
             for target in entity.claims.get(pid, ())
             if target in by_id
         }
@@ -223,7 +217,7 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
 
     children_index: dict[str, set[str]] = {}
     for entity in by_id.values():
-        for pid in spec.subclass_properties:
+        for pid in SUBCLASS_PROPERTIES:
             for target in entity.claims.get(pid, ()):
                 if target in by_id:
                     children_index.setdefault(target, set()).add(entity.id)
@@ -291,7 +285,7 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
         {
             (min(eid, target), max(eid, target))
             for eid in visited
-            for target in by_id[eid].claims.get(spec.same_as_property, ())
+            for target in by_id[eid].claims.get(SAME_AS_PROPERTY, ())
             if target in visited and target != eid
         }
     )

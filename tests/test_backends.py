@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -578,11 +579,36 @@ def test_backend_from_config_shares_one_cache_per_directory(tmp_path, monkeypatc
         {"kind": "noisy", "seed": 1},
         {"kind": "scripted"},
         {"kind": "remote", "endpoint": "http://x"},
+        # a key the kind does not read
+        {"kind": "perfect", "flip_probability": 0.3},
+        {"kind": "noisy", "flip_probability": 0.3, "seed": 7, "endpoint": "http://x"},
+        {"kind": "scripted", "answers": "a.json", "default": "no"},
+        {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "concurency": 4},
     ],
 )
 def test_backend_from_config_rejects_bad_specs(spec, medical_closure, medical_dataset):
     with pytest.raises(cc.ConfigError):
         cc.backend_from_config(spec, closure=medical_closure, dataset=medical_dataset)
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("timeout", -1, "timeout must be a finite number of seconds above 0, got -1"),
+        ("timeout", 0, "timeout must be a finite number of seconds above 0, got 0"),
+        ("timeout", float("nan"), "timeout must be a finite number of seconds above 0, got nan"),
+        ("timeout", float("inf"), "timeout must be a finite number of seconds above 0, got inf"),
+        ("retries", -1, "retries must be >= 0, got -1"),
+        ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+    ],
+)
+def test_remote_backend_refuses_options_that_cannot_work(tmp_path, option, value, message):
+    with pytest.raises(cc.ConfigError, match=f"^{re.escape(message)}$"):
+        cc.RemoteBackend("http://127.0.0.1:1/x", "m", **{option: value})
+    spec = {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "cache_dir": str(tmp_path / "c")}
+    with pytest.raises(cc.ConfigError, match=f"^{re.escape(message)}$"):
+        cc.backend_from_config({**spec, option: value})
+    assert not (tmp_path / "c").exists()  # refused before its cache directory is made
 
 
 def test_backend_from_config_oracles_need_graph():

@@ -529,6 +529,33 @@ def test_backend_ids_with_equal_file_names_rejected(runner, tmp_path, dataset_fi
     assert not (tmp_path / "out").exists()
 
 
+_REMOTE = {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "retries": 0}
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("evaluate", {**_REMOTE, "timeout": -1}, "timeout must be a finite number of seconds above 0, got -1"),
+    ("evaluate", {**_REMOTE, "timeout": 0}, "timeout must be a finite number of seconds above 0, got 0"),
+    ("evaluate", {**_REMOTE, "timeout": float("nan")}, "timeout must be a finite number of seconds above 0, got nan"),
+    ("evaluate", {**_REMOTE, "timeout": float("inf")}, "timeout must be a finite number of seconds above 0, got inf"),
+    ("evaluate", {**_REMOTE, "retries": -1}, "retries must be >= 0, got -1"),
+    ("evaluate", {**_REMOTE, "max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+    ("evaluate", {**_REMOTE, "concurency": 4}, "unknown backend spec #1 keys for kind 'remote': ['concurency']"),
+    ("evaluate", {"kind": "perfect", "flip_probability": 0.3},
+     "unknown backend spec #1 keys for kind 'perfect': ['flip_probability']"),
+    ("scenarios", {"kind": "perfect", "flip_probability": 0.3},
+     "unknown backend spec #1 keys for kind 'perfect': ['flip_probability']"),
+])
+def test_backend_specs_that_cannot_work_exit_2(runner, tmp_path, dataset_file, command, spec, message):
+    inputs = ["--dataset", dataset_file] if command == "evaluate" else []
+    result = run(
+        runner, command, *inputs, "--graph", GRAPH, "--backend", json.dumps(spec),
+        "--cache-dir", tmp_path / "cache", "--out-dir", tmp_path / "out", code=2,
+    )
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_scenarios_reject_noisy_backend(runner, tmp_path):
     result = run(
         runner, "scenarios", "--graph", GRAPH,
@@ -601,6 +628,25 @@ def test_report_with_baseline_column(runner, tmp_path, dataset_file):
     report = (report_dir / "report.md").read_text()
     assert report.startswith("# Replay check")
     assert report.splitlines()[-1].endswith("| 0 |")  # identical run: zero improvement
+
+
+@pytest.mark.parametrize("command", ["augment", "report"])
+def test_baselines_sharing_a_backend_id_exit_2(runner, tmp_path, dataset_file, command):
+    paths = []
+    for p in (0.3, 0.05):
+        run(
+            runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+            "--backend", json.dumps({"kind": "noisy", "flip_probability": p, "seed": 7, "id": "m"}),
+            "--out-dir", tmp_path / f"p{p}",
+        )
+        paths.append(tmp_path / f"p{p}" / "results-m.jsonl")
+    inputs = ["--graph", GRAPH] if command == "augment" else ["--results", paths[0]]
+    result = run(
+        runner, command, "--dataset", dataset_file, *inputs, "--baseline", paths[0], "--baseline", paths[1],
+        "--out-dir", tmp_path / "out", code=2,
+    )
+    assert result.stderr == f"error: baseline files {paths[0]} and {paths[1]} both hold results of backend id 'm'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [("correct", "false"), ("question_index", None)])

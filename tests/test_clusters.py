@@ -169,6 +169,43 @@ def test_path_clusters_path_granularity(medical_graph, medical_closure):
     assert all(":via:" in c.id for c in multi)
 
 
+# The chain c -> b -> a beside the edge y -> x. Each row: a family's generator,
+# its settings, its type and expected answer, and the id and concepts (source
+# first, target last) of every cluster it asks.
+_SUBSUMPTION_FAMILIES = {
+    "positive": (
+        lambda graph, closure, config: gen_positive_clusters(graph, config), {}, T.POSITIVE_EDGE, cc.Answer.YES,
+        [("positive-edge:b:a", ("b", "a")), ("positive-edge:c:b", ("c", "b")), ("positive-edge:y:x", ("y", "x"))],
+    ),
+    "inverse": (
+        lambda graph, closure, config: gen_inverse_clusters(graph, config), {}, T.INVERSE_EDGE, cc.Answer.NO,
+        [("inverse-edge:a:b", ("a", "b")), ("inverse-edge:b:c", ("b", "c")), ("inverse-edge:x:y", ("x", "y"))],
+    ),
+    "negative": (
+        gen_negative_clusters, {"negative_count": 1}, T.NEGATIVE_EDGE, cc.Answer.NO,
+        [("negative-edge:y:a", ("y", "a"))],
+    ),
+    "path-by-pair": (gen_path_clusters, {}, T.PATH, cc.Answer.YES, [("path:c:a", ("c", "b", "a"))]),
+    "path-by-path": (
+        gen_path_clusters, {"path_granularity": "path"}, T.PATH, cc.Answer.YES, [("path:c:a:via:b", ("c", "b", "a"))]
+    ),
+}
+
+
+@pytest.mark.parametrize("family", _SUBSUMPTION_FAMILIES)
+def test_subsumption_families_share_one_cluster_shape(family):
+    gen, settings, kind, expected, wanted = _SUBSUMPTION_FAMILIES[family]
+    graph = make_graph([("b", "a"), ("c", "b"), ("y", "x")])
+    clusters = gen(graph, cc.deductive_closure(graph), cc.GenerationConfig(seed=1, **settings))
+    assert [c.id for c in clusters] == [cid for cid, _ in wanted]
+    for cluster, (_, concepts) in zip(clusters, wanted):
+        assert (cluster.type, cluster.expected) == (kind, expected)
+        assert (cluster.source, cluster.target) == (concepts[0], concepts[-1])
+        assert cluster.path == (concepts if kind is T.PATH else None)
+        forms = render_forms(SUBSUMPTION_FORMS, fill(concepts[0], concepts[-1]))
+        assert (cluster.questions, cluster.statements) == forms
+
+
 def test_pair_mode_never_enumerates_paths(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pair mode enumerated paths")

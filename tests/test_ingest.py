@@ -326,8 +326,6 @@ def test_extraction_spec_validation():
     with pytest.raises(cc.ConfigError):
         cc.ExtractionSpec(seed_concept="Q1", direction="sideways").validate()
     with pytest.raises(cc.ConfigError):
-        cc.ExtractionSpec(seed_concept="Q1", subclass_properties=()).validate()
-    with pytest.raises(cc.ConfigError):
         cc.extract_fragment(cc.ExtractionSpec(seed_concept="Q1", max_depth=0), [])
 
 
