@@ -215,15 +215,14 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
         )
         if dump:
             parsed = parse_entity_dump(resolve_path(dump))
-            diagnostics = parsed.diagnostics
-            for line in diagnostics:
-                log.warning("dump: %s", line)
-            entities = parsed.entities
             source = {"kind": "dump", "path": str(dump)}
         else:
-            entities = fetch_live(spec, endpoint, cache_dir=_merge(cache_dir, config["cache_dir"]))
+            parsed = fetch_live(spec, endpoint, cache_dir=_merge(cache_dir, config["cache_dir"]))
             source = {"kind": "live", "endpoint": endpoint}
-        graph = extract_fragment(spec, entities)
+        diagnostics = parsed.diagnostics
+        for line in diagnostics:
+            log.warning("%s: %s", source["kind"], line)
+        graph = extract_fragment(spec, parsed.entities)
 
     out_path = Path(out)
     save_graph(graph, out_path)
@@ -412,11 +411,6 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         return
 
     rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
-    if len(baseline_rows) == 1:
-        # A lone baseline pairs with every augmented row even when the ids
-        # differ (e.g. replaying a noisy baseline against the perfect oracle).
-        only = next(iter(baseline_rows.values()))
-        baseline_rows.update({row.backend_id: only for row in rows})
     _write_reports(
         rows, out, dataset.fingerprint,
         baselines=baseline_rows, title="Consistency report (augmented)",

@@ -101,12 +101,12 @@ def _claim_targets(snaks: object, claim: str, problems: list[str]) -> tuple[str,
     return tuple(targets)
 
 
-def _parse_record(data: object, problems: list[str]) -> RawEntity | None:
+def _parse_record(data: object, source: str, problems: list[str]) -> RawEntity | None:
     """The entity in one record, or None without a usable id. Parts of the
-    wrong JSON type are left out, each with a note in `problems`."""
+    wrong JSON type are left out, each with a note in `problems` naming `source`."""
     if not isinstance(data, dict) or not isinstance(data.get("id"), str) or not data["id"]:
         return None
-    where = f"record {data['id']}"
+    where = f"{source}: record {data['id']}"
     labels = {
         lang: entry["value"]
         for lang, entry in _as_object(data.get("labels"), f"{where} labels", problems).items()
@@ -128,6 +128,25 @@ def _parse_record(data: object, problems: list[str]) -> RawEntity | None:
     return RawEntity(id=data["id"], labels=labels, aliases=aliases, claims=claims)
 
 
+def _collect(tagged: Iterable[tuple[str, object]], result: ParseResult) -> ParseResult:
+    """Add the entities of `(where, record)` pairs to `result`. A record with no
+    usable id or no labels is left out, and a repeated id keeps its first
+    record; each such case is a diagnostic naming `where` ("line 3", "page 2")."""
+    seen: set[str] = set()
+    for where, data in tagged:
+        entity = _parse_record(data, where, result.diagnostics)
+        if entity is None:
+            result.diagnostics.append(f"{where}: record without a usable id")
+        elif not entity.labels:
+            result.diagnostics.append(f"{where}: record {entity.id} has no labels; skipped")
+        elif entity.id in seen:
+            result.diagnostics.append(f"{where}: duplicate entity {entity.id}; keeping the first")
+        else:
+            seen.add(entity.id)
+            result.entities.append(entity)
+    return result
+
+
 def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
     """Parse a line-delimited dump; malformed lines become diagnostics.
 
@@ -146,33 +165,22 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
     else:
         text = read_text(source, "dump file")
     result = ParseResult(entities=[])
-    seen: set[str] = set()
-    # Records end at "\n" only: str.splitlines would also break inside a JSON
-    # string at U+2028, U+0085 and other characters JSON leaves unescaped.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip().rstrip(",")
-        if not stripped or stripped in ("[", "]"):
-            continue
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
-            continue
-        problems: list[str] = []
-        entity = _parse_record(data, problems)
-        result.diagnostics += [f"line {lineno}: {problem}" for problem in problems]
-        if entity is None:
-            result.diagnostics.append(f"line {lineno}: record without a usable id")
-            continue
-        if not entity.labels:
-            result.diagnostics.append(f"line {lineno}: record {entity.id} has no labels; skipped")
-            continue
-        if entity.id in seen:
-            result.diagnostics.append(f"line {lineno}: duplicate entity {entity.id}; keeping the first")
-            continue
-        seen.add(entity.id)
-        result.entities.append(entity)
-    return result
+
+    def records():
+        # Records end at "\n" only: str.splitlines would also break inside a JSON
+        # string at U+2028, U+0085 and other characters JSON leaves unescaped.
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            stripped = line.strip().rstrip(",")
+            if not stripped or stripped in ("[", "]"):
+                continue
+            try:
+                data = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
+                continue
+            yield f"line {lineno}", data
+
+    return _collect(records(), result)
 
 
 def _reaches(adjacency: dict[str, set[str]], start: str, goal: str) -> bool:
@@ -192,72 +200,43 @@ def _reaches(adjacency: dict[str, set[str]], start: str, goal: str) -> bool:
 def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> ConceptGraph:
     """Walk the dump from the seed and build a validated concept graph.
 
-    Traversal is breadth-first up to max_depth, following subclass claims
-    toward ancestors, descendants, or both; every subclass claim between
-    two visited entities becomes an edge. Claims that would close a cycle
-    are dropped with a logged diagnostic (processing order is sorted, so
-    the surviving edge set is deterministic). Entity records are sorted by
-    id before construction, making the output a pure function of the dump
-    bytes and the spec.
+    Traversal is breadth-first up to max_depth over one table of each
+    entity's subclass claims within the dump, toward ancestors, descendants,
+    or both; every subclass claim between two visited entities becomes an
+    edge. Claims that would close a cycle are dropped with a logged
+    diagnostic (processing order is sorted, so the surviving edge set is
+    deterministic). Of two records with one id the last is read; beyond
+    that, the order of the records never reaches the graph.
     """
     spec.validate()
-    by_id = {e.id: e for e in sorted(entities, key=lambda e: e.id)}
+    by_id = {e.id: e for e in entities}
     if spec.seed_concept not in by_id:
         raise SeedNotFound(f"seed concept {spec.seed_concept!r} is not in the dump")
 
-    def parents_of(eid: str) -> list[str]:
-        entity = by_id[eid]
-        out = {
-            target
-            for pid in SUBCLASS_PROPERTIES
-            for target in entity.claims.get(pid, ())
-            if target in by_id
-        }
-        return sorted(out)
-
-    children_index: dict[str, set[str]] = {}
-    for entity in by_id.values():
-        for pid in SUBCLASS_PROPERTIES:
-            for target in entity.claims.get(pid, ()):
-                if target in by_id:
-                    children_index.setdefault(target, set()).add(entity.id)
-
-    def children_of(eid: str) -> list[str]:
-        return sorted(children_index.get(eid, ()))
-
-    visited = {spec.seed_concept}
-    frontier = [spec.seed_concept]
+    # The subclass relation, once: each entity's parents within the dump.
+    parents = {
+        eid: {target for pid in SUBCLASS_PROPERTIES for target in entity.claims.get(pid, ()) if target in by_id}
+        - {eid}
+        for eid, entity in by_id.items()
+    }
+    children: dict[str, set[str]] = {eid: set() for eid in by_id}
+    for child, above in parents.items():
+        for parent in above:
+            children[parent].add(child)
+    steps = [table for name, table in (("ancestors", parents), ("descendants", children))
+             if spec.direction in (name, "both")]
+    visited = frontier = {spec.seed_concept}
     for _ in range(spec.max_depth):
-        nxt: list[str] = []
-        for eid in frontier:
-            neighbors: list[str] = []
-            if spec.direction in ("ancestors", "both"):
-                neighbors += parents_of(eid)
-            if spec.direction in ("descendants", "both"):
-                neighbors += children_of(eid)
-            for n in neighbors:
-                if n not in visited:
-                    visited.add(n)
-                    nxt.append(n)
-        frontier = sorted(nxt)
+        frontier = {nxt for eid in frontier for table in steps for nxt in table[eid]} - visited
+        visited = visited | frontier
 
-    candidate_edges = sorted(
-        {
-            (child, parent)
-            for child in visited
-            for parent in parents_of(child)
-            if parent in visited and parent != child
-        }
-    )
-    accepted: set[tuple[str, str]] = set()
-    adjacency: dict[str, set[str]] = {}
-    for child, parent in candidate_edges:
+    accepted: dict[str, set[str]] = {}
+    for child, parent in sorted((child, parent) for child in visited for parent in parents[child] & visited):
         # Walking child -> parent must not already be possible in reverse.
-        if _reaches(adjacency, parent, child):
+        if _reaches(accepted, parent, child):
             log.warning("dropping cycle-closing claim %s -> %s", child, parent)
             continue
-        accepted.add((child, parent))
-        adjacency.setdefault(child, set()).add(parent)
+        accepted.setdefault(child, set()).add(parent)
     if not accepted:
         raise EmptyFragment(
             f"no subconcept edges within depth {spec.max_depth} of {spec.seed_concept!r}"
@@ -281,16 +260,16 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
                 value = by_id[target].label(spec.language) if target in by_id else target
                 properties.append(PropertyAssertion(subject=eid, property=prop_label, value=value))
 
-    same_as = sorted(
-        {
-            (min(eid, target), max(eid, target))
-            for eid in visited
-            for target in by_id[eid].claims.get(SAME_AS_PROPERTY, ())
-            if target in visited and target != eid
-        }
-    )
+    # build_graph orders each pair and drops repeats.
+    same_as = [
+        (eid, target)
+        for eid in visited
+        for target in by_id[eid].claims.get(SAME_AS_PROPERTY, ())
+        if target in visited and target != eid
+    ]
 
-    return build_graph(concepts, accepted, properties, same_as)
+    edges = [(child, parent) for child, above in accepted.items() for parent in above]
+    return build_graph(concepts, edges, properties, same_as)
 
 
 # --- live fetching ----------------------------------------------------------
@@ -308,14 +287,15 @@ def fetch_live(
     retries: int = 3,
     backoff_base: float = 0.5,
     backoff_cap: float = 8.0,
-) -> list[RawEntity]:
+) -> ParseResult:
     """Fetch entity pages from a REST endpoint, politely and replayably.
 
     Protocol: GET {endpoint}?seed=<id>&page=<n> returning
     {"entities": [<record>, ...], "next_page": <n+1> | null}. Each page is
     cached in a ResponseCache by request hash, so a warm cache replays the
     crawl with zero network traffic; every live attempt, retries included,
-    waits out `rate_limit` seconds since the last one.
+    waits out `rate_limit` seconds since the last one. Records are read as
+    `parse_entity_dump` reads them, with diagnostics naming their page.
     """
     spec.validate()
     cache = ResponseCache(cache_dir) if cache_dir is not None else None
@@ -323,23 +303,23 @@ def fetch_live(
         endpoint, timeout=timeout, retries=retries,
         backoff_base=backoff_base, backoff_cap=backoff_cap, min_interval=rate_limit,
     )
-    entities: list[RawEntity] = []
-    page: int | None = 1
-    while page is not None:
-        params = {"seed": spec.seed_concept, "page": str(page)}
-        key = hashlib.sha256(
-            json.dumps({"endpoint": endpoint, "params": params}, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        cached = cache.get(key) if cache is not None else None
-        body = cached if cached is not None else client.request(params=params)
-        records, nxt = read_fields(body, _PAGE_FIELDS, f"page {page} response", MalformedResponse)
-        if nxt is not None and nxt <= page:
-            raise MalformedResponse(f"page {page} has non-advancing next_page {nxt!r}")
-        if cache is not None and cached is None:
-            cache.store(key, body)
-        problems = []
-        entities += [e for e in (_parse_record(r, problems) for r in records) if e is not None]
-        for problem in problems:
-            log.warning("page %s: %s", page, problem)
-        page = nxt
-    return entities
+
+    def records():
+        page: int | None = 1
+        while page is not None:
+            params = {"seed": spec.seed_concept, "page": str(page)}
+            key = hashlib.sha256(
+                json.dumps({"endpoint": endpoint, "params": params}, sort_keys=True).encode("utf-8")
+            ).hexdigest()
+            cached = cache.get(key) if cache is not None else None
+            body = cached if cached is not None else client.request(params=params)
+            entries, nxt = read_fields(body, _PAGE_FIELDS, f"page {page} response", MalformedResponse)
+            if nxt is not None and nxt <= page:
+                raise MalformedResponse(f"page {page} has non-advancing next_page {nxt!r}")
+            if cache is not None and cached is None:
+                cache.store(key, body)
+            for entry in entries:
+                yield f"page {page}", entry
+            page = nxt
+
+    return _collect(records(), ParseResult(entities=[]))

@@ -43,13 +43,14 @@ _HEADLINES = (
 
 def _headline_cells(row: ReportRow, baselines: dict[str, ReportRow] | None) -> list[str]:
     """The headline percentages of `row` and, when `baselines` is given, its
-    improvement over its baseline ("-" for a backend without one)."""
+    improvement over its baseline: the one with its backend id, or the lone
+    baseline when there is one ("-" for a backend without one)."""
     cells = []
     for _, _, group, verdict in _HEADLINES:
         count: GroupCount = getattr(row, group)
         cells.append(format_percent(getattr(count, verdict), count.total))
     if baselines is not None:
-        base = baselines.get(row.backend_id)
+        base = next(iter(baselines.values())) if len(baselines) == 1 else baselines.get(row.backend_id)
         cells.append("-" if base is None else format_percent(inconsistent_drop(base, row), base.all.total))
     return cells
 
@@ -64,8 +65,10 @@ def render_markdown(
     """One table row per backend, mirroring the evaluation summary layout.
 
     When `baselines` maps backend ids to their un-augmented rows, an
-    improvement column is appended; a baseline from another dataset raises
-    DenominatorMismatch, as `improvement` does.
+    improvement column is appended. Each row is paired with the baseline of
+    its backend id, except that a lone baseline pairs with every row (a
+    noisy baseline replayed against the perfect oracle). A baseline from
+    another dataset raises DenominatorMismatch, as `improvement` does.
     """
     lines = [f"# {title}", ""]
     if dataset_fingerprint:

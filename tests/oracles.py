@@ -275,3 +275,54 @@ def property_statement_by_hand(form: str, prop: str, subject: str, value: str, s
     if form == "value_is":
         return f"{value} is the {prop} of {ar_s} {subject}"
     raise KeyError(form)
+
+
+def extract_by_hand(
+    claims: dict[str, dict[str, list[str]]],
+    labels: dict[str, str],
+    seed: str,
+    direction: str,
+    max_depth: int,
+    seed_property: str | None = None,
+) -> tuple[list[tuple[str, str]], set[tuple[str, str]], set[tuple[str, str, str]], set[tuple[str, str]]]:
+    """(concepts, edges, properties, same-as pairs) of the fragment around
+    `seed`, read from `claims` (id -> property -> targets) node by node.
+
+    P279 and P31 claims to other ids of the dump are subclass claims. The
+    walk is a queue of (node, depth); the claims between reached nodes are
+    tried in sorted order, and a claim whose parent already reaches its
+    child through the kept claims is dropped.
+    """
+
+    def parents(node: str) -> list[str]:
+        return [t for pid in ("P279", "P31") for t in claims[node].get(pid, []) if t in claims and t != node]
+
+    def neighbours(node: str) -> list[str]:
+        up = parents(node) if direction in ("ancestors", "both") else []
+        down = [other for other in claims if node in parents(other)] if direction in ("descendants", "both") else []
+        return up + down
+
+    reached = {seed}
+    queue = [(seed, 0)]
+    while queue:
+        node, depth = queue.pop(0)
+        for other in neighbours(node) if depth < max_depth else []:
+            if other not in reached:
+                reached.add(other)
+                queue.append((other, depth + 1))
+
+    edges: set[tuple[str, str]] = set()
+    for child, parent in sorted({(c, p) for c in reached for p in parents(c) if p in reached}):
+        if child not in ancestors_by_bfs(parent, edges):
+            edges.add((child, parent))
+
+    concepts = [(node, labels[node]) for node in sorted(reached)]
+    properties: set[tuple[str, str, str]] = set()
+    if seed_property:
+        name = labels.get(seed_property, seed_property)
+        for node in reached:
+            properties |= {(node, name, labels.get(t, t)) for t in claims[node].get(seed_property, [])}
+    same_as = {
+        (min(node, t), max(node, t)) for node in reached for t in claims[node].get("P460", []) if t in reached and t != node
+    }
+    return concepts, edges, properties, same_as

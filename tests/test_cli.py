@@ -128,6 +128,50 @@ def test_extract_from_live_endpoint(runner, tmp_path):
     assert manifest["source"]["kind"] == "live"
 
 
+def test_extract_reads_a_dump_and_a_crawl_of_the_same_records_alike(runner, tmp_path):
+    def record(label=None, parent=None, **fields):
+        if label is not None:
+            fields["labels"] = {"en": {"value": label}}
+        if parent is not None:
+            fields["claims"] = {"P279": [{"mainsnak": {"datavalue": {"value": {"id": parent}}}}]}
+        return fields
+
+    pages = [
+        [record("root", id="Q1"), record("two", "Q1", id="Q2"), record(None, "Q1", id="Q3")],
+        [record("nameless", "Q1"), record("other two", "Q1", id="Q2"), record("four", "Q2", id="Q4")],
+    ]
+
+    def app(method, path, query, body):
+        page = int(query["page"])
+        return 200, {"entities": pages[page - 1], "next_page": page + 1 if page < len(pages) else None}
+
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("".join(json.dumps(r) + "\n" for page in pages for r in page), encoding="utf-8")
+    for side in ("dump", "live"):
+        (tmp_path / side).mkdir()
+    run(runner, "extract", "--dump", dump, "--seed-concept", "Q1", "--out", tmp_path / "dump" / "graph.json")
+    with serving(app) as (url, _):
+        run(
+            runner, "extract", "--endpoint", f"{url}/entities", "--seed-concept", "Q1",
+            "--out", tmp_path / "live" / "graph.json",
+        )
+    assert (tmp_path / "dump" / "graph.json").read_bytes() == (tmp_path / "live" / "graph.json").read_bytes()
+    assert [c.label for c in cc.load_graph(tmp_path / "live" / "graph.json").concepts] == ["root", "two", "four"]
+    dump_manifest, live_manifest = (
+        json.loads((tmp_path / side / "graph.manifest.json").read_text()) for side in ("dump", "live")
+    )
+    assert dump_manifest["diagnostics"] == [
+        "line 3: record Q3 has no labels; skipped",
+        "line 4: record without a usable id",
+        "line 5: duplicate entity Q2; keeping the first",
+    ]
+    assert live_manifest["diagnostics"] == [
+        "page 1: record Q3 has no labels; skipped",
+        "page 2: record without a usable id",
+        "page 2: duplicate entity Q2; keeping the first",
+    ]
+
+
 # --- generate ----------------------------------------------------------------------
 
 
@@ -628,6 +672,24 @@ def test_report_with_baseline_column(runner, tmp_path, dataset_file):
     report = (report_dir / "report.md").read_text()
     assert report.startswith("# Replay check")
     assert report.splitlines()[-1].endswith("| 0 |")  # identical run: zero improvement
+
+
+def test_report_pairs_a_lone_baseline_with_every_row_as_augment_does(runner, tmp_path, dataset_file):
+    run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+        "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", tmp_path / "base",
+    )
+    baseline = tmp_path / "base" / "results-noisy-p0.3-s7.jsonl"
+    run(
+        runner, "augment", "--dataset", dataset_file, "--graph", GRAPH,
+        "--baseline", baseline, "--out-dir", tmp_path / "aug",
+    )
+    run(
+        runner, "report", "--dataset", dataset_file, "--results", tmp_path / "aug" / "results-perfect-augmented.jsonl",
+        "--baseline", baseline, "--out-dir", tmp_path / "report",
+    )
+    for side in ("aug", "report"):
+        assert (tmp_path / side / "report.md").read_text().splitlines()[-1].endswith("| 79.28 |")
 
 
 @pytest.mark.parametrize("command", ["augment", "report"])

@@ -78,8 +78,8 @@ GOLDEN_FILES = {
     "dataset.json": "b2470c47f8232df46a78dcfe837bbecaa2c2a5f88f4ff603834d9d9a5f660261",
     "graph.json": "21becefb10181126eeb17934516be4ac064ca748404dce415c67f4cce875c91d",
     "graph.manifest.json": "a79c3f1d40a70c00b6aa69d1592cb4c3346f8261e509e56f190ab776714d0b49",
-    "report/report.csv": "b83f63b3fb5b4f0062074ec13749293a121abff37084519ca0e34fb969f6cc1b",
-    "report/report.md": "f7a4bc3e58db0350b838fc7412658b39f46247023cf17eb59df2949f400a9a32",
+    "report/report.csv": "a5afcbecc2be8093f0cb08f22887273b3b8099e3d06e974d74ca2bfa420e435a",
+    "report/report.md": "0a44061adc41625df5d35cf934ba78088aa9064d6b8c9928345951d2fd2feedc",
     "scen/scenario-report-perfect.md": "30961d0a9326819f696937887cea325556d1698e269b6a98200f8cc506bb0538",
     "scen/scenario-results-perfect.jsonl": "de0a8f696fceef75f2dbe66ac02552f05b13945d59292dab7b43e9fb4df63ce1",
     "scen/scenario-summary.md": "d423bb3581e5b2780e7ce96752ba06d5277a0f5811ed556eb67d4bda563ea3d2",

@@ -367,7 +367,7 @@ def fetch(url, **kwargs):
 
 def test_fetch_live_concatenates_pages():
     with serving(paged_app(THREE_PAGES)) as (url, log):
-        entities = fetch(url)
+        entities = fetch(url).entities
     assert [e.id for e in entities] == ["Q1", "Q2", "Q3"]
     assert entities[1].claims["P279"] == ("Q1",)
     assert log.count == 3
@@ -377,20 +377,21 @@ def test_fetch_live_concatenates_pages():
 def test_fetch_live_skips_unusable_records():
     pages = [([record_for("Q1", "root"), {"labels": {}}, "not a record"], None)]
     with serving(paged_app(pages)) as (url, _):
-        entities = fetch(url)
-    assert [e.id for e in entities] == ["Q1"]
+        result = fetch(url)
+    assert [e.id for e in result.entities] == ["Q1"]
+    assert result.diagnostics == ["page 1: record without a usable id", "page 1: record without a usable id"]
 
 
 def test_fetch_live_warm_cache_replays_without_requests(tmp_path):
     cache = tmp_path / "pages"
     with serving(paged_app(THREE_PAGES)) as (url, log):
-        first = fetch(url, cache_dir=cache)
+        first = fetch(url, cache_dir=cache).entities
         assert log.count == 3
-        second = fetch(url, cache_dir=cache)
+        second = fetch(url, cache_dir=cache).entities
         assert log.count == 3  # untouched
     assert [e.id for e in first] == [e.id for e in second]
     # The server is now gone; the same crawl still replays from cache alone.
-    offline = fetch(url, cache_dir=cache, retries=0)
+    offline = fetch(url, cache_dir=cache, retries=0).entities
     assert [e.id for e in offline] == ["Q1", "Q2", "Q3"]
 
 
@@ -404,7 +405,7 @@ def test_fetch_live_retries_server_errors():
         return 200, {"entities": [record_for("Q1", "root")], "next_page": None}
 
     with serving(app) as (url, log):
-        entities = fetch(url, retries=3, backoff_base=0.01)
+        entities = fetch(url, retries=3, backoff_base=0.01).entities
     assert [e.id for e in entities] == ["Q1"]
     assert log.count == 3
 

@@ -4,8 +4,9 @@ a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
 answer, a consistent relabelling changes no verdict tally, the form table
-renders questions and statements as the hand-written functions do, and
-every generated question is paired with its own statement."""
+renders questions and statements as the hand-written functions do,
+every generated question is paired with its own statement, and a
+fragment extracted from a random dump matches the claim-walking oracle."""
 
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 import conceptcheck as cc
 from conceptcheck import hierarchy
 from conceptcheck.clusters import QUESTION_FORMS, SUBSUMPTION_FORMS, _article, gen_path_clusters, render_forms
+from conceptcheck.ingest import DIRECTIONS
 from oracles import (
     all_paths_by_joining,
+    extract_by_hand,
     first_path_per_pair,
     noisy_answer_by_hand,
     property_question_by_hand,
@@ -340,3 +343,57 @@ def test_a_consistent_relabelling_leaves_the_verdict_tallies_unchanged(seed, sty
         assert replay.setdefault(question, record.raw) == record.raw
     replayed = cc.evaluate_dataset(relabelled, cc.ScriptedBackend(replay, id=noisy.id), template)
     assert cc.compute_report(replayed, relabelled) == cc.compute_report(answered, original)
+
+
+@st.composite
+def entity_dumps(draw, max_entities: int = 9):
+    """(claims, labels) of a random dump. Each entity but the first claims P279
+    of one of the two entities listed just before it, so the hierarchy is
+    deep. Extra P279 claims point at the claimant, an earlier entity or an id
+    outside the dump, and P31 claims at any entity, so self-claims and cycles
+    are common. P460 gives same-as links, and the seed property P9 holds
+    entity ids and plain strings. P9's own entity is in the dump or not."""
+    ids = [f"Q{i}" for i in range(draw(st.integers(1, max_entities)))]
+    claims = {}
+    for i, eid in enumerate(ids):
+        chain = [ids[draw(st.integers(max(i - 2, 0), i - 1))]] if i else []
+        claims[eid] = {
+            "P279": chain + draw(st.lists(st.sampled_from(ids[: i + 1] + ["Q98", "Q99"]), max_size=1)),
+            "P31": draw(st.lists(st.sampled_from(ids), max_size=1)),
+            "P460": draw(st.lists(st.sampled_from(ids + ["Q99"]), max_size=1)),
+            "P9": draw(st.lists(st.sampled_from(ids + ["red", "blue"]), max_size=2)),
+        }
+    labels = {eid: f"concept {eid}" for eid in ids}
+    if draw(st.booleans()):
+        claims["P9"], labels["P9"] = {}, "colour"
+    return claims, labels
+
+
+# More examples than CHECK's: about one in four has a depth that changes the fragment.
+@settings(CHECK, max_examples=150)
+@given(dump=entity_dumps(), direction=st.sampled_from(DIRECTIONS), max_depth=st.integers(1, 4), data=st.data())
+def test_extract_fragment_matches_the_claim_walking_oracle(dump, direction, max_depth, data):
+    claims, labels = dump
+    # Deepest first, so that the examples hypothesis prefers have ancestors.
+    seed = data.draw(st.sampled_from(sorted((c for c in claims if c != "P9"), reverse=True)), label="seed")
+    spec = cc.ExtractionSpec(
+        seed_concept=seed, seed_property=data.draw(st.sampled_from((None, "P9")), label="property"),
+        max_depth=max_depth, direction=direction,
+    )
+    entities = [
+        cc.RawEntity(id=eid, labels={"en": labels[eid]}, aliases={}, claims={p: tuple(t) for p, t in c.items()})
+        for eid, c in claims.items()
+    ]
+    entities = data.draw(st.permutations(entities), label="record order")
+    concepts, edges, properties, same_as = extract_by_hand(
+        claims, labels, seed, direction, max_depth, spec.seed_property
+    )
+    if not edges:
+        with pytest.raises(cc.EmptyFragment):
+            cc.extract_fragment(spec, entities)
+        return
+    graph = cc.extract_fragment(spec, entities)
+    assert [(c.id, c.label) for c in graph.concepts] == concepts
+    assert graph.edge_set == edges
+    assert {(p.subject, p.property, p.value) for p in graph.properties} == properties
+    assert set(graph.same_as) == same_as
