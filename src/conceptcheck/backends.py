@@ -1,6 +1,6 @@
 """Answering backends and prompt plumbing.
 
-A backend turns (question, rendered prompt) into raw answer text. Four
+A backend turns (question, prompt prefix) into raw answer text. Four
 kinds exist: a remote HTTP model, a perfect oracle that answers from the
 deductive closure, a noisy oracle that flips the perfect answer with a
 seeded probability, and a scripted backend replaying a fixed answer map.
@@ -127,8 +127,8 @@ class ResponseCache:
         self._catch_up()
 
     @staticmethod
-    def key(model: str, rendered_prompt: str, question: str) -> str:
-        return digest({"model": model, "prompt": rendered_prompt, "question": question})
+    def key(model: str, prompt: str, question: str) -> str:
+        return digest({"model": model, "prompt": prompt, "question": question})
 
     def _catch_up(self) -> None:
         """Index the whole lines the log gained since this object last read it."""
@@ -198,7 +198,12 @@ class ResponseCache:
 
 
 class Backend:
-    """Interface: raw answer text for (question, rendered prompt).
+    """Interface: raw answer text for (question, prefix).
+
+    `prefix` is the `render_prefix` text above the question: the preamble,
+    few-shots and context. Every question of one context gets the same
+    string object; a backend that needs the full prompt builds it with
+    `prompt_with_prefix(prefix, question)`, as `RemoteBackend` does.
 
     A backend may set `concurrency` above one to tell the evaluation loop
     how many questions it can absorb in flight; `answer` must then be
@@ -208,7 +213,7 @@ class Backend:
     id: str = "backend"
     concurrency: int = 1
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
+    def answer(self, question: str, prefix: str) -> str:
         raise NotImplementedError
 
 
@@ -235,7 +240,7 @@ class PerfectOracle(Backend):
             )
         self._expected = _expected_by_question(dataset)
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
+    def answer(self, question: str, prefix: str) -> str:
         try:
             return self._expected[question].value
         except KeyError:
@@ -269,8 +274,8 @@ class NoisyOracle(Backend):
         draw = int.from_bytes(digest[:8], "big") / 2**64
         return draw < self.flip_probability
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
-        truth = self._inner.answer(question, rendered_prompt)
+    def answer(self, question: str, prefix: str) -> str:
+        truth = self._inner.answer(question, prefix)
         if self._flips(question):
             return Answer.NO.value if truth == Answer.YES.value else Answer.YES.value
         return truth
@@ -284,7 +289,7 @@ class ScriptedBackend(Backend):
         self._default = default
         self.id = id
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
+    def answer(self, question: str, prefix: str) -> str:
         if question in self._answers:
             return self._answers[question]
         if self._default is not None:
@@ -360,9 +365,10 @@ class RemoteBackend(Backend):
             backoff_base=backoff_base, backoff_cap=backoff_cap,
         )
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
+    def answer(self, question: str, prefix: str) -> str:
+        prompt = prompt_with_prefix(prefix, question)
         if self.cache is not None:
-            key = ResponseCache.key(self.model, rendered_prompt, question)
+            key = ResponseCache.key(self.model, prompt, question)
             hit = self.cache.get(key)
             if hit is not None:
                 try:
@@ -371,7 +377,7 @@ class RemoteBackend(Backend):
                     log.warning("asking again: %s", exc)
         body = self._client.request(payload={
             "model": self.model,
-            "prompt": rendered_prompt,
+            "prompt": prompt,
             "max_tokens": self.max_tokens,
             "temperature": self.temperature,
         })
@@ -405,6 +411,14 @@ def read_spec(spec: object, where: str = "backend spec") -> tuple[str, str | Non
     return kind, explicit_id
 
 
+def shared_cache(directory: str | Path, caches: dict[Path, ResponseCache]) -> ResponseCache:
+    """The cache of `directory` in `caches`, opened and added there on first use."""
+    directory = Path(directory).resolve()
+    if directory not in caches:
+        caches[directory] = ResponseCache(directory)
+    return caches[directory]
+
+
 def backend_from_config(
     spec: object,
     *,
@@ -435,11 +449,7 @@ def backend_from_config(
         cache_dir = options.pop("cache_dir")
         backend = RemoteBackend(**options)  # checks the options before a cache directory is made
         if cache_dir:
-            directory = Path(cache_dir).resolve()
-            caches = {} if caches is None else caches
-            if directory not in caches:
-                caches[directory] = ResponseCache(directory)
-            backend.cache = caches[directory]
+            backend.cache = shared_cache(cache_dir, {} if caches is None else caches)
     if explicit_id:
         backend.id = explicit_id
     return backend

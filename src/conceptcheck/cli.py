@@ -26,6 +26,7 @@ from .backends import (
     backend_from_config,
     load_prompt_template,
     read_spec,
+    shared_cache,
 )
 from .clusters import (
     ARTICLE_STYLES,
@@ -225,6 +226,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
         graph = extract_fragment(spec, parsed.entities)
 
     out_path = Path(out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_graph(graph, out_path)
     manifest = {
         "source": source,
@@ -266,6 +268,7 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
         path_granularity=path_granularity,
     )
     dataset = generate_dataset(loaded, gen_config)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out)
     by_type = Counter(cluster.type for cluster in dataset.clusters)
     for kind in ClusterType:
@@ -274,19 +277,31 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
     click.echo(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
 
 
+def _build_all(specs: list[dict], build) -> list[Backend]:
+    """A backend from each spec by `build`, their ids checked, and only then the
+    remote ones' caches opened, so a refused spec or id leaves no cache directory."""
+    backends = [build({**spec, "cache_dir": None} if spec["kind"] == "remote" else spec) for spec in specs]
+    _check_unique_ids(backends)
+    caches = {}
+    for backend, spec in zip(backends, specs):
+        if spec.get("cache_dir"):
+            backend.cache = shared_cache(spec["cache_dir"], caches)
+    return backends
+
+
 def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: ClusterDataset) -> list[Backend]:
     """The --backend (or config) backends; the oracle kinds answer from the --graph closure."""
     graph_path = _merge(graph, config["graph"]["path"])
     closure = deductive_closure(load_graph(resolve_path(graph_path))) if graph_path else None
-    backends, caches = [], {}
-    for spec in _backend_specs(backend_flags, cache_dir, config):
+
+    def build(spec: dict) -> Backend:
         if spec["kind"] in ("perfect", "noisy") and closure is None:
             raise ConfigError(
                 f"backend kind {spec['kind']!r} needs --graph to derive the answer key"
             )
-        backends.append(backend_from_config(spec, closure=closure, dataset=dataset, caches=caches))
-    _check_unique_ids(backends)
-    return backends
+        return backend_from_config(spec, closure=closure, dataset=dataset)
+
+    return _build_all(_backend_specs(backend_flags, cache_dir, config), build)
 
 
 def _check_unique_ids(backends: list[Backend]) -> None:
@@ -449,21 +464,16 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     closure = deductive_closure(loaded_graph)
     template = _load_prompt(prompt, config)
 
-    specs = _backend_specs(backend_flags, cache_dir, config)
-    backends, caches = [], {}
-    for spec in specs:
+    def build(spec: dict) -> Backend:
         if spec["kind"] == "perfect":
-            backends.append(
-                ScenarioOracle(
-                    policy_scenarios, roster, loaded_graph, closure, template,
-                    id=spec.get("id") or "perfect",
-                )
+            return ScenarioOracle(
+                policy_scenarios, roster, loaded_graph, closure, template, id=spec.get("id") or "perfect"
             )
-        elif spec["kind"] == "noisy":
+        if spec["kind"] == "noisy":
             raise ConfigError("the noisy backend only evaluates cluster datasets")
-        else:
-            backends.append(backend_from_config(spec, caches=caches))
-    _check_unique_ids(backends)
+        return backend_from_config(spec)
+
+    backends = _build_all(_backend_specs(backend_flags, cache_dir, config), build)
 
     out = Path(out_dir)
     summaries = []

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .answers import Answer, normalize_answer
-from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
+from .backends import Backend, PromptTemplate, render_prefix
 from .clusters import ClusterDataset, ClusterType
 from .errors import BOOLEAN, INTEGER, STRING, STRINGS, one_of, optional, read_fields
 from .errors import (
@@ -97,12 +97,11 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     """Ask and judge (cluster_id, question_index, question, prefix, expected) jobs.
 
     `prefix` is the rendered preamble, few-shots and context, shared by
-    reference across jobs; each question is asked with `prefix` plus its
-    own question line, one copy of the prompt built just before the call
-    and then dropped, so memory holds one prompt per worker, not one per
-    question. A backend failure on one question is recorded (as an
-    incorrect Other answer with an empty raw text and the error flag set)
-    and evaluation continues; it never aborts the run.
+    reference across jobs and handed to the backend untouched, so the loop
+    builds no prompt: a backend that needs the full prompt joins it itself.
+    A backend failure on one question is recorded (as an incorrect Other
+    answer with an empty raw text and the error flag set) and evaluation
+    continues; it never aborts the run.
 
     A backend that declares a concurrency above one is asked by that many
     workers (never more than there are jobs); each takes the next job from
@@ -115,7 +114,7 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     def ask(job: Job) -> AnswerRecord:
         cluster_id, idx, question, prefix, expected = job
         try:
-            raw = backend.answer(question, prompt_with_prefix(prefix, question))
+            raw = backend.answer(question, prefix)
         except ConceptCheckError:
             return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
         normalized = normalize_answer(raw)
@@ -156,8 +155,8 @@ def evaluate_dataset(
     """Ask every dataset question and record normalized, judged answers.
 
     The preamble, few-shots and context are rendered once, as one prefix
-    that every job shares, so each question costs one copy of its prompt
-    and memory grows with questions plus context, not with their product.
+    string that every question is asked with, so time and memory grow with
+    questions plus context, not with their product.
     Failures are handled as in `ask_and_judge`. A backend whose concurrency
     is above one is asked by that many workers, each taking the next
     question when its call returns; records come back in dataset order,

@@ -205,11 +205,14 @@ def extract_fragment(spec: ExtractionSpec, entities: Iterable[RawEntity]) -> Con
     or both; every subclass claim between two visited entities becomes an
     edge. Claims that would close a cycle are dropped with a logged
     diagnostic (processing order is sorted, so the surviving edge set is
-    deterministic). Of two records with one id the last is read; beyond
-    that, the order of the records never reaches the graph.
+    deterministic). Of two records with one id the first is read, as
+    `parse_entity_dump` and `fetch_live` keep it; beyond that, the order of
+    the records never reaches the graph.
     """
     spec.validate()
-    by_id = {e.id: e for e in entities}
+    by_id: dict[str, RawEntity] = {}
+    for entity in entities:
+        by_id.setdefault(entity.id, entity)
     if spec.seed_concept not in by_id:
         raise SeedNotFound(f"seed concept {spec.seed_concept!r} is not in the dump")
 

@@ -209,11 +209,12 @@ def _scenario_jobs(
 class ScenarioOracle(Backend):
     """Answers every scenario question correctly.
 
-    Keyed by the fully rendered prompt, not the bare question: scenarios
-    routinely share an applicability template, so the same question text can
-    carry different expected answers under different policies. The injected
-    policy line makes the rendered prompt unambiguous, and scenarios whose
-    prompts would not be are refused with SchemaViolation.
+    Keyed by the full prompt, which it joins from the prefix and the
+    question, not by the bare question: scenarios routinely share an
+    applicability template, so the same question text can carry different
+    expected answers under different policies. The injected policy line
+    makes the prompt unambiguous, and scenarios whose prompts would not be
+    are refused with SchemaViolation.
     """
 
     def __init__(
@@ -230,9 +231,9 @@ class ScenarioOracle(Backend):
         _, _, by_prompt = _scenario_jobs(scenarios, specialists, graph, closure, template)
         self._expected = {prompt: q.expected.value for prompt, q in by_prompt.items()}
 
-    def answer(self, question: str, rendered_prompt: str) -> str:
+    def answer(self, question: str, prefix: str) -> str:
         try:
-            return self._expected[rendered_prompt]
+            return self._expected[prompt_with_prefix(prefix, question)]
         except KeyError:
             raise MismatchedDataset(
                 f"scenario oracle was built for different scenarios: {question!r}"

@@ -64,11 +64,11 @@ class Jittery(cc.Backend):
         self.peak = 0
         self._live = 0
 
-    def answer(self, question, rendered_prompt):
+    def answer(self, question, prefix):
         with self._lock:
             self._live += 1
             self.peak = max(self.peak, self._live)
         time.sleep(self._rng.random() / 500)
         with self._lock:
             self._live -= 1
-        return self._inner.answer(question, rendered_prompt)
+        return self._inner.answer(question, prefix)

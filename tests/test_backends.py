@@ -130,8 +130,9 @@ def test_cache_round_trip(tmp_path):
     assert hit["raw"] == "Yes."
     assert sorted(hit) == ["raw", "timestamp"]
 
-    # Entries written with the former `normalized` field still answer.
-    old_key = cc.ResponseCache.key("m", "p", "q")
+    # Entries written with the former `normalized` field still answer. The
+    # backend keys by the prompt it joins from the prefix and the question.
+    old_key = cc.ResponseCache.key("m", "pQ: q\nA:", "q")
     cache.store(old_key, {"raw": "No.", "normalized": "no", "timestamp": 0.0})
     offline = cc.RemoteBackend("http://127.0.0.1:9/gone", "m", cache=cache, retries=0)
     assert offline.answer("q", "p") == "No."
@@ -214,10 +215,10 @@ def test_cache_log_is_shared_by_objects_and_threads(tmp_path):
     # A remote backend at concurrency 8 appends through one cache object while
     # eight threads append through a second object on the same directory.
     def app(method, path, query, body):
-        return 200, {"text": body["prompt"].split("Q: ")[-1]}
+        return 200, {"text": body["prompt"].split("Q: ")[-1].removesuffix("\nA:")}
 
     questions = [f"question {i}" for i in range(240)]
-    asked = [cc.ResponseCache.key("m", f"Q: {q}", q) for q in questions]
+    asked = [cc.ResponseCache.key("m", f"p\nQ: {q}\nA:", q) for q in questions]
     stored = [cc.ResponseCache.key("other", "p", q) for q in questions]
     first, second = cc.ResponseCache(tmp_path), cc.ResponseCache(tmp_path)
     interval = sys.getswitchinterval()
@@ -227,13 +228,13 @@ def test_cache_log_is_shared_by_objects_and_threads(tmp_path):
             backend = cc.RemoteBackend(url, "m", concurrency=8, timeout=10.0, cache=first)
             with ThreadPoolExecutor(max_workers=2 * backend.concurrency) as pool:
                 puts = [pool.submit(second.put, key, q) for key, q in zip(stored, questions)]
-                answers = list(pool.map(lambda q: backend.answer(q, f"Q: {q}"), questions, timeout=60))
+                answers = list(pool.map(lambda q: backend.answer(q, "p\n"), questions, timeout=60))
                 for put in puts:
                     put.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert answers == questions
-    assert log.count == len(questions)
+    assert sorted(r["body"]["prompt"] for r in log.requests) == sorted(f"p\nQ: {q}\nA:" for q in questions)
     lines = (tmp_path / cc.ResponseCache.LOG_NAME).read_bytes().splitlines()
     assert sorted(json.loads(line)["key"] for line in lines) == sorted(asked + stored)
     fresh = cc.ResponseCache(tmp_path)
@@ -250,7 +251,7 @@ def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog
         return 200, {"text": "Yes."}
 
     cache = cc.ResponseCache(tmp_path)
-    key = cc.ResponseCache.key("m", "p", "q")
+    key = cc.ResponseCache.key("m", "pQ: q\nA:", "q")
     cache.store(key, entry)
     with serving(app) as (url, log):
         assert cc.RemoteBackend(url, "m", cache=cache).answer("q", "p") == "Yes."
@@ -360,12 +361,12 @@ def test_remote_backend_posts_protocol_payload():
         assert body["model"] == "m1"
         assert body["temperature"] == 0.0
         assert body["max_tokens"] == 16
-        assert body["prompt"].endswith("A:")
+        assert body["prompt"] == "Q: q\nA:"
         return 200, {"text": "Yes."}
 
     with serving(app) as (url, log):
         backend = cc.RemoteBackend(url, "m1")
-        assert backend.answer("q", "Q: q\nA:") == "Yes."
+        assert backend.answer("q", "") == "Yes."
     assert log.count == 1
 
 
@@ -511,11 +512,56 @@ def test_remote_backend_warm_cache_skips_network(tmp_path):
     assert offline.answer("q", "p") == "Yes."
 
 
+# The key of the prompt below, as the remote backend wrote it when it was
+# handed the joined prompt instead of the prefix; caches of that time must replay.
+AUGMENTED_PROMPT_KEY = "85272fb4d93488008dfa5dda1489bad87ac45ff4132f594619965700806e0504"
+
+
+def _augmented_prefix() -> str:
+    template = cc.PromptTemplate("Answer each question with yes or no.", (("is a dog a mammal ?", "yes"),))
+    return cc.render_prefix(template, ("a puppy is a dog", "a café is a place"))
+
+
+def test_remote_backend_keys_an_augmented_prompt_as_before(tmp_path):
+    prefix, question = _augmented_prefix(), "is a puppy a mammal ?"
+    with serving(lambda method, path, query, body: (200, {"text": "Yes."})) as (url, log):
+        assert cc.RemoteBackend(url, "m", cache=cc.ResponseCache(tmp_path)).answer(question, prefix) == "Yes."
+    assert log.requests[0]["body"]["prompt"] == (
+        "Answer each question with yes or no.\n\nQ: is a dog a mammal ?\nA: yes\n\n"
+        "a puppy is a dog\na café is a place\nQ: is a puppy a mammal ?\nA:"
+    )
+    lines = (tmp_path / cc.ResponseCache.LOG_NAME).read_bytes().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [AUGMENTED_PROMPT_KEY]
+
+
+def test_remote_backend_replays_an_augmented_cache_entry_without_requests(tmp_path):
+    cc.ResponseCache(tmp_path).put(AUGMENTED_PROMPT_KEY, "No.")
+    offline = cc.RemoteBackend("http://127.0.0.1:9/gone", "m", cache=cc.ResponseCache(tmp_path), retries=0)
+    assert offline.answer("is a puppy a mammal ?", _augmented_prefix()) == "No."
+
+
+def test_remote_evaluation_posts_each_joined_prompt(medical_dataset, template):
+    context = cc.ContextBlock(
+        statements=("a café is a place",) + tuple(c.statements[0] for c in medical_dataset.clusters[:20]),
+        source_cluster_ids=(),
+        backend_ids=("x",),
+        dataset_fingerprint=medical_dataset.fingerprint,
+    )
+    with serving(lambda method, path, query, body: (200, {"text": "yes"})) as (url, log):
+        rs = cc.evaluate_dataset(medical_dataset, cc.RemoteBackend(url, "m", concurrency=2), template, context)
+    prefix = cc.render_prefix(template, context.statements)
+    questions = [q for c in medical_dataset.clusters for q in c.questions]
+    assert len(rs.records) == len(questions) == 444
+    assert sorted(r["body"]["prompt"].encode() for r in log.requests) == sorted(
+        f"{prefix}Q: {q}\nA:".encode() for q in questions
+    )
+
+
 def test_remote_backend_is_thread_safe_under_concurrency():
     # More threads than cores and a short switch interval, so a connection
     # shared between two threads would cross or lose answers.
     def app(method, path, query, body):
-        return 200, {"text": body["prompt"].split("Q: ")[-1]}
+        return 200, {"text": body["prompt"].split("Q: ")[-1].removesuffix("\nA:")}
 
     questions = [f"question {i}" for i in range(240)]
     interval = sys.getswitchinterval()
@@ -524,11 +570,11 @@ def test_remote_backend_is_thread_safe_under_concurrency():
         with serving(app) as (url, log):
             backend = cc.RemoteBackend(url, "m", concurrency=8, timeout=10.0)
             with ThreadPoolExecutor(max_workers=backend.concurrency) as pool:
-                answers = list(pool.map(lambda q: backend.answer(q, f"Q: {q}"), questions, timeout=60))
+                answers = list(pool.map(lambda q: backend.answer(q, "p\n"), questions, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert answers == questions
-    assert log.count == len(questions)
+    assert sorted(r["body"]["prompt"] for r in log.requests) == sorted(f"p\nQ: {q}\nA:" for q in questions)
 
 
 # --- backend_from_config -----------------------------------------------------------------

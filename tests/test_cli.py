@@ -172,6 +172,19 @@ def test_extract_reads_a_dump_and_a_crawl_of_the_same_records_alike(runner, tmp_
     ]
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("extract", ["--dump", DUMP, "--seed-concept", "Q3332438"]),
+    ("generate", ["--graph", GRAPH, "--seed", 1]),
+])
+def test_out_makes_its_missing_directory(runner, tmp_path, command, inputs):
+    run(runner, command, *inputs, "--out", tmp_path / "here.json")
+    out = tmp_path / "new" / "dir" / "here.json"
+    run(runner, command, *inputs, "--out", out)
+    assert out.read_bytes() == (tmp_path / "here.json").read_bytes()
+    if command == "extract":
+        assert (out.parent / "here.manifest.json").exists()
+
+
 # --- generate ----------------------------------------------------------------------
 
 
@@ -598,6 +611,33 @@ def test_backend_specs_that_cannot_work_exit_2(runner, tmp_path, dataset_file, c
     assert result.stderr == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "augment", "scenarios"])
+@pytest.mark.parametrize("later, message", [
+    ({**_REMOTE, "model": "b", "timeout": -1}, "timeout must be a finite number of seconds above 0, got -1"),
+    ({**_REMOTE, "model": "b", "id": "remote-m"},
+     "backend ids must be unique, got ['remote-m', 'remote-m']; set explicit 'id' fields"),
+], ids=["timeout", "repeated-id"])
+def test_a_refused_later_backend_leaves_no_cache(runner, tmp_path, dataset_file, command, later, message):
+    # The first remote spec is fine; every backend is built and checked before its cache opens.
+    eval_dir = tmp_path / "eval"
+    run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+        "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", eval_dir,
+    )
+    inputs = {
+        "evaluate": ["--dataset", dataset_file],
+        "augment": ["--dataset", dataset_file, "--baseline", eval_dir / "results-noisy-p0.3-s7.jsonl"],
+        "scenarios": [],
+    }[command]
+    result = run(
+        runner, command, *inputs, "--graph", GRAPH, "--backend", json.dumps(_REMOTE),
+        "--backend", json.dumps(later), "--cache-dir", tmp_path / "c2", "--out-dir", tmp_path / "out", code=2,
+    )
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "c2").exists()
 
 
 def test_scenarios_reject_noisy_backend(runner, tmp_path):

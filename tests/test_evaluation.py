@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
@@ -114,7 +115,7 @@ def test_evaluate_lets_foreign_exceptions_propagate(chain, template):
     class Exploding(cc.Backend):
         id = "exploding"
 
-        def answer(self, question, rendered_prompt):
+        def answer(self, question, prefix):
             raise RuntimeError("wires crossed")
 
     with pytest.raises(RuntimeError):
@@ -134,7 +135,7 @@ def test_evaluate_concurrent_foreign_exception_stops_new_calls(chain, template):
         concurrency = 4
         barrier = threading.Barrier(concurrency, timeout=10)  # a timeout, not a hang, if calls never overlap
 
-        def answer(self, question, rendered_prompt):
+        def answer(self, question, prefix):
             with lock:
                 started.append(question)
                 first_wave = len(started) <= self.concurrency
@@ -181,7 +182,7 @@ def test_evaluate_more_workers_than_questions(chain, template):
 
 
 def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):
-    # Four workers, and each question still gets exactly its own rendered prompt.
+    # Four workers, and each question still comes with the context's one prefix.
     oracle = cc.PerfectOracle(medical_closure, medical_dataset)
     seen: list[tuple[str, str]] = []
     lock = threading.Lock()
@@ -190,10 +191,10 @@ def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, te
         id = "recorder"
         concurrency = 4
 
-        def answer(self, question, rendered_prompt):
+        def answer(self, question, prefix):
             with lock:
-                seen.append((question, rendered_prompt))
-            return oracle.answer(question, rendered_prompt)
+                seen.append((question, prefix))
+            return oracle.answer(question, prefix)
 
     context = cc.ContextBlock(
         statements=tuple(c.statements[0] for c in medical_dataset.clusters[:40]),
@@ -205,8 +206,46 @@ def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, te
     assert rs.context_fingerprint == context.fingerprint()
     questions = [(c.id, i, q) for c in medical_dataset.clusters for i, q in enumerate(c.questions)]
     prefix = cc.render_prefix(template, context.statements)
-    assert Counter(seen) == Counter((q, cc.prompt_with_prefix(prefix, q)) for _, _, q in questions)
+    assert Counter(seen) == Counter((q, prefix) for _, _, q in questions)
+    assert all(p is seen[0][1] for _, p in seen)  # one shared string, not a copy per question
     assert [(r.cluster_id, r.question_index) for r in rs.records] == [(c, i) for c, i, _ in questions]
+    assert all(r.correct for r in rs.records)
+
+
+def test_oracle_evaluation_hands_every_question_one_prefix_and_joins_no_prompt(
+    medical_dataset, medical_closure, template
+):
+    # Oracles never read the prompt, so building one per question would only copy the context.
+    joined: list[str] = []
+    prefixes: list[str] = []
+    answer, join = cc.PerfectOracle.answer, cc.prompt_with_prefix
+
+    def counting(prefix, question):
+        joined.append(question)
+        return join(prefix, question)
+
+    def recording(self, question, prefix):
+        prefixes.append(prefix)
+        return answer(self, question, prefix)
+
+    context = cc.ContextBlock(
+        statements=tuple(c.statements[0] for c in medical_dataset.clusters[:40]),
+        source_cluster_ids=(),
+        backend_ids=("x",),
+        dataset_fingerprint=cc.dataset_fingerprint(medical_dataset),
+    )
+    # Every package module that holds the name, so a join from any of them is counted.
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "conceptcheck"
+               and hasattr(m, "prompt_with_prefix")]
+    with ExitStack() as patches:
+        for module in holders:
+            patches.enter_context(patch.object(module, "prompt_with_prefix", counting))
+        patches.enter_context(patch.object(cc.PerfectOracle, "answer", recording))
+        rs = cc.evaluate_dataset(medical_dataset, cc.PerfectOracle(medical_closure, medical_dataset), template, context)
+    assert joined == []
+    assert len(prefixes) == len(rs.records) == 444
+    assert prefixes[0] == cc.render_prefix(template, context.statements)
+    assert all(p is prefixes[0] for p in prefixes)
     assert all(r.correct for r in rs.records)
 
 
@@ -221,13 +260,13 @@ def test_evaluate_memory_grows_with_questions_plus_context(template):
         backend_ids=("x",),
         dataset_fingerprint=cc.dataset_fingerprint(dataset),
     )
-    prompt_sizes: list[int] = []
+    prefix_sizes: list[int] = []
 
     class Sized(cc.Backend):
         id = "sized"
 
-        def answer(self, question, rendered_prompt):
-            prompt_sizes.append(len(rendered_prompt))
+        def answer(self, question, prefix):
+            prefix_sizes.append(len(prefix))
             return "yes"
 
     tracemalloc.start()
@@ -237,9 +276,9 @@ def test_evaluate_memory_grows_with_questions_plus_context(template):
     finally:
         tracemalloc.stop()
     assert questions == len(rs.records) >= 2000
-    assert min(prompt_sizes) >= 20_000
+    assert min(prefix_sizes) >= 20_000
     # Holding every prompt at once would take questions x prompt size (> 40 MB).
-    assert peak < questions * min(prompt_sizes) / 10
+    assert peak < questions * min(prefix_sizes) / 10
 
 
 def test_prefix_is_rendered_once_per_context(medical_graph, medical_closure, medical_dataset, template):

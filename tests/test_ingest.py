@@ -318,6 +318,18 @@ def test_extract_same_as_ignores_unvisited_targets():
     assert graph.same_as == ()
 
 
+def test_extract_reads_the_first_of_two_records_with_one_id():
+    # As parse_entity_dump and fetch_live keep it: the first record's label and claims.
+    entities = [
+        entity("r", label="root"),
+        entity("Q2", label="first", parents=["r"]),
+        entity("Q2", label="second"),
+    ]
+    graph = cc.extract_fragment(cc.ExtractionSpec(seed_concept="r"), entities)
+    assert graph.label_of("Q2") == "first"
+    assert graph.edges == (("Q2", "r"),)
+
+
 def test_extraction_spec_validation():
     with pytest.raises(cc.ConfigError):
         cc.ExtractionSpec(seed_concept="").validate()

@@ -190,16 +190,21 @@ def test_scenario_oracle_distinguishes_shared_question_text(
     oracle = cc.ScenarioOracle(
         [grant, restriction], SPECIALISTS, medical_graph, medical_closure, template
     )
-    under_grant = cc.prompt_with_prefix(cc.render_prefix(template, (grant.policy_text,)), question)
-    under_restriction = cc.prompt_with_prefix(cc.render_prefix(template, (restriction.policy_text,)), question)
+    under_grant = cc.render_prefix(template, (grant.policy_text,))
+    under_restriction = cc.render_prefix(template, (restriction.policy_text,))
     assert oracle.answer(question, under_grant) == "no"
     assert oracle.answer(question, under_restriction) == "yes"
 
 
 def test_scenario_oracle_rejects_foreign_prompt(scenarios, medical_graph, medical_closure, template):
     oracle = cc.ScenarioOracle(scenarios[:1], SPECIALISTS, medical_graph, medical_closure, template)
+    prefix = cc.render_prefix(template, (scenarios[0].policy_text,))
+    question = cc.gen_scenario_questions(scenarios[0], SPECIALISTS, medical_graph, medical_closure)[0].question
+    assert oracle.answer(question, prefix) in ("yes", "no")
     with pytest.raises(cc.MismatchedDataset):
-        oracle.answer("Is water wet?", "Q: Is water wet?\nA:")
+        oracle.answer("Is water wet?", prefix)
+    with pytest.raises(cc.MismatchedDataset):  # a known question below another policy
+        oracle.answer(question, cc.render_prefix(template, (scenarios[1].policy_text,)))
 
 
 def equal_templates(scenario):
@@ -278,7 +283,7 @@ def test_evaluate_scenarios_incomplete_is_not_inconsistent(
                 q.question: "no" if q.expected is cc.Answer.YES else "yes" for q in questions
             }
 
-        def answer(self, question, rendered_prompt):
+        def answer(self, question, prefix):
             return self._wrong[question]
 
     results, summary = cc.evaluate_scenarios(
@@ -351,19 +356,23 @@ def test_evaluate_scenarios_runs_a_concurrent_backend_in_order(
 def test_evaluate_scenarios_passes_policy_text_as_context(
     medical_graph, medical_closure, grant, template
 ):
-    prompts: list[str] = []
+    asked: list[tuple[str, str]] = []
 
     class Recorder(cc.Backend):
         id = "recorder"
 
-        def answer(self, question, rendered_prompt):
-            prompts.append(rendered_prompt)
+        def answer(self, question, prefix):
+            asked.append((question, prefix))
             return "yes"
 
     cc.evaluate_scenarios([grant], SPECIALISTS, medical_graph, medical_closure, Recorder(), template)
-    assert len(prompts) == 14
-    for p in prompts:
-        assert f"{grant.policy_text}\nQ: " in p
+    questions = cc.gen_scenario_questions(grant, SPECIALISTS, medical_graph, medical_closure)
+    assert [q for q, _ in asked] == [q.question for q in questions]
+    assert len(asked) == 14
+    prefix = asked[0][1]
+    assert prefix == cc.render_prefix(template, (grant.policy_text,))
+    assert prefix.endswith(f"\n{grant.policy_text}\n")
+    assert all(p is prefix for _, p in asked)  # one string for the scenario, not a copy per question
 
 
 # --- persistence and rendering -----------------------------------------------------------
