@@ -424,15 +424,11 @@ def backend_from_config(
     *,
     closure: DeductiveClosure | None = None,
     dataset: ClusterDataset | None = None,
-    caches: dict[Path, ResponseCache] | None = None,
 ) -> Backend:
     """Build a backend from one config entry: {"kind": ..., ...}.
 
     The oracle kinds need the closure and dataset they answer from; the
-    caller supplies those, the config only selects and parameterizes. A
-    remote backend takes its directory's cache from `caches` and adds it
-    there when it opens one, so backends built with one `caches` share
-    one index per directory.
+    caller supplies those, the config only selects and parameterizes.
     """
     kind, explicit_id = read_spec(spec)
     if kind in ("perfect", "noisy") and (closure is None or dataset is None):
@@ -449,7 +445,7 @@ def backend_from_config(
         cache_dir = options.pop("cache_dir")
         backend = RemoteBackend(**options)  # checks the options before a cache directory is made
         if cache_dir:
-            backend.cache = shared_cache(cache_dir, {} if caches is None else caches)
+            backend.cache = shared_cache(cache_dir, {})
     if explicit_id:
         backend.id = explicit_id
     return backend

@@ -120,6 +120,15 @@ def _merge(flag_value, config_value, default=None):
     return config_value if config_value is not None else default
 
 
+def _make_dir(path: Path) -> None:
+    """Make the output directory `path` and its parents, as a ConfigError
+    naming it when a file or the system stands in the way."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc.strerror}") from exc
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "backend"
 
@@ -226,7 +235,7 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
         graph = extract_fragment(spec, parsed.entities)
 
     out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_path.parent)
     save_graph(graph, out_path)
     manifest = {
         "source": source,
@@ -268,7 +277,7 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
         path_granularity=path_granularity,
     )
     dataset = generate_dataset(loaded, gen_config)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(Path(out).parent)
     write_dataset(dataset, out)
     by_type = Counter(cluster.type for cluster in dataset.clusters)
     for kind in ClusterType:
@@ -387,7 +396,7 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     rows, errors = _evaluate_backends(backends, dataset, template, context, out)
     _write_reports(rows, out, dataset.fingerprint)
     click.echo(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
@@ -418,7 +427,7 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
     template = _load_prompt(prompt, config)
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     save_context(context, out / "context.json")
     click.echo(f"context: {len(context.statements)} statement(s) -> {out}/context.json")
     if not context.statements:
@@ -482,7 +491,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
         results, summary = evaluate_scenarios(
             policy_scenarios, roster, loaded_graph, closure, backend, template
         )
-        out.mkdir(parents=True, exist_ok=True)  # only once a roster has been accepted
+        _make_dir(out)  # only once a roster has been accepted
         slug = _slug(backend.id)
         write_scenario_results(results, summary, backend.id, out / f"scenario-results-{slug}.jsonl")
         (out / f"scenario-report-{slug}.md").write_text(
@@ -514,7 +523,7 @@ def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
     rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
     baselines = _read_baselines(baseline_paths, dataset)[1] if baseline_paths else None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     _write_reports(
         rows, out, dataset.fingerprint,
         baselines=baselines, title=title or "Consistency report",

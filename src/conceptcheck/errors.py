@@ -110,6 +110,27 @@ def read_json(path: str | Path, what: str) -> object:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
+
+def decode_json_line(line: str) -> Any:
+    """`json.loads(line)`: the same values, and the same JSONDecodeError for
+    the same lines, without its per-call wrapper and whitespace regexes.
+
+    JSON whitespace (space, tab, newline, carriage return) is skipped on
+    both sides of the value; anything else after it is "Extra data".
+    """
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    if end != len(line):
+        end = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
 _REQUIRED: Any = object()
 
 

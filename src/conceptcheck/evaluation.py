@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .answers import Answer, normalize_answer
 from .backends import Backend, PromptTemplate, render_prefix
@@ -28,6 +28,7 @@ from .errors import (
     DenominatorMismatch,
     MismatchedDataset,
     SchemaViolation,
+    decode_json_line,
     digest,
     read_json,
     read_text,
@@ -49,8 +50,10 @@ class Verdict(str, Enum):
     INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
+class AnswerRecord(NamedTuple):
+    """One judged answer. An immutable tuple: it equals the plain tuple of its
+    fields, and `_replace` gives a changed copy."""
+
     cluster_id: str
     question_index: int
     raw: str
@@ -433,6 +436,13 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> ResultSet:
+    """The result set `write_results` wrote to `path`.
+
+    Each non-blank line is decoded as `json.loads` would decode it, by
+    `decode_json_line`, and must be one header (of this format version, and
+    only one) or an answer record; any other line, field or version is a
+    SchemaViolation that names the file and the line.
+    """
     text = read_text(path, "results file")
     header: list | None = None
     records: list[AnswerRecord] = []
@@ -442,7 +452,7 @@ def read_results(path: str | Path) -> ResultSet:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = decode_json_line(line)
             kind = data.get("record") if isinstance(data, dict) else None
             if kind == "answer":
                 cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")

@@ -31,6 +31,7 @@ from .errors import (
     MalformedResponse,
     SeedNotFound,
     UnreadableSource,
+    decode_json_line,
     read_text,
 )
 from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
@@ -174,7 +175,7 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
             if not stripped or stripped in ("[", "]"):
                 continue
             try:
-                data = json.loads(stripped)
+                data = decode_json_line(stripped)
             except json.JSONDecodeError as exc:
                 result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
                 continue

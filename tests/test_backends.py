@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import conceptcheck as cc
+from conceptcheck.backends import shared_cache
 from stubserver import serving
 
 
@@ -604,17 +605,13 @@ def test_backend_from_config_kinds(tmp_path, medical_closure, medical_dataset):
     assert remote.cache is not None
 
 
-def test_backend_from_config_shares_one_cache_per_directory(tmp_path, monkeypatch):
+def test_shared_cache_opens_one_cache_per_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     caches = {}
-    specs = [
-        {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": m, "cache_dir": d, "id": m}
-        for m, d in (("a", "c"), ("b", str(tmp_path / "c")), ("c", "./other/../c"), ("d", "d"))
-    ]
-    a, b, c, d = (cc.backend_from_config(spec, caches=caches) for spec in specs)
-    assert a.cache is b.cache is c.cache is not d.cache
+    a, b, c, d = (shared_cache(path, caches) for path in ("c", tmp_path / "c", "./other/../c", "d"))
+    assert a is b is c is not d
     assert sorted(caches) == [tmp_path.resolve() / "c", tmp_path.resolve() / "d"]
-    assert cc.backend_from_config(specs[0]).cache is not a.cache  # no `caches`, a cache of its own
+    assert shared_cache("c", {}) is not a  # a fresh dict, a cache of its own
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,37 @@ def test_out_makes_its_missing_directory(runner, tmp_path, command, inputs):
         assert (out.parent / "here.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, out, made", [
+    ("extract", "afile/g.json", "afile"),
+    ("generate", "afile/d.json", "afile"),
+    ("generate", "afile/sub/d.json", "afile/sub"),
+    ("evaluate", "afile", "afile"),
+    ("augment", "afile", "afile"),
+    ("scenarios", "afile", "afile"),
+    ("report", "afile", "afile"),
+])
+def test_an_output_path_under_a_file_exits_2_naming_it(runner, tmp_path, dataset_file, command, out, made):
+    (tmp_path / "afile").write_text("a file\n")
+    baseline = tmp_path / "eval" / "results-noisy-p0.3-s7.jsonl"
+    if command in ("augment", "report"):
+        run(
+            runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+            "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", baseline.parent,
+        )
+    inputs = {
+        "extract": ["--dump", DUMP, "--seed-concept", "Q3332438", "--out"],
+        "generate": ["--graph", GRAPH, "--seed", 1, "--out"],
+        "evaluate": ["--dataset", dataset_file, "--graph", GRAPH, "--out-dir"],
+        "augment": ["--dataset", dataset_file, "--graph", GRAPH, "--baseline", baseline, "--out-dir"],
+        "scenarios": ["--graph", GRAPH, "--out-dir"],
+        "report": ["--dataset", dataset_file, "--results", baseline, "--out-dir"],
+    }[command]
+    result = run(runner, command, *inputs, tmp_path / out, code=2)
+    reason = "Not a directory" if made.endswith("sub") else "File exists"
+    assert result.stderr == f"error: cannot make directory {tmp_path / made}: {reason}\n"
+    assert (tmp_path / "afile").read_text() == "a file\n"
+
+
 # --- generate ----------------------------------------------------------------------
 
 

@@ -33,6 +33,17 @@ def record(cluster_id="c", idx=0, correct=True, error=False):
     )
 
 
+def test_answer_record_is_an_immutable_tuple():
+    r = record()
+    with pytest.raises(AttributeError):
+        r.correct = False
+    changed = r._replace(normalized=cc.Answer.NO, correct=False)
+    assert type(changed) is cc.AnswerRecord
+    assert changed == ("c", 0, "yes", cc.Answer.NO, False, False)
+    assert r == ("c", 0, "yes", cc.Answer.YES, True, False)
+    assert cc.AnswerRecord("c", 1, "", cc.Answer.OTHER, False).error is False
+
+
 @pytest.fixture(scope="module")
 def chain():
     """b -> a, c -> b: 2 positive, 2 inverse, 1 path cluster; unique questions."""
@@ -364,7 +375,7 @@ def _misfiled(rs: cc.ResultSet, edit: str) -> tuple[cc.ResultSet, str]:
         message = f"answer 6: found {name(rs.records[6])}, expected {name(rs.records[5])}"
     elif edit == "duplicate":
         first = records[0]
-        records.append(dataclasses.replace(first, correct=not first.correct))
+        records.append(first._replace(correct=not first.correct))
         message = f"answer {len(rs.records) + 1}: found {name(first)}, expected the end"
     else:
         records.append(records.pop(0))
@@ -652,11 +663,14 @@ def test_read_results_keeps_raw_answers_holding_unicode_line_breaks(tmp_path, ch
     rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
     raws = ["yes\u2028really", "no\x85", "\u2028\x85"]
     rs = dataclasses.replace(rs, records=tuple(
-        dataclasses.replace(r, raw=raw) for r, raw in zip(rs.records, raws)
+        r._replace(raw=raw) for r, raw in zip(rs.records, raws)
     ) + rs.records[len(raws):])
+    assert [r.raw for r in rs.records[:3]] == raws
     path = tmp_path / "results.jsonl"
     cc.write_results(rs, path)
-    assert cc.read_results(path) == rs
+    loaded = cc.read_results(path)
+    assert loaded == rs
+    assert {type(r) for r in loaded.records} == {cc.AnswerRecord}
     unescaped = tmp_path / "unescaped.jsonl"
     lines = path.read_text(encoding="utf-8").split("\n")
     unescaped.write_text(

@@ -1,17 +1,21 @@
 """Round trips and fingerprints on random inputs: graph, dataset, results
-and context files survive save -> load -> save byte for byte, and every
+and context files survive save -> load -> save byte for byte, every
 fingerprint equals the hand-written formula in `oracles.py`, including for
-non-ASCII and astral text."""
+non-ASCII and astral text, and the JSON-lines decoder reads each line as
+`json.loads` does."""
 
 from __future__ import annotations
 
+import json
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck.clusters import dataset_to_dict
+from conceptcheck.errors import decode_json_line
 from conceptcheck.hierarchy import _slug
 from oracles import fingerprint_by_hand
 
@@ -138,3 +142,52 @@ def test_prompt_and_cache_key_fingerprints_match_formula(preamble, few_shot, mod
     assert cc.ResponseCache.key(model, prompt, question) == fingerprint_by_hand(
         {"model": model, "prompt": prompt, "question": question}
     )
+
+
+# --- one JSON line --------------------------------------------------------------
+
+
+def _decoded(decode, line: str) -> tuple[str, str]:
+    """What `decode` makes of `line`: the repr of its value, or its error
+    message, which holds the position."""
+    try:
+        return "value", repr(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", str(exc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+    max_leaves=8,
+)
+# JSON whitespace, and other whitespace and stray characters JSON refuses.
+padding = st.text(st.sampled_from(" \t\r\n\x0b\x0c\xa0\u2028\x85\ufeff,x{}0"), max_size=3)
+json_lines = st.one_of(
+    st.builds(
+        lambda before, value, ascii, after: before + json.dumps(value, ensure_ascii=ascii) + after,
+        padding, json_values, st.booleans(), padding,
+    ),
+    st.text(st.sampled_from('{}[]":,0123456789.eE+-truefalsnNIiy \t\r\n\\'), max_size=12),
+    text,
+)
+
+
+@settings(CHECK, max_examples=400)
+@given(line=json_lines)
+def test_decode_json_line_reads_a_line_as_json_loads_does(line):
+    assert _decoded(decode_json_line, line) == _decoded(json.loads, line)
+
+
+@pytest.mark.parametrize("line, accepted", [
+    (" {}", True), ("{} ", True), ("\t{}\t", True), ("\r{}\r", True), (' \t\r\n{"a": [1]}\r\n\t ', True),
+    ("\x0b{}", False), ("{}\x0b", False), ("\x0c{}", False), ("{}\x0c", False),
+    ("\xa0{}", False), ("{}\xa0", False), ("\u2028{}", False), ("{}\u2028", False),
+    ("\ufeff{}", False), ("{} {}", False), ("{}x", False), ("{} x", False),
+    ("NaN", True), ("Infinity", True), ("-Infinity", True), ("[NaN, -Infinity]", True),
+    ("{}", True), ("", False), (" ", False),
+])
+def test_decode_json_line_accepts_and_refuses_what_json_loads_does(line, accepted):
+    decoded = _decoded(decode_json_line, line)
+    assert decoded == _decoded(json.loads, line)
+    assert (decoded[0] == "value") is accepted
