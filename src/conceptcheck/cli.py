@@ -39,7 +39,7 @@ from .clusters import (
     write_dataset,
 )
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read_fields
-from .errors import ConceptCheckError, ConfigError, read_json, write_json
+from .errors import ConceptCheckError, ConfigError, read_json, write_json, write_text
 from .evaluation import (
     CONTEXT_GRANULARITIES,
     ReportRow,
@@ -365,11 +365,10 @@ def _exit_if_failed(errors: int) -> None:
 
 
 def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title="Consistency report") -> None:
-    (out_dir / "report.md").write_text(
-        render_markdown(rows, dataset_fingerprint=fingerprint, baselines=baselines, title=title),
-        encoding="utf-8",
+    write_text(
+        out_dir / "report.md", render_markdown(rows, dataset_fingerprint=fingerprint, baselines=baselines, title=title)
     )
-    (out_dir / "report.csv").write_text(render_csv(rows, baselines=baselines), encoding="utf-8")
+    write_text(out_dir / "report.csv", render_csv(rows, baselines=baselines))
 
 
 @main.command()
@@ -494,16 +493,14 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
         _make_dir(out)  # only once a roster has been accepted
         slug = _slug(backend.id)
         write_scenario_results(results, summary, backend.id, out / f"scenario-results-{slug}.jsonl")
-        (out / f"scenario-report-{slug}.md").write_text(
-            render_scenario_markdown(results, summary, backend.id), encoding="utf-8"
-        )
+        write_text(out / f"scenario-report-{slug}.md", render_scenario_markdown(results, summary, backend.id))
         errors += sum(1 for r in results for a in r.answers if a.error)
         summaries.append((backend.id, summary))
         click.echo(
             f"{backend.id}: {summary.incorrect_questions}/{summary.total_questions} incorrect, "
             f"{summary.inconsistent_scenarios}/{summary.total_scenarios} inconsistent scenarios"
         )
-    (out / "scenario-summary.md").write_text(render_scenario_summary(summaries), encoding="utf-8")
+    write_text(out / "scenario-summary.md", render_scenario_summary(summaries))
     _exit_if_failed(errors)
 
 

@@ -207,11 +207,20 @@ def digest(obj: object) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to the file at `path` as UTF-8, as a ConfigError naming
+    it when a directory, a missing parent or the system stands in the way."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_json(path: str | Path, obj: object) -> None:
     """Write `obj` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_json_lines(path: str | Path, objs: Iterable[object]) -> None:
     """Write each object as one `canonical_json` line."""
-    Path(path).write_text("".join(canonical_json(obj) + "\n" for obj in objs), encoding="utf-8")
+    write_text(path, "".join(canonical_json(obj) + "\n" for obj in objs))

@@ -15,7 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
+from json.encoder import encode_basestring_ascii as quote_json
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,12 +29,13 @@ from .errors import (
     DenominatorMismatch,
     MismatchedDataset,
     SchemaViolation,
+    canonical_json,
     decode_json_line,
     digest,
     read_json,
     read_text,
     write_json,
-    write_json_lines,
+    write_text,
 )
 
 RESULTS_FORMAT_VERSION = "1"
@@ -410,8 +412,25 @@ _ANSWER_FIELDS = {
 }
 
 
+# Filled in by one %-format per record: a dict and a `canonical_json` call per
+# record, which give the same bytes, take about four times as long.
+_ANSWER_LINE = (
+    '{"cluster_id":%s,"correct":%s,"error":%s,"normalized":%s,'
+    '"question_index":%d,"raw":%s,"record":"answer"}\n'
+)
+
+
 def write_results(resultset: ResultSet, path: str | Path) -> None:
-    """Write a header line, then one answer record per line."""
+    """Write a header line, then one answer record per line.
+
+    The header is the `canonical_json` of its fields. Each answer line is
+
+        {"cluster_id":...,"correct":...,"error":...,"normalized":...,"question_index":...,"raw":...,"record":"answer"}
+
+    with its keys in that order: the same bytes as `canonical_json` of the
+    record as a dict (the compact sorted form, strings escaped to ASCII,
+    booleans as true/false).
+    """
     header = {
         "record": "header",
         "version": RESULTS_FORMAT_VERSION,
@@ -420,19 +439,15 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
         "prompt_fingerprint": resultset.prompt_fingerprint,
         "context_fingerprint": resultset.context_fingerprint,
     }
-    answers = (
-        {
-            "record": "answer",
-            "cluster_id": r.cluster_id,
-            "question_index": r.question_index,
-            "raw": r.raw,
-            "normalized": r.normalized.value,
-            "correct": r.correct,
-            "error": r.error,
-        }
-        for r in resultset.records
-    )
-    write_json_lines(path, chain([header], answers))
+    lines = [canonical_json(header) + "\n"]
+    lines += [
+        _ANSWER_LINE % (
+            quote_json(cluster_id), "true" if correct else "false", "true" if error else "false",
+            quote_json(normalized), index, quote_json(raw),
+        )
+        for cluster_id, index, raw, normalized, correct, error in resultset.records
+    ]
+    write_text(path, "".join(lines))
 
 
 def read_results(path: str | Path) -> ResultSet:

@@ -216,6 +216,23 @@ def test_an_output_path_under_a_file_exits_2_naming_it(runner, tmp_path, dataset
     assert (tmp_path / "afile").read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command, out, written", [
+    ("extract", "adir", "adir"),
+    ("generate", "adir", "adir"),
+    ("evaluate", "runs", "runs/results-perfect.jsonl"),
+])
+def test_an_output_path_naming_a_directory_exits_2_naming_it(runner, tmp_path, dataset_file, command, out, written):
+    (tmp_path / written).mkdir(parents=True)
+    inputs = {
+        "extract": ["--dump", DUMP, "--seed-concept", "Q3332438", "--out"],
+        "generate": ["--graph", GRAPH, "--seed", 1, "--out"],
+        "evaluate": ["--dataset", dataset_file, "--graph", GRAPH, "--out-dir"],
+    }[command]
+    result = run(runner, command, *inputs, tmp_path / out, code=2)
+    assert result.stderr == f"error: cannot write {tmp_path / written}: Is a directory\n"
+    assert not any((tmp_path / written).iterdir())
+
+
 # --- generate ----------------------------------------------------------------------
 
 

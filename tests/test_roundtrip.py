@@ -7,10 +7,11 @@ non-ASCII and astral text, and the JSON-lines decoder reads each line as
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
@@ -87,11 +88,17 @@ def test_dataset_file_round_trips_and_fingerprint_matches_formula(graph, seed, n
     assert cc.read_dataset(tmp / "first").fingerprint == dataset.fingerprint
 
 
+# Lone surrogates, U+2028, U+0085, NUL and DEL made likely too: an answer line
+# must escape each of them as the JSON encoder does. A high surrogate before a
+# low one is left out, as JSON reads the two back as one astral character.
+answer_text = st.text(st.one_of(
+    st.sampled_from('"\\\n\té中\U0001f600\U00010348 \ud800\udfff\u2028\x85\x00\x7f'), st.characters()
+)).filter(lambda s: not re.search("[\ud800-\udbff][\udc00-\udfff]", s))
 answer_records = st.builds(
     cc.AnswerRecord,
-    cluster_id=nonempty,
+    cluster_id=answer_text.filter(bool),
     question_index=st.integers(0, 10**6),
-    raw=text,
+    raw=answer_text,
     normalized=st.sampled_from(cc.Answer),
     correct=st.booleans(),
     error=st.booleans(),
@@ -107,11 +114,23 @@ answer_records = st.builds(
     context_fingerprint=st.none() | text,
     records=st.lists(answer_records, max_size=6).map(tuple),
 ))
+@example(resultset=cc.ResultSet("b", "d", "p", None, (cc.AnswerRecord("c", 0, "", cc.Answer.OTHER, False, True),)))
 def test_results_file_round_trips(resultset, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("r")
     first, second = _twice(cc.write_results, cc.read_results, resultset, tmp)
     assert first == second
     assert cc.read_results(tmp / "first") == resultset
+    header = {
+        "record": "header", "version": "1", "backend": resultset.backend_id,
+        "dataset_fingerprint": resultset.dataset_fingerprint, "prompt_fingerprint": resultset.prompt_fingerprint,
+        "context_fingerprint": resultset.context_fingerprint,
+    }
+    records = [
+        {"record": "answer", **r._asdict(), "normalized": r.normalized.value} for r in resultset.records
+    ]
+    assert first == "".join(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" for obj in [header, *records]
+    ).encode("ascii")
 
 
 @CHECK
