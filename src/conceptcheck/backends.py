@@ -36,7 +36,6 @@ from .errors import (
     read_json,
 )
 from .hierarchy import DeductiveClosure
-from .transport import JsonClient
 
 log = logging.getLogger(__name__)
 
@@ -360,6 +359,7 @@ class RemoteBackend(Backend):
             if not token:
                 raise AuthMissing(f"environment variable {auth_env} is not set")
             headers["Authorization"] = f"Bearer {token}"
+        from .transport import JsonClient  # here, so a process that builds no client never loads http.client
         self._client = JsonClient(
             endpoint, headers=headers, timeout=timeout, retries=retries,
             backoff_base=backoff_base, backoff_cap=backoff_cap,

@@ -13,7 +13,6 @@ offline.
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
 from .backends import PromptTemplate, load_prompt_template
@@ -38,10 +37,11 @@ MEDICAL_SPECIALISTS: tuple[str, ...] = (
 MEDICAL_GENERATION = GenerationConfig(seed=1, negative_count=66)
 
 FIXTURE_PREFIX = "fixture:"
+_FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def fixture_path(name: str) -> Path:
-    path = Path(str(files(__package__) / "fixtures" / name))
+    path = _FIXTURE_DIR / name
     if not path.is_file():
         raise UnreadableSource(
             f"no bundled fixture named {name!r}; available: {', '.join(available_fixtures())}"
@@ -50,8 +50,7 @@ def fixture_path(name: str) -> Path:
 
 
 def available_fixtures() -> list[str]:
-    root = Path(str(files(__package__) / "fixtures"))
-    return sorted(p.name for p in root.iterdir() if p.is_file())
+    return sorted(p.name for p in _FIXTURE_DIR.iterdir() if p.is_file())
 
 
 def resolve_path(path: str) -> Path:

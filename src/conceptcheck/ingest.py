@@ -35,7 +35,6 @@ from .errors import (
     read_text,
 )
 from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
-from .transport import JsonClient
 
 log = logging.getLogger(__name__)
 
@@ -301,12 +300,13 @@ def fetch_live(
     waits out `rate_limit` seconds since the last one. Records are read as
     `parse_entity_dump` reads them, with diagnostics naming their page.
     """
+    from .transport import JsonClient  # here, so a process that builds no client never loads http.client
     spec.validate()
-    cache = ResponseCache(cache_dir) if cache_dir is not None else None
-    client = JsonClient(
+    client = JsonClient(  # checks the endpoint before a cache directory is made
         endpoint, timeout=timeout, retries=retries,
         backoff_base=backoff_base, backoff_cap=backoff_cap, min_interval=rate_limit,
     )
+    cache = ResponseCache(cache_dir) if cache_dir is not None else None
 
     def records():
         page: int | None = 1

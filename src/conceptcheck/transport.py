@@ -3,6 +3,7 @@
 Connection errors, 429 and 5xx are retried with capped exponential backoff,
 waiting at least a Retry-After given in seconds; other non-200 statuses fail
 at once. No redirects or proxies; HTTPS verifies against the system CA store.
+Imported only where a client is built, to keep `http.client` out of start-up.
 """
 
 from __future__ import annotations

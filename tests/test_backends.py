@@ -643,11 +643,13 @@ def test_backend_from_config_rejects_bad_specs(spec, medical_closure, medical_da
         ("timeout", float("inf"), "timeout must be a finite number of seconds above 0, got inf"),
         ("retries", -1, "retries must be >= 0, got -1"),
         ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+        ("endpoint", "ftp://h/x", "endpoint must be an http or https URL: 'ftp://h/x'"),
+        ("endpoint", "localhost:8000/x", "endpoint must be an http or https URL: 'localhost:8000/x'"),
     ],
 )
 def test_remote_backend_refuses_options_that_cannot_work(tmp_path, option, value, message):
     with pytest.raises(cc.ConfigError, match=f"^{re.escape(message)}$"):
-        cc.RemoteBackend("http://127.0.0.1:1/x", "m", **{option: value})
+        cc.RemoteBackend(**{"endpoint": "http://127.0.0.1:1/x", "model": "m", option: value})
     spec = {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "cache_dir": str(tmp_path / "c")}
     with pytest.raises(cc.ConfigError, match=f"^{re.escape(message)}$"):
         cc.backend_from_config({**spec, option: value})

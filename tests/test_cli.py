@@ -99,6 +99,16 @@ def test_extract_unknown_seed(runner, tmp_path):
     assert "not in the dump" in result.stderr
 
 
+def test_extract_refuses_a_non_http_endpoint_before_making_its_cache(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run(
+        runner, "extract", "--endpoint", "ftp://h/x", "--seed-concept", "Q1",
+        "--cache-dir", "c", "--out", "g.json", code=2,
+    )
+    assert result.stderr == "error: endpoint must be an http or https URL: 'ftp://h/x'\n"
+    assert not (tmp_path / "c").exists()
+
+
 def test_extract_from_live_endpoint(runner, tmp_path):
     def record(id, label, parents=()):
         claims = {

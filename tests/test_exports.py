@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -55,3 +56,34 @@ def test_every_module_imports_on_its_own(module):
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# Modules that only building a client needs, or that the package no longer
+# uses; a command that opens no connection must not pay for their import.
+NOT_ON_IMPORT = {"http.client", "ssl", "socket", "email", "conceptcheck.transport", "importlib.resources"}
+SHOW_MODULES = "import sys; print('\\n'.join(sys.modules))"
+
+
+def modules_added(statements: str) -> set[str]:
+    """The modules a fresh interpreter holds after `statements` beyond those a bare
+    one holds, so a module that a site hook preloads counts on neither side."""
+    search_path = filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(search_path)}
+
+    def loaded(code: str) -> set[str]:
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    return loaded(f"{statements}; {SHOW_MODULES}") - loaded(SHOW_MODULES)
+
+
+@pytest.mark.parametrize("module", ["conceptcheck", "conceptcheck.cli"])
+def test_importing_the_package_loads_no_http_stack(module):
+    added = modules_added(f"import {module}")
+    assert module in added
+    assert added & NOT_ON_IMPORT == set()
+
+
+def test_building_a_remote_backend_loads_the_transport():
+    assert "conceptcheck.transport" in modules_added("import conceptcheck; conceptcheck.RemoteBackend('http://127.0.0.1:1/x', 'm')")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 import time
 
 import pytest
@@ -473,6 +474,13 @@ def test_fetch_live_rejects_non_advancing_pagination():
     with serving(app) as (url, _):
         with pytest.raises(cc.MalformedResponse):
             fetch(url)
+
+
+def test_fetch_live_refuses_a_non_http_endpoint_before_making_its_cache(tmp_path):
+    message = "endpoint must be an http or https URL: 'ftp://h/x'"
+    with pytest.raises(cc.ConfigError, match=f"^{re.escape(message)}$"):
+        cc.fetch_live(cc.ExtractionSpec(seed_concept="Q1"), "ftp://h/x", cache_dir=tmp_path / "c")
+    assert not (tmp_path / "c").exists()
 
 
 def test_fetch_live_unreachable_endpoint():
