@@ -16,15 +16,21 @@ of (graph, config), so a fixed seed reproduces a dataset byte for byte.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
+from string import Formatter
+from typing import Callable, Iterator
 
 from .answers import Answer
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
-from .errors import ConfigError, SchemaViolation, UnknownTemplate, digest, read_json, write_json
+from .errors import ConfigError, SchemaViolation, UnknownTemplate, canonical_json, read_json, write_text
 from .hierarchy import (
     ConceptGraph,
     ConceptId,
@@ -120,8 +126,14 @@ class ClusterDataset:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Stable content hash binding results files to this dataset."""
-        return digest(dataset_to_dict(self))
+        """Stable content hash binding results files to this dataset: the
+        sha256 of the compact JSON of its fields (sorted keys, no spaces,
+        ASCII escapes), fed to the hash one cluster at a time."""
+        sha = hashlib.sha256(b'{"clusters":[')
+        for cluster in _encoded_clusters(self.clusters, _COMPACT):
+            sha.update(cluster.encode())
+        sha.update(("]," + canonical_json(_other_fields(self))[1:]).encode())
+        return sha.hexdigest()
 
 
 # --- question forms ------------------------------------------------------------
@@ -154,11 +166,27 @@ def _article(label: str, style: str) -> str:
 def render_forms(forms: tuple[str, ...], fill: dict[str, str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The questions and, in parallel, the statements of `forms`, with each
     field taken from `fill`; an unknown form raises UnknownTemplate."""
+    return _renderer(tuple(forms))(fill)
+
+
+@cache
+def _renderer(forms: tuple[str, ...]) -> Callable[[dict[str, str]], tuple[tuple[str, ...], tuple[str, ...]]]:
+    """One function rendering `forms` as `format_map` would, built once per
+    forms tuple the way `namedtuple` builds its methods: each format string
+    of the table, whose fields are plain names, is also an f-string over
+    locals of those names, so no cluster parses one."""
     try:
         rows = [QUESTION_FORMS[form] for form in forms]
     except KeyError as exc:
         raise UnknownTemplate(exc.args[0]) from None
-    return tuple(q.format_map(fill) for q, _ in rows), tuple(s.format_map(fill) for _, s in rows)
+    fields = sorted({field for row in rows for text in row for _, field, _, _ in Formatter().parse(text) if field})
+    questions, statements = ("".join(f"f{row[side]!r}, " for row in rows) for side in (0, 1))
+    names = "".join(f"{field}, " for field in fields)
+    values = "".join(f"_fill[{field!r}], " for field in fields)
+    source = f"def render(_fill):\n    ({names}) = ({values})\n    return ({questions}), ({statements})\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["render"]
 
 
 # --- generators -------------------------------------------------------------
@@ -389,26 +417,47 @@ def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDa
 # --- dataset file format ----------------------------------------------------
 
 
-def dataset_to_dict(dataset: ClusterDataset) -> dict:
-    clusters = []
-    for c in dataset.clusters:
-        entry: dict = {
-            "id": c.id,
-            "type": c.type.value,
-            "expected": c.expected.value,
-            "source": c.source,
-            "target": c.target,
-            "questions": list(c.questions),
-            "statements": list(c.statements),
-        }
-        if c.path is not None:
-            entry["path"] = list(c.path)
-        clusters.append(entry)
+# One cluster as json.dumps(..., sort_keys=True) writes it: `_INDENTED` as in
+# the dataset file (indent=2), `_COMPACT` as the fingerprint hashes it
+# (separators "," and ":"). Each is the separator before every cluster but
+# the first, the cluster template, the "path" entry (on path clusters only),
+# and how a non-empty list of strings opens, separates and closes; an empty
+# list is "[]" in both.
+_INDENTED = (
+    ",\n    ",
+    '%s{\n      "expected": %s,\n      "id": %s,\n%s      "questions": %s,\n      "source": %s,\n'
+    '      "statements": %s,\n      "target": %s,\n      "type": %s\n    }',
+    '      "path": %s,\n', "[\n        ", ",\n        ", "\n      ]",
+)
+_COMPACT = (
+    ",", '%s{"expected":%s,"id":%s,%s"questions":%s,"source":%s,"statements":%s,"target":%s,"type":%s}',
+    '"path":%s,', "[", ",", "]",
+)
+
+
+def _encoded_clusters(clusters: tuple[QuestionCluster, ...], layout: tuple[str, ...]) -> Iterator[str]:
+    """Each cluster in `layout`, after its separator, with every string
+    quoted by the C escaping json.dumps itself uses (`encode_basestring_ascii`)."""
+    between, template, path_entry, opened, comma, closed = layout
+
+    def strings(items: tuple[str, ...]) -> str:
+        return opened + comma.join(map(quote, items)) + closed if items else "[]"
+
+    separator = ""
+    for c in clusters:
+        yield template % (
+            separator, quote(c.expected.value), quote(c.id),
+            "" if c.path is None else path_entry % strings(c.path), strings(c.questions), quote(c.source),
+            strings(c.statements), quote(c.target), quote(c.type.value),
+        )
+        separator = between
+
+
+def _other_fields(dataset: ClusterDataset) -> dict:
+    """The dataset's fields after "clusters", which sorts first of them."""
     return {
+        "config": dataset.config.to_dict(), "graph_fingerprint": dataset.graph_fingerprint,
         "version": dataset.version,
-        "graph_fingerprint": dataset.graph_fingerprint,
-        "config": dataset.config.to_dict(),
-        "clusters": clusters,
     }
 
 
@@ -453,7 +502,16 @@ def dataset_from_dict(data: object) -> ClusterDataset:
 
 
 def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:
-    write_json(path, dataset_to_dict(dataset))
+    """Write the bytes json.dumps(..., indent=2, sort_keys=True) gives for
+    the dataset as a JSON object, and a final newline.
+
+    Each cluster is written as it is encoded, so the file's text is never
+    held whole.
+    """
+    opened, closed = ("[\n    ", "\n  ]") if dataset.clusters else ("[", "]")
+    others = json.dumps(_other_fields(dataset), indent=2, sort_keys=True)[1:]
+    clusters = _encoded_clusters(dataset.clusters, _INDENTED)
+    write_text(path, chain(['{\n  "clusters": ', opened], clusters, [closed, ",", others, "\n"]))
 
 
 def read_dataset(path: str | Path) -> ClusterDataset:

@@ -207,11 +207,13 @@ def digest(obj: object) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to the file at `path` as UTF-8, as a ConfigError naming
-    it when a directory, a missing parent or the system stands in the way."""
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or each string of an iterable of them in turn, to the
+    file at `path` as UTF-8, as a ConfigError naming it when a directory, a
+    missing parent or the system stands in the way."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.writelines((text,) if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -122,6 +122,10 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
             raw = backend.answer(question, prefix)
         except ConceptCheckError:
             return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
+        if not raw.isascii():
+            # A results file reads a surrogate pair back as the one character
+            # it encodes, so the record holds that character already.
+            raw = raw.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
         normalized = normalize_answer(raw)
         return AnswerRecord(cluster_id, idx, raw=raw, normalized=normalized, correct=normalized == expected)
 

@@ -7,6 +7,7 @@ inside its oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -204,6 +205,37 @@ def render_prompt_by_joining(
     parts.append(f"Q: {question}")
     parts.append("A:")
     return "\n".join(parts)
+
+
+def dataset_to_dict(dataset) -> dict:
+    """A ClusterDataset as the JSON object its file and fingerprint encode:
+    every field, with "path" on path clusters only."""
+    clusters = []
+    for c in dataset.clusters:
+        entry: dict = {
+            "id": c.id,
+            "type": c.type.value,
+            "expected": c.expected.value,
+            "source": c.source,
+            "target": c.target,
+            "questions": list(c.questions),
+            "statements": list(c.statements),
+        }
+        if c.path is not None:
+            entry["path"] = list(c.path)
+        clusters.append(entry)
+    return {
+        "version": dataset.version,
+        "graph_fingerprint": dataset.graph_fingerprint,
+        "config": dataclasses.asdict(dataset.config),
+        "clusters": clusters,
+    }
+
+
+def dataset_file_by_hand(dataset) -> bytes:
+    """The bytes of a dataset file: `dataset_to_dict` as indented JSON with
+    sorted keys and a final newline, from the standard library's encoder."""
+    return (json.dumps(dataset_to_dict(dataset), indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def fingerprint_by_hand(obj: object) -> str:

@@ -400,12 +400,12 @@ def test_result_sets_must_answer_each_question_once_in_order(medical_dataset, me
 def test_dataset_is_serialized_for_its_fingerprint_at_most_once(medical_graph, medical_closure, template):
     dataset = cc.generate_dataset(medical_graph, cc.MEDICAL_GENERATION)
     noisy = cc.NoisyOracle(medical_closure, dataset, flip_probability=0.3, seed=7)
-    with patch.object(clusters, "dataset_to_dict", wraps=clusters.dataset_to_dict) as serialize:
+    with patch.object(clusters, "_encoded_clusters", wraps=clusters._encoded_clusters) as encode:
         rs = cc.evaluate_dataset(dataset, noisy, template)
         cc.build_context([rs], dataset)
         for _ in range(3):
             cc.compute_report(rs, dataset)
-    assert serialize.call_count == 1
+    assert [call.args for call in encode.call_args_list] == [(dataset.clusters, clusters._COMPACT)]
 
 
 def test_group_count_pct_handles_empty_group():

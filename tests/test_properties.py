@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
-from conceptcheck import hierarchy
+from conceptcheck import clusters, hierarchy
 from conceptcheck.clusters import QUESTION_FORMS, SUBSUMPTION_FORMS, _article, gen_path_clusters, render_forms
 from conceptcheck.ingest import DIRECTIONS
 from oracles import (
@@ -257,6 +257,35 @@ def test_form_table_renders_the_hand_written_questions_and_statements(a, b, p, v
         *(subsumption_statement_by_hand(f, a, b, style) for f in SUBSUMPTION_FORMS),
         *(property_statement_by_hand(f, p, a, v, style) for f in PROPERTY_FORMS),
     )
+
+
+# The forms tuples the generators hand `render_forms`: subsumption clusters,
+# then a property cluster's premise and its inherited forms.
+GENERATED_FORMS = {SUBSUMPTION_FORMS, ("property_of",), ("plain", "property_of", "value_is")}
+
+
+def test_generators_render_only_the_checked_forms_tuples(medical_graph):
+    with patch.object(clusters, "render_forms", wraps=render_forms) as render:
+        cc.generate_dataset(medical_graph, cc.MEDICAL_GENERATION)
+    assert {call.args[0] for call in render.call_args_list} == GENERATED_FORMS
+
+
+# Format braces, percent signs, quotes and backslashes, which a compiled
+# form must copy as text, never read as syntax.
+syntax_text = st.lists(
+    st.sampled_from(("{", "}", "{}", "{a}", "{0}", "%", "%s", '"', "'", "\\", "\\n", "\n", "a", " ")), max_size=5,
+).map("".join)
+
+
+@CHECK
+@given(a=syntax_text, b=syntax_text, p=syntax_text, v=syntax_text, style=styles)
+def test_compiled_forms_render_as_format_map_does(a, b, p, v, style):
+    fill = {"a": a, "ar_a": _article(a, style), "b": b, "ar_b": _article(b, style), "p": p, "v": v}
+    for forms in [(form,) for form in QUESTION_FORMS] + sorted(GENERATED_FORMS):
+        assert render_forms(forms, fill) == (
+            tuple(QUESTION_FORMS[form][0].format_map(fill) for form in forms),
+            tuple(QUESTION_FORMS[form][1].format_map(fill) for form in forms),
+        )
 
 
 def one_spelling_per_slug(assertions) -> bool:

@@ -1,5 +1,6 @@
 """Round trips and fingerprints on random inputs: graph, dataset, results
-and context files survive save -> load -> save byte for byte, every
+and context files survive save -> load -> save byte for byte, a dataset
+file holds the bytes the standard library's encoder writes, every
 fingerprint equals the hand-written formula in `oracles.py`, including for
 non-ASCII and astral text, and the JSON-lines decoder reads each line as
 `json.loads` does."""
@@ -7,7 +8,6 @@ non-ASCII and astral text, and the JSON-lines decoder reads each line as
 from __future__ import annotations
 
 import json
-import re
 import warnings
 
 import pytest
@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
-from conceptcheck.clusters import dataset_to_dict
 from conceptcheck.errors import decode_json_line
+from conceptcheck.evaluation import ask_and_judge
 from conceptcheck.hierarchy import _slug
-from oracles import fingerprint_by_hand
+from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand
 
 CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -26,15 +26,20 @@ CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None
 # astral characters made likely.
 text = st.text(st.one_of(st.sampled_from('"\\\n\té中\U0001f600\U00010348 '), st.characters()))
 nonempty = text.filter(bool)
+# Labels for the dataset checks: format braces, percent signs, quotes,
+# backslashes, U+2028, lone surrogates and astral characters made likely.
+label_text = st.text(
+    st.one_of(st.sampled_from('{}%"\\\u2028\ud800\udfff\U0001f600\U00010348é '), st.characters()), min_size=1
+)
 # Property names and values with distinct slugs, so any choice of them is valid.
 PROPERTY_NAMES = ("färg", "\U0001d538ge", 'name "x"')
 PROPERTY_VALUES = ("ок", "\U0001d51flue", "a\\b", "中")
 
 
 @st.composite
-def graphs(draw) -> cc.ConceptGraph:
+def graphs(draw, label=nonempty) -> cc.ConceptGraph:
     ids = draw(st.lists(nonempty, min_size=1, max_size=6, unique=True))
-    labels = draw(st.lists(nonempty, min_size=len(ids), max_size=len(ids), unique_by=_slug))
+    labels = draw(st.lists(label, min_size=len(ids), max_size=len(ids), unique_by=_slug))
     concepts = [
         cc.Concept(id=i, label=label, aliases=tuple(draw(st.lists(text, max_size=2))))
         for i, label in zip(ids, labels)
@@ -69,39 +74,89 @@ def test_graph_file_round_trips(graph, tmp_path_factory):
     assert cc.load_graph(tmp / "first") == graph
 
 
+# A graph that generates no cluster, and one whose path clusters, with
+# min_path_len 3, have more than one path between the same endpoints.
+LONE_CONCEPT = cc.build_graph([cc.Concept(id="c", label="c")], [])
+TWO_WAYS = cc.build_graph(
+    [cc.Concept(id=i, label=label) for i, label in zip("abcde", ('x{0}', "50%", 'say "hi"', "a\\b", "\u2028\ud800"))],
+    [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("e", "c")],
+    [cc.PropertyAssertion(subject="d", property="{p}", value="%s")],
+)
+
+
 @CHECK
 @given(
-    graph=graphs(),
+    graph=graphs(label_text),
     seed=st.integers(0, 100),
     negatives=st.integers(0, 3),
     style=st.sampled_from(("literal", "grammatical")),
+    granularity=st.sampled_from(("pair", "path")),
+    min_path_len=st.integers(1, 3),
 )
-def test_dataset_file_round_trips_and_fingerprint_matches_formula(graph, seed, negatives, style, tmp_path_factory):
-    config = cc.GenerationConfig(seed=seed, negative_count=negatives, article_style=style)
+@example(graph=LONE_CONCEPT, seed=0, negatives=1, style="literal", granularity="pair", min_path_len=2)
+@example(graph=TWO_WAYS, seed=0, negatives=0, style="grammatical", granularity="path", min_path_len=3)
+def test_dataset_file_round_trips_and_fingerprint_matches_formula(
+    graph, seed, negatives, style, granularity, min_path_len, tmp_path_factory
+):
+    config = cc.GenerationConfig(
+        seed=seed, negative_count=negatives, article_style=style,
+        path_granularity=granularity, min_path_len=min_path_len,
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
         dataset = cc.generate_dataset(graph, config)
     tmp = tmp_path_factory.mktemp("d")
     first, second = _twice(cc.write_dataset, cc.read_dataset, dataset, tmp)
     assert first == second
+    assert first == dataset_file_by_hand(dataset)
     assert cc.dataset_fingerprint(dataset) == fingerprint_by_hand(dataset_to_dict(dataset))
     assert cc.read_dataset(tmp / "first").fingerprint == dataset.fingerprint
 
 
+def test_dataset_file_holds_empty_lists_as_the_encoder_writes_them(tmp_path):
+    # No generator makes an empty list; a dataset built by hand may hold one.
+    cluster = cc.QuestionCluster("c", cc.ClusterType.PATH, cc.Answer.YES, "a", "b", (), (), ())
+    dataset = cc.ClusterDataset("1", "g", cc.GenerationConfig(), (cluster,))
+    cc.write_dataset(dataset, tmp_path / "d.json")
+    assert (tmp_path / "d.json").read_bytes() == dataset_file_by_hand(dataset)
+    assert dataset.fingerprint == fingerprint_by_hand(dataset_to_dict(dataset))
+
+
 # Lone surrogates, U+2028, U+0085, NUL and DEL made likely too: an answer line
 # must escape each of them as the JSON encoder does. A high surrogate before a
-# low one is left out, as JSON reads the two back as one astral character.
+# low one is an answer a results file must read back too.
 answer_text = st.text(st.one_of(
     st.sampled_from('"\\\n\té中\U0001f600\U00010348 \ud800\udfff\u2028\x85\x00\x7f'), st.characters()
-)).filter(lambda s: not re.search("[\ud800-\udbff][\udc00-\udfff]", s))
+))
+
+
+class Replying:
+    """A backend that answers `raw` to every question, or fails when it is None."""
+
+    id = "replying"
+
+    def __init__(self, raw: str | None):
+        self.raw = raw
+
+    def answer(self, question: str, prefix: str) -> str:
+        if self.raw is None:
+            raise cc.NetworkError("no answer")
+        return self.raw
+
+
+def answer_record(cluster_id: str, index: int, raw: str | None, expected: cc.Answer) -> cc.AnswerRecord:
+    """The record `ask_and_judge` makes of the answer `raw`."""
+    (record,) = ask_and_judge([(cluster_id, index, "q ?", "", expected)], Replying(raw))
+    return record
+
+
 answer_records = st.builds(
-    cc.AnswerRecord,
-    cluster_id=answer_text.filter(bool),
-    question_index=st.integers(0, 10**6),
-    raw=answer_text,
-    normalized=st.sampled_from(cc.Answer),
-    correct=st.booleans(),
-    error=st.booleans(),
+    answer_record,
+    # A cluster id as a dataset file reads it back.
+    cluster_id=answer_text.filter(bool).map(lambda s: json.loads(json.dumps(s))),
+    index=st.integers(0, 10**6),
+    raw=st.none() | st.sampled_from(("yes", "No.")) | answer_text,
+    expected=st.sampled_from((cc.Answer.YES, cc.Answer.NO)),
 )
 
 
@@ -114,7 +169,10 @@ answer_records = st.builds(
     context_fingerprint=st.none() | text,
     records=st.lists(answer_records, max_size=6).map(tuple),
 ))
-@example(resultset=cc.ResultSet("b", "d", "p", None, (cc.AnswerRecord("c", 0, "", cc.Answer.OTHER, False, True),)))
+@example(resultset=cc.ResultSet("b", "d", "p", None, (answer_record("c", 0, None, cc.Answer.YES),)))
+@example(resultset=cc.ResultSet("b", "d", "p", None, (
+    answer_record("c", 0, "\ud800\udc00", cc.Answer.YES), answer_record("c", 1, "\udfff\ud800 \ud800", cc.Answer.NO),
+)))
 def test_results_file_round_trips(resultset, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("r")
     first, second = _twice(cc.write_results, cc.read_results, resultset, tmp)
