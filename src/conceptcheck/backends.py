@@ -1,8 +1,8 @@
 """Answering backends and prompt plumbing.
 
 A backend turns (question, prompt prefix) into raw answer text. Four
-kinds exist: a remote HTTP model, a perfect oracle that answers from the
-deductive closure, a noisy oracle that flips the perfect answer with a
+kinds exist: a remote HTTP model, a perfect oracle giving each question's
+expected answer, a noisy oracle that flips the perfect answer with a
 seeded probability, and a scripted backend replaying a fixed answer map.
 Remote calls go through an on-disk cache so a warm rerun makes zero
 network requests and reproduces files byte for byte.
@@ -216,20 +216,27 @@ class Backend:
         raise NotImplementedError
 
 
-def _expected_by_question(dataset: ClusterDataset) -> dict[str, Answer]:
-    # A question text repeated across clusters always carries the same
-    # truth value, so last-write-wins assembly is safe.
-    out: dict[str, Answer] = {}
-    for cluster in dataset.clusters:
-        for q in cluster.questions:
-            out[q] = cluster.expected
-    return out
+class ScriptedBackend(Backend):
+    """Replays a fixed question -> raw answer mapping, else its default; the
+    oracles are scripted backends too, so this is their one lookup."""
+
+    by_prompt = False  # key the answers by the full prompt, not the bare question
+
+    def __init__(self, answers: dict[str, str], *, default: str | None = None, id: str = "scripted"):
+        self._answers = dict(answers)
+        self._default = default
+        self.id = id
+
+    def answer(self, question: str, prefix: str) -> str:
+        raw = self._answers.get(prompt_with_prefix(prefix, question) if self.by_prompt else question, self._default)
+        if raw is None:
+            raise MismatchedDataset(f"backend {self.id} has no answer for {question!r}")
+        return raw
 
 
-class PerfectOracle(Backend):
-    """Answers every dataset question with its closure-determined truth."""
-
-    id = "perfect"
+class PerfectOracle(ScriptedBackend):
+    """Answers each dataset question from the dataset's `answer_key`; the
+    closure only binds the dataset to its graph."""
 
     def __init__(self, closure: DeductiveClosure, dataset: ClusterDataset):
         if closure.derived_from != dataset.graph_fingerprint:
@@ -237,13 +244,7 @@ class PerfectOracle(Backend):
                 f"closure is for graph {closure.derived_from[:12]}..., "
                 f"dataset for {dataset.graph_fingerprint[:12]}..."
             )
-        self._expected = _expected_by_question(dataset)
-
-    def answer(self, question: str, prefix: str) -> str:
-        try:
-            return self._expected[question].value
-        except KeyError:
-            raise MismatchedDataset(f"question not in bound dataset: {question!r}") from None
+        super().__init__(dataset.answer_key(), id="perfect")
 
 
 class NoisyOracle(Backend):
@@ -278,22 +279,6 @@ class NoisyOracle(Backend):
         if self._flips(question):
             return Answer.NO.value if truth == Answer.YES.value else Answer.YES.value
         return truth
-
-
-class ScriptedBackend(Backend):
-    """Replays a fixed question -> raw answer mapping."""
-
-    def __init__(self, answers: dict[str, str], *, default: str | None = None, id: str = "scripted"):
-        self._answers = dict(answers)
-        self._default = default
-        self.id = id
-
-    def answer(self, question: str, prefix: str) -> str:
-        if question in self._answers:
-            return self._answers[question]
-        if self._default is not None:
-            return self._default
-        raise MismatchedDataset(f"scripted answers do not cover: {question!r}")
 
 
 _ANSWER_FILE_FIELDS = {

@@ -168,6 +168,13 @@ def _load_graph_arg(graph: str | None, config: dict) -> ConceptGraph:
     return load_graph(resolve_path(path))
 
 
+def _load_dataset(dataset_path: str | None, config: dict) -> ClusterDataset:
+    path = _merge(dataset_path, config["dataset"])
+    if path is None:
+        raise ConfigError("a dataset file is required (--dataset or config dataset)")
+    return read_dataset(resolve_path(path))
+
+
 @click.group()
 @click.option("--config", "config_path", default=None, metavar="FILE", help="JSON run-config file.")
 @click.option("--verbose", is_flag=True, help="Log progress details to stderr.")
@@ -386,10 +393,7 @@ def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title=
 def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cache_dir, out_dir):
     """Run backends over a dataset; write per-backend results and a report."""
     config = ctx.obj
-    dataset_path = _merge(dataset_path, config["dataset"])
-    if dataset_path is None:
-        raise ConfigError("a dataset file is required (--dataset or config dataset)")
-    dataset = read_dataset(resolve_path(dataset_path))
+    dataset = _load_dataset(dataset_path, config)
     template = _load_prompt(prompt, config)
     context = load_context(resolve_path(context_path)) if context_path else None
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
@@ -403,7 +407,7 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
 
 
 @main.command()
-@click.option("--dataset", "dataset_path", required=True, metavar="FILE")
+@click.option("--dataset", "dataset_path", default=None, metavar="FILE")
 @click.option("--baseline", "baseline_paths", multiple=True, required=True, metavar="FILE",
               help="Results file from an un-augmented run. Repeatable.")
 @click.option("--graph", default=None, metavar="FILE")
@@ -418,7 +422,7 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
             granularity, cache_dir, out_dir):
     """Build context from jointly-missed questions and re-evaluate with it."""
     config = ctx.obj
-    dataset = read_dataset(resolve_path(dataset_path))
+    dataset = _load_dataset(dataset_path, config)
     baselines, baseline_rows = _read_baselines(baseline_paths, dataset)
     context = build_context(
         baselines, dataset, granularity=_merge(granularity, config["granularity"], "question")
@@ -505,7 +509,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
 
 
 @main.command()
-@click.option("--dataset", "dataset_path", required=True, metavar="FILE")
+@click.option("--dataset", "dataset_path", default=None, metavar="FILE")
 @click.option("--results", "results_paths", multiple=True, required=True, metavar="FILE",
               help="Results file to include as a row. Repeatable.")
 @click.option("--baseline", "baseline_paths", multiple=True, metavar="FILE",
@@ -516,7 +520,7 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
 @_fail_gracefully
 def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
     """Re-render the consistency report from stored results files."""
-    dataset = read_dataset(resolve_path(dataset_path))
+    dataset = _load_dataset(dataset_path, ctx.obj)
     rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
     baselines = _read_baselines(baseline_paths, dataset)[1] if baseline_paths else None
     out = Path(out_dir)

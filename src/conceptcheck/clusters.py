@@ -26,7 +26,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .answers import Answer
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
@@ -134,6 +134,38 @@ class ClusterDataset:
             sha.update(cluster.encode())
         sha.update(("]," + canonical_json(_other_fields(self))[1:]).encode())
         return sha.hexdigest()
+
+    def answer_key(self) -> dict[str, str]:
+        """Each question's one expected answer, "yes" or "no", by `answer_table`."""
+        clusters = self.clusters
+        return answer_table([c.id for c in clusters], [c.expected for c in clusters], [c.questions for c in clusters])
+
+
+def answer_table(
+    names: Sequence[str], answers: Sequence[Answer], texts: Sequence[Sequence[str]],
+    questions: Sequence[Sequence[str]] | None = None, named: str = "clusters", where: str = "",
+) -> dict[str, str]:
+    """Each text's one expected answer, "yes" or "no". Source `names[i]`
+    expects `answers[i]` to every text of `texts[i]`; a text is a question or
+    a scenario's whole prompt, and `questions[i]` (by default `texts[i]`)
+    holds the bare question each text asks. No backend could answer a text
+    both ways, so a text two sources expect different answers to is refused
+    with SchemaViolation naming both sources and the question.
+    """
+    yes, no = (dict.fromkeys(chain.from_iterable(g for a, g in zip(answers, texts) if a is kind), kind.value)
+               for kind in (Answer.YES, Answer.NO))  # `kind` is local: an Enum member lookup costs 0.1 µs
+    if not yes.keys().isdisjoint(no):
+        first: dict[str, tuple[str, Answer]] = {}
+        for name, answer, group, shown in zip(names, answers, texts, questions or texts):
+            for text, question in zip(group, shown):
+                first_name, first_answer = first.setdefault(text, (name, answer))
+                if first_answer is not answer:
+                    raise SchemaViolation(
+                        f"{named} {first_name} and {name} ask {question!r}{where} "
+                        f"with expected answers {first_answer.value} and {answer.value}"
+                    )
+    yes.update(no)
+    return yes
 
 
 # --- question forms ------------------------------------------------------------
@@ -389,8 +421,14 @@ def gen_property_clusters(
     return clusters
 
 
-def _duplicate_ids(clusters) -> list[str]:
-    return sorted(i for i, n in Counter(c.id for c in clusters).items() if n > 1)
+def _checked_dataset(fingerprint: str, config: GenerationConfig, clusters: tuple) -> ClusterDataset:
+    """The dataset of `clusters`, once no two share an id and no question has two expected answers."""
+    dupes = sorted(i for i, n in Counter(c.id for c in clusters).items() if n > 1)
+    if dupes:
+        raise SchemaViolation(f"duplicate cluster ids: {dupes}")
+    dataset = ClusterDataset(DATASET_FORMAT_VERSION, fingerprint, config, clusters)
+    dataset.answer_key()
+    return dataset
 
 
 def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDataset:
@@ -403,15 +441,7 @@ def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDa
     clusters += gen_negative_clusters(graph, closure, config)
     clusters += gen_path_clusters(graph, closure, config)
     clusters += gen_property_clusters(graph, closure, config)
-    dupes = _duplicate_ids(clusters)
-    if dupes:
-        raise SchemaViolation(f"duplicate cluster ids generated: {dupes}")
-    return ClusterDataset(
-        version=DATASET_FORMAT_VERSION,
-        graph_fingerprint=graph.fingerprint,
-        config=config,
-        clusters=tuple(clusters),
-    )
+    return _checked_dataset(graph.fingerprint, config, tuple(clusters))
 
 
 # --- dataset file format ----------------------------------------------------
@@ -489,16 +519,7 @@ def _cluster_from_dict(entry: object) -> QuestionCluster:
 def dataset_from_dict(data: object) -> ClusterDataset:
     _, fingerprint, config, clusters_raw = read_fields(data, _DATASET_FIELDS, "dataset file")
     config = GenerationConfig.from_dict(config, "dataset config")
-    clusters = tuple(map(_cluster_from_dict, clusters_raw))
-    dupes = _duplicate_ids(clusters)
-    if dupes:
-        raise SchemaViolation(f"duplicate cluster ids: {dupes}")
-    return ClusterDataset(
-        version=DATASET_FORMAT_VERSION,
-        graph_fingerprint=fingerprint,
-        config=config,
-        clusters=clusters,
-    )
+    return _checked_dataset(fingerprint, config, tuple(map(_cluster_from_dict, clusters_raw)))
 
 
 def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:

@@ -225,4 +225,4 @@ def write_json(path: str | Path, obj: object) -> None:
 
 def write_json_lines(path: str | Path, objs: Iterable[object]) -> None:
     """Write each object as one `canonical_json` line."""
-    write_text(path, "".join(canonical_json(obj) + "\n" for obj in objs))
+    write_text(path, [canonical_json(obj) + "\n" for obj in objs])

@@ -451,7 +451,7 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
         )
         for cluster_id, index, raw, normalized, correct, error in resultset.records
     ]
-    write_text(path, "".join(lines))
+    write_text(path, lines)
 
 
 def read_results(path: str | Path) -> ResultSet:

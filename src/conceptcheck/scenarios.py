@@ -26,11 +26,11 @@ from pathlib import Path
 from string import Formatter
 
 from .answers import Answer
-from .backends import Backend, PromptTemplate, prompt_with_prefix, render_prefix
+from .backends import Backend, PromptTemplate, ScriptedBackend, prompt_with_prefix, render_prefix
+from .clusters import answer_table
 from .errors import TEXT, one_of, read_fields
 from .errors import (
     ConfigError,
-    MismatchedDataset,
     SchemaViolation,
     UnknownConcept,
     read_json,
@@ -130,7 +130,7 @@ def expected_answer(
     kind: ScenarioQuestionKind,
 ) -> Answer:
     """Closure-determined truth for one scenario question."""
-    applies = specialist == scenario.anchor or is_subconcept(closure, specialist, scenario.anchor)
+    applies = is_subconcept(closure, specialist, scenario.anchor, reflexive=True)
     if kind is ScenarioQuestionKind.APPLICABILITY or scenario.polarity == "grant":
         return Answer.YES if applies else Answer.NO
     return Answer.NO if applies else Answer.YES
@@ -170,9 +170,9 @@ def _scenario_jobs(
     graph: ConceptGraph,
     closure: DeductiveClosure,
     template: PromptTemplate,
-) -> tuple[list[tuple[PolicyScenario, list[ScenarioQuestion]]], list[Job], dict[str, ScenarioQuestion]]:
+) -> tuple[list[tuple[PolicyScenario, list[ScenarioQuestion]]], list[Job], dict[str, str]]:
     """Each scenario with its questions, the `ask_and_judge` jobs that ask
-    them, and the question each full prompt asks.
+    them, and the `answer_table` of their full prompts.
 
     Each scenario's policy line is the context of its questions, rendered
     once per scenario into the prefix they share. A job's cluster id is its
@@ -190,23 +190,20 @@ def _scenario_jobs(
     repeated = [s for s, n in Counter(specialists).items() if n > 1]
     if repeated:
         raise ConfigError(f"the specialist roster repeats {', '.join(repeated)}")
-    asked, jobs, by_prompt = [], [], {}
+    asked, jobs = [], []
     for scenario in scenarios:
         questions = gen_scenario_questions(scenario, specialists, graph, closure)
         prefix = render_prefix(template, (scenario.policy_text,))
-        for idx, q in enumerate(questions):
-            first = by_prompt.setdefault(prompt_with_prefix(prefix, q.question), q)
-            if first.expected is not q.expected:
-                raise SchemaViolation(
-                    f"scenarios {first.scenario_id} and {q.scenario_id} ask {q.question!r} below one policy text "
-                    f"with expected answers {first.expected.value} and {q.expected.value}"
-                )
-            jobs.append((scenario.id, idx, q.question, prefix, q.expected))
+        jobs += [(scenario.id, idx, q.question, prefix, q.expected) for idx, q in enumerate(questions)]
         asked.append((scenario, questions))
-    return asked, jobs, by_prompt
+    return asked, jobs, answer_table(
+        [job[0] for job in jobs], [job[4] for job in jobs],
+        [(prompt_with_prefix(job[3], job[2]),) for job in jobs], [(job[2],) for job in jobs],
+        "scenarios", " below one policy text",
+    )
 
 
-class ScenarioOracle(Backend):
+class ScenarioOracle(ScriptedBackend):
     """Answers every scenario question correctly.
 
     Keyed by the full prompt, which it joins from the prefix and the
@@ -216,6 +213,8 @@ class ScenarioOracle(Backend):
     makes the prompt unambiguous, and scenarios whose prompts would not be
     are refused with SchemaViolation.
     """
+
+    by_prompt = True
 
     def __init__(
         self,
@@ -227,17 +226,7 @@ class ScenarioOracle(Backend):
         *,
         id: str = "perfect",
     ):
-        self.id = id
-        _, _, by_prompt = _scenario_jobs(scenarios, specialists, graph, closure, template)
-        self._expected = {prompt: q.expected.value for prompt, q in by_prompt.items()}
-
-    def answer(self, question: str, prefix: str) -> str:
-        try:
-            return self._expected[prompt_with_prefix(prefix, question)]
-        except KeyError:
-            raise MismatchedDataset(
-                f"scenario oracle was built for different scenarios: {question!r}"
-            ) from None
+        super().__init__(_scenario_jobs(scenarios, specialists, graph, closure, template)[2], id=id)
 
 
 def evaluate_scenarios(

@@ -310,6 +310,22 @@ def test_generate_caps_unsatisfiable_negative_count(runner, tmp_path):
     assert "negative_edge: 70" in result.output
 
 
+def test_generate_refuses_a_question_with_two_expected_answers(runner, tmp_path):
+    graph = tmp_path / "graph.json"
+    cc.save_graph(make_graph([("x", "y a z"), ("x a y", "r"), ("z", "r")]), graph)
+    out = tmp_path / "dataset.json"
+    with pytest.warns(cc.InsufficientPairsWarning):
+        result = run(
+            runner, "generate", "--graph", graph, "--seed", 1, "--negative-count", 20, "--min-distance", 1,
+            "--out", out, code=2,
+        )
+    assert result.stderr == (
+        "error: clusters positive-edge:x:y-a-z and negative-edge:x-a-y:z ask 'is a x a y a z ?' "
+        "with expected answers yes and no\n"
+    )
+    assert not out.exists()
+
+
 # --- evaluate ----------------------------------------------------------------------
 
 
@@ -414,6 +430,24 @@ def test_evaluate_rejects_bad_backend_json(runner, tmp_path, dataset_file):
 def test_evaluate_requires_dataset(runner, tmp_path):
     result = run(runner, "evaluate", "--out-dir", tmp_path / "e", code=2)
     assert "dataset file is required" in result.stderr
+
+
+def test_evaluate_refuses_a_dataset_asking_one_question_with_two_expected_answers(runner, tmp_path, dataset_file):
+    # Repeated in an inverse cluster, one positive question would leave the
+    # perfect oracle one inconsistent cluster instead of none.
+    data = json.loads(dataset_file.read_text(encoding="utf-8"))
+    positive = next(c for c in data["clusters"] if c["type"] == "positive_edge")
+    inverse = next(c for c in data["clusters"] if c["type"] == "inverse_edge")
+    inverse["questions"].append(positive["questions"][0])
+    inverse["statements"].append(positive["statements"][0])
+    dataset_file.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "eval"
+    result = run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--out-dir", out_dir, code=2,
+    )
+    assert result.stderr.startswith(f"error: clusters {positive['id']} and {inverse['id']} ask ")
+    assert result.stderr.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_evaluate_with_context_file(runner, tmp_path, dataset_file):
@@ -870,6 +904,22 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     eval_dir = tmp_path / "eval"
     run(runner, "--config", config, "evaluate", "--dataset", config_out, "--out-dir", eval_dir)
     assert (eval_dir / "results-perfect.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["augment", "report"])
+def test_config_file_supplies_the_dataset(runner, tmp_path, dataset_file, command):
+    eval_dir = tmp_path / "eval"
+    baseline = eval_dir / "results-noisy-p0.3-s7.jsonl"
+    run(
+        runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+        "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", eval_dir,
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"dataset": str(dataset_file)}), encoding="utf-8")
+    inputs = {"augment": ["--baseline", baseline, "--graph", GRAPH], "report": ["--results", baseline]}[command]
+    run(runner, command, "--dataset", dataset_file, *inputs, "--out-dir", tmp_path / "flag")
+    run(runner, "--config", config, command, *inputs, "--out-dir", tmp_path / "config")
+    assert (tmp_path / "config" / "report.md").read_bytes() == (tmp_path / "flag" / "report.md").read_bytes()
 
 
 def test_config_flags_beat_config_values(runner, tmp_path):

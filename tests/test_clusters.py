@@ -341,6 +341,19 @@ def test_cluster_ids_are_unique(medical_dataset):
     assert len(ids) == len(set(ids))
 
 
+def test_generate_dataset_refuses_a_question_with_two_expected_answers():
+    # "x" under "y a z" and the unrelated pair ("x a y", "z") are both asked
+    # "is a x a y a z ?"; no backend could answer it yes and no at once.
+    graph = make_graph([("x", "y a z"), ("x a y", "r"), ("z", "r")])
+    config = cc.GenerationConfig(seed=1, negative_count=20, min_distance=1)
+    with pytest.warns(cc.InsufficientPairsWarning), pytest.raises(cc.SchemaViolation) as err:
+        cc.generate_dataset(graph, config)
+    assert str(err.value) == (
+        "clusters positive-edge:x:y-a-z and negative-edge:x-a-y:z ask 'is a x a y a z ?' "
+        "with expected answers yes and no"
+    )
+
+
 # --- dataset files -----------------------------------------------------------
 
 
@@ -382,6 +395,25 @@ def test_read_dataset_rejects_mismatched_statements(tmp_path, medical_dataset):
     path.write_text(json.dumps(data))
     with pytest.raises(cc.SchemaViolation):
         cc.read_dataset(path)
+
+
+def test_read_dataset_refuses_a_question_with_two_expected_answers(tmp_path, medical_dataset):
+    import json
+
+    path = tmp_path / "dataset.json"
+    cc.write_dataset(medical_dataset, path)
+    data = json.loads(path.read_text())
+    positive = next(c for c in data["clusters"] if c["type"] == "positive_edge")
+    inverse = next(c for c in data["clusters"] if c["type"] == "inverse_edge")
+    inverse["questions"].append(positive["questions"][0])
+    inverse["statements"].append(positive["statements"][0])
+    path.write_text(json.dumps(data))
+    with pytest.raises(cc.SchemaViolation) as err:
+        cc.read_dataset(path)
+    assert str(err.value) == (
+        f"clusters {positive['id']} and {inverse['id']} ask {positive['questions'][0]!r} "
+        "with expected answers yes and no"
+    )
 
 
 def test_read_dataset_rejects_bad_envelope(tmp_path):

@@ -5,12 +5,16 @@ prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
 answer, a consistent relabelling changes no verdict tally, the form table
 renders questions and statements as the hand-written functions do,
-every generated question is paired with its own statement, and a
-fragment extracted from a random dump matches the claim-walking oracle."""
+every generated question is paired with its own statement, a generated
+dataset either is refused or gives the perfect oracle an all-consistent
+row, and a fragment extracted from a random dump matches the
+claim-walking oracle."""
 
 from __future__ import annotations
 
+import ast
 import random
+import re
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -21,7 +25,16 @@ from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import clusters, hierarchy
-from conceptcheck.clusters import QUESTION_FORMS, SUBSUMPTION_FORMS, _article, gen_path_clusters, render_forms
+from conceptcheck.clusters import (
+    QUESTION_FORMS,
+    SUBSUMPTION_FORMS,
+    _article,
+    gen_inverse_clusters,
+    gen_negative_clusters,
+    gen_path_clusters,
+    gen_positive_clusters,
+    render_forms,
+)
 from conceptcheck.ingest import DIRECTIONS
 from oracles import (
     all_paths_by_joining,
@@ -372,6 +385,39 @@ def test_a_consistent_relabelling_leaves_the_verdict_tallies_unchanged(seed, sty
         assert replay.setdefault(question, record.raw) == record.raw
     replayed = cc.evaluate_dataset(relabelled, cc.ScriptedBackend(replay, id=noisy.id), template)
     assert cc.compute_report(replayed, relabelled) == cc.compute_report(answered, original)
+
+
+@CHECK
+@given(seed=st.integers(0, 10_000), style=styles, data=st.data())
+def test_a_generated_dataset_is_refused_or_scored_all_consistent_by_the_perfect_oracle(seed, style, data):
+    # Labels of words that include the article "a" can make two clusters ask
+    # one text: "x" under "a x" and "x a" beside "x" both ask "is a x a a x ?".
+    nodes, edges = random_dag(random.Random(seed), max_nodes=6, edge_prob=0.4)
+    label = st.lists(st.sampled_from(("a", "x")), min_size=1, max_size=3).map(" ".join)
+    names = data.draw(st.lists(label, min_size=len(nodes), max_size=len(nodes), unique_by=hierarchy._slug))
+    graph = cc.build_graph([cc.Concept(n, name) for n, name in zip(nodes, names)], edges)
+    closure = cc.deductive_closure(graph)
+    config = cc.GenerationConfig(seed=seed, negative_count=20, min_distance=1, article_style=style)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+        try:
+            dataset = cc.generate_dataset(graph, config)
+        except cc.SchemaViolation as exc:
+            # The refusal names two subsumption clusters that ask one question both ways.
+            refusal = re.fullmatch(
+                r"clusters (\S+) and (\S+) ask ('.*') with expected answers (yes and no|no and yes)", str(exc)
+            )
+            asked = {c.id: c for c in (
+                *gen_positive_clusters(graph, config), *gen_inverse_clusters(graph, config),
+                *gen_negative_clusters(graph, closure, config), *gen_path_clusters(graph, closure, config),
+            )}
+            named = [asked[refusal[1]], asked[refusal[2]]]
+            assert all(ast.literal_eval(refusal[3]) in c.questions for c in named)
+            assert " and ".join(c.expected.value for c in named) == refusal[4]
+            return
+    rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), cc.PromptTemplate(preamble=""))
+    row = cc.compute_report(rs, dataset)
+    assert row.all.consistent == row.all.total
 
 
 @st.composite
