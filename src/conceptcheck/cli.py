@@ -9,7 +9,7 @@ results files), 2 on configuration or input errors. Paths may use the
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import logging
 import re
@@ -17,8 +17,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
-
-import click
 
 from .backends import (
     Backend,
@@ -66,20 +64,6 @@ from .scenarios import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _fail_gracefully(fn):
-    """Map domain errors to exit code 2 with a one-line stderr message."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConceptCheckError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 _RUN_CONFIG_FIELDS = {
@@ -140,7 +124,7 @@ def _load_prompt(prompt: str | None, config: dict) -> PromptTemplate:
     return load_prompt_template(resolve_path(path))
 
 
-def _backend_specs(backend_flags: tuple[str, ...], cache_dir: str | None, config: dict) -> list[dict]:
+def _backend_specs(backend_flags: list[str], cache_dir: str | None, config: dict) -> list[dict]:
     """The --backend (else config, else perfect) specs; a remote one without a
     cache_dir takes --cache-dir (else the config's)."""
     specs = []
@@ -175,38 +159,9 @@ def _load_dataset(dataset_path: str | None, config: dict) -> ClusterDataset:
     return read_dataset(resolve_path(path))
 
 
-@click.group()
-@click.option("--config", "config_path", default=None, metavar="FILE", help="JSON run-config file.")
-@click.option("--verbose", is_flag=True, help="Log progress details to stderr.")
-@click.pass_context
-@_fail_gracefully
-def main(ctx: click.Context, config_path: str | None, verbose: bool) -> None:
-    """Test how consistently a model answers questions about a concept hierarchy."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    ctx.obj = _load_run_config(config_path)
-
-
-@main.command()
-@click.option("--dump", default=None, metavar="FILE", help="Line-delimited entity dump to read.")
-@click.option("--native", default=None, metavar="FILE", help="Already-native graph file (validate and re-save).")
-@click.option("--endpoint", default=None, metavar="URL", help="Live entity endpoint to crawl.")
-@click.option("--seed-concept", default=None, help="Entity id to start the walk from.")
-@click.option("--seed-property", default=None, help="Property id carried over as assertions.")
-@click.option("--max-depth", type=int, default=None)
-@click.option("--direction", type=click.Choice(DIRECTIONS), default=None)
-@click.option("--language", default=None)
-@click.option("--cache-dir", default=None, metavar="DIR", help="Page cache for live crawls.")
-@click.option("--out", "-o", required=True, metavar="FILE", help="Native graph file to write.")
-@click.pass_context
-@_fail_gracefully
-def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
+def extract(config, dump, native, endpoint, seed_concept, seed_property, max_depth,
             direction, language, cache_dir, out):
     """Build a native graph file from a dump, an endpoint, or a native file."""
-    config = ctx.obj
     graph_cfg = config["graph"]
     source_kind = graph_cfg["source"]
     dump = dump or (graph_cfg["path"] if source_kind == "dump" else None)
@@ -255,24 +210,12 @@ def extract(ctx, dump, native, endpoint, seed_concept, seed_property, max_depth,
     }
     manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
     write_json(manifest_path, manifest)
-    click.echo(f"wrote {out_path} ({len(graph.concepts)} concepts, {len(graph.edges)} edges) + {manifest_path.name}")
+    print(f"wrote {out_path} ({len(graph.concepts)} concepts, {len(graph.edges)} edges) + {manifest_path.name}")
 
 
-@main.command()
-@click.option("--graph", default=None, metavar="FILE", required=False)
-@click.option("--seed", type=int, default=None, help="Drives unrelated-pair sampling.")
-@click.option("--negative-count", type=int, default=None)
-@click.option("--min-distance", type=int, default=None)
-@click.option("--min-path-len", type=int, default=None)
-@click.option("--article-style", type=click.Choice(ARTICLE_STYLES), default=None)
-@click.option("--path-granularity", type=click.Choice(PATH_GRANULARITIES), default=None)
-@click.option("--out", "-o", required=True, metavar="FILE", help="Dataset file to write.")
-@click.pass_context
-@_fail_gracefully
-def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
+def generate(config, graph, seed, negative_count, min_distance, min_path_len,
              article_style, path_granularity, out):
     """Generate the question-cluster dataset from a graph file."""
-    config = ctx.obj
     loaded = _load_graph_arg(graph, config)
     gen_config = _generation_config(
         config,
@@ -288,9 +231,9 @@ def generate(ctx, graph, seed, negative_count, min_distance, min_path_len,
     write_dataset(dataset, out)
     by_type = Counter(cluster.type for cluster in dataset.clusters)
     for kind in ClusterType:
-        click.echo(f"{kind.value}: {by_type[kind]}")
+        print(f"{kind.value}: {by_type[kind]}")
     questions = sum(len(c.questions) for c in dataset.clusters)
-    click.echo(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
+    print(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
 
 
 def _build_all(specs: list[dict], build) -> list[Backend]:
@@ -347,7 +290,7 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
     return rows, errors
 
 
-def _read_baselines(paths: tuple[str, ...], dataset: ClusterDataset) -> tuple[list[ResultSet], dict[str, ReportRow]]:
+def _read_baselines(paths: list[str], dataset: ClusterDataset) -> tuple[list[ResultSet], dict[str, ReportRow]]:
     """Each --baseline file's result set, and its report row by backend id;
     rows are matched by that id, so two files holding one id are refused."""
     resultsets, rows, files = [], {}, {}
@@ -367,7 +310,7 @@ def _read_baselines(paths: tuple[str, ...], dataset: ClusterDataset) -> tuple[li
 def _exit_if_failed(errors: int) -> None:
     """Exit 1 when backend calls failed; their records are already written."""
     if errors:
-        click.echo(f"warning: {errors} backend call(s) failed and were recorded as errors", err=True)
+        print(f"warning: {errors} backend call(s) failed and were recorded as errors", file=sys.stderr)
         sys.exit(1)
 
 
@@ -378,21 +321,8 @@ def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title=
     write_text(out_dir / "report.csv", render_csv(rows, baselines=baselines))
 
 
-@main.command()
-@click.option("--dataset", "dataset_path", default=None, metavar="FILE", required=False)
-@click.option("--graph", default=None, metavar="FILE", help="Needed by the oracle backend kinds.")
-@click.option("--prompt", default=None, metavar="FILE")
-@click.option("--backend", "backend_flags", multiple=True, metavar="JSON",
-              help='Backend spec, e.g. \'{"kind": "noisy", "flip_probability": 0.3, "seed": 7}\'. Repeatable.')
-@click.option("--context", "context_path", default=None, metavar="FILE",
-              help="Context block whose statements are injected above every question.")
-@click.option("--cache-dir", default=None, metavar="DIR")
-@click.option("--out-dir", "-o", required=True, metavar="DIR")
-@click.pass_context
-@_fail_gracefully
-def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cache_dir, out_dir):
+def evaluate(config, dataset_path, graph, prompt, backend_flags, context_path, cache_dir, out_dir):
     """Run backends over a dataset; write per-backend results and a report."""
-    config = ctx.obj
     dataset = _load_dataset(dataset_path, config)
     template = _load_prompt(prompt, config)
     context = load_context(resolve_path(context_path)) if context_path else None
@@ -402,26 +332,13 @@ def evaluate(ctx, dataset_path, graph, prompt, backend_flags, context_path, cach
     _make_dir(out)
     rows, errors = _evaluate_backends(backends, dataset, template, context, out)
     _write_reports(rows, out, dataset.fingerprint)
-    click.echo(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
+    print(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
     _exit_if_failed(errors)
 
 
-@main.command()
-@click.option("--dataset", "dataset_path", default=None, metavar="FILE")
-@click.option("--baseline", "baseline_paths", multiple=True, required=True, metavar="FILE",
-              help="Results file from an un-augmented run. Repeatable.")
-@click.option("--graph", default=None, metavar="FILE")
-@click.option("--prompt", default=None, metavar="FILE")
-@click.option("--backend", "backend_flags", multiple=True, metavar="JSON")
-@click.option("--granularity", type=click.Choice(CONTEXT_GRANULARITIES), default=None)
-@click.option("--cache-dir", default=None, metavar="DIR")
-@click.option("--out-dir", "-o", required=True, metavar="DIR")
-@click.pass_context
-@_fail_gracefully
-def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
+def augment(config, dataset_path, baseline_paths, graph, prompt, backend_flags,
             granularity, cache_dir, out_dir):
     """Build context from jointly-missed questions and re-evaluate with it."""
-    config = ctx.obj
     dataset = _load_dataset(dataset_path, config)
     baselines, baseline_rows = _read_baselines(baseline_paths, dataset)
     context = build_context(
@@ -432,9 +349,9 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
     out = Path(out_dir)
     _make_dir(out)
     save_context(context, out / "context.json")
-    click.echo(f"context: {len(context.statements)} statement(s) -> {out}/context.json")
+    print(f"context: {len(context.statements)} statement(s) -> {out}/context.json")
     if not context.statements:
-        click.echo("nothing was missed by every baseline; skipping the augmented run")
+        print("nothing was missed by every baseline; skipping the augmented run")
         return
 
     rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
@@ -442,25 +359,12 @@ def augment(ctx, dataset_path, baseline_paths, graph, prompt, backend_flags,
         rows, out, dataset.fingerprint,
         baselines=baseline_rows, title="Consistency report (augmented)",
     )
-    click.echo(f"augmented run finished -> {out}/report.md")
+    print(f"augmented run finished -> {out}/report.md")
     _exit_if_failed(errors)
 
 
-@main.command()
-@click.option("--graph", default=None, metavar="FILE", required=False)
-@click.option("--scenarios", "scenario_path", default=None, metavar="FILE",
-              help="Scenario file (default: the bundled medical policies).")
-@click.option("--specialists", default=None, metavar="IDS",
-              help="Comma-separated concept ids the questions quantify over.")
-@click.option("--prompt", default=None, metavar="FILE")
-@click.option("--backend", "backend_flags", multiple=True, metavar="JSON")
-@click.option("--cache-dir", default=None, metavar="DIR")
-@click.option("--out-dir", "-o", required=True, metavar="DIR")
-@click.pass_context
-@_fail_gracefully
-def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cache_dir, out_dir):
+def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, cache_dir, out_dir):
     """Evaluate policy scenarios: applicability and policy questions per specialist."""
-    config = ctx.obj
     loaded_graph = _load_graph_arg(graph, config)
     scenario_file = _merge(scenario_path, config["scenarios"], "fixture:scenarios_medical.json")
     policy_scenarios = load_scenarios(resolve_path(scenario_file))
@@ -475,6 +379,8 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
         roster = [s.strip() for s in roster_text.split(",") if s.strip()]
     closure = deductive_closure(loaded_graph)
     template = _load_prompt(prompt, config)
+    # Refuses a bad roster, or a prompt with two expected answers, before any backend opens its cache.
+    ScenarioOracle(policy_scenarios, roster, loaded_graph, closure, template)
 
     def build(spec: dict) -> Backend:
         if spec["kind"] == "perfect":
@@ -488,19 +394,19 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     backends = _build_all(_backend_specs(backend_flags, cache_dir, config), build)
 
     out = Path(out_dir)
+    _make_dir(out)
     summaries = []
     errors = 0
     for backend in backends:
         results, summary = evaluate_scenarios(
             policy_scenarios, roster, loaded_graph, closure, backend, template
         )
-        _make_dir(out)  # only once a roster has been accepted
         slug = _slug(backend.id)
         write_scenario_results(results, summary, backend.id, out / f"scenario-results-{slug}.jsonl")
         write_text(out / f"scenario-report-{slug}.md", render_scenario_markdown(results, summary, backend.id))
         errors += sum(1 for r in results for a in r.answers if a.error)
         summaries.append((backend.id, summary))
-        click.echo(
+        print(
             f"{backend.id}: {summary.incorrect_questions}/{summary.total_questions} incorrect, "
             f"{summary.inconsistent_scenarios}/{summary.total_scenarios} inconsistent scenarios"
         )
@@ -508,19 +414,9 @@ def scenarios(ctx, graph, scenario_path, specialists, prompt, backend_flags, cac
     _exit_if_failed(errors)
 
 
-@main.command()
-@click.option("--dataset", "dataset_path", default=None, metavar="FILE")
-@click.option("--results", "results_paths", multiple=True, required=True, metavar="FILE",
-              help="Results file to include as a row. Repeatable.")
-@click.option("--baseline", "baseline_paths", multiple=True, metavar="FILE",
-              help="Baseline results matched to rows by backend id; adds an improvement column.")
-@click.option("--title", default=None)
-@click.option("--out-dir", "-o", required=True, metavar="DIR")
-@click.pass_context
-@_fail_gracefully
-def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
+def report(config, dataset_path, results_paths, baseline_paths, title, out_dir):
     """Re-render the consistency report from stored results files."""
-    dataset = _load_dataset(dataset_path, ctx.obj)
+    dataset = _load_dataset(dataset_path, config)
     rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
     baselines = _read_baselines(baseline_paths, dataset)[1] if baseline_paths else None
     out = Path(out_dir)
@@ -529,7 +425,101 @@ def report(ctx, dataset_path, results_paths, baseline_paths, title, out_dir):
         rows, out, dataset.fingerprint,
         baselines=baselines, title=title or "Consistency report",
     )
-    click.echo(f"wrote {out}/report.md and {out}/report.csv")
+    print(f"wrote {out}/report.md and {out}/report.csv")
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    """The command line; each command's parser sets `run` to the function that carries it out."""
+    # Only the options declared here: no -h, and no abbreviated option names.
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__, add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--config", dest="config_path", metavar="FILE", help="JSON run-config file.")
+    parser.add_argument("--verbose", action="store_true", help="Log progress details to stderr.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            run.__name__, parents=parents, help=run.__doc__, description=run.__doc__, add_help=False, allow_abbrev=False
+        )
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run)
+        return sub
+
+    # The options of the commands that ask backends, and of those that write into a directory.
+    asking = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    asking.add_argument("--prompt", metavar="FILE")
+    asking.add_argument("--backend", dest="backend_flags", action="append", default=[], metavar="JSON", help=(
+        'Backend spec, e.g. \'{"kind": "noisy", "flip_probability": 0.3, "seed": 7}\'. Repeatable.'))
+    asking.add_argument("--cache-dir", metavar="DIR")
+    out_dir = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    out_dir.add_argument("--out-dir", "-o", required=True, metavar="DIR")
+
+    sub = command(extract)
+    sub.add_argument("--dump", metavar="FILE", help="Line-delimited entity dump to read.")
+    sub.add_argument("--native", metavar="FILE", help="Already-native graph file (validate and re-save).")
+    sub.add_argument("--endpoint", metavar="URL", help="Live entity endpoint to crawl.")
+    sub.add_argument("--seed-concept", help="Entity id to start the walk from.")
+    sub.add_argument("--seed-property", help="Property id carried over as assertions.")
+    sub.add_argument("--max-depth", type=int)
+    sub.add_argument("--direction", choices=DIRECTIONS)
+    sub.add_argument("--language")
+    sub.add_argument("--cache-dir", metavar="DIR", help="Page cache for live crawls.")
+    sub.add_argument("--out", "-o", required=True, metavar="FILE", help="Native graph file to write.")
+
+    sub = command(generate)
+    sub.add_argument("--graph", metavar="FILE")
+    sub.add_argument("--seed", type=int, help="Drives unrelated-pair sampling.")
+    sub.add_argument("--negative-count", type=int)
+    sub.add_argument("--min-distance", type=int)
+    sub.add_argument("--min-path-len", type=int)
+    sub.add_argument("--article-style", choices=ARTICLE_STYLES)
+    sub.add_argument("--path-granularity", choices=PATH_GRANULARITIES)
+    sub.add_argument("--out", "-o", required=True, metavar="FILE", help="Dataset file to write.")
+
+    sub = command(evaluate, asking, out_dir)
+    sub.add_argument("--dataset", dest="dataset_path", metavar="FILE")
+    sub.add_argument("--graph", metavar="FILE", help="Needed by the oracle backend kinds.")
+    sub.add_argument("--context", dest="context_path", metavar="FILE",
+                     help="Context block whose statements are injected above every question.")
+
+    sub = command(augment, asking, out_dir)
+    sub.add_argument("--dataset", dest="dataset_path", metavar="FILE")
+    sub.add_argument("--baseline", dest="baseline_paths", action="append", required=True, metavar="FILE",
+                     help="Results file from an un-augmented run. Repeatable.")
+    sub.add_argument("--graph", metavar="FILE")
+    sub.add_argument("--granularity", choices=CONTEXT_GRANULARITIES)
+
+    sub = command(scenarios, asking, out_dir)
+    sub.add_argument("--graph", metavar="FILE")
+    sub.add_argument("--scenarios", dest="scenario_path", metavar="FILE",
+                     help="Scenario file (default: the bundled medical policies).")
+    sub.add_argument("--specialists", metavar="IDS", help="Comma-separated concept ids the questions quantify over.")
+
+    sub = command(report, out_dir)
+    sub.add_argument("--dataset", dest="dataset_path", metavar="FILE")
+    sub.add_argument("--results", dest="results_paths", action="append", required=True, metavar="FILE",
+                     help="Results file to include as a row. Repeatable.")
+    sub.add_argument("--baseline", dest="baseline_paths", action="append", default=[], metavar="FILE",
+                     help="Baseline results matched to rows by backend id; adds an improvement column.")
+    sub.add_argument("--title")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Test how consistently a model answers questions about a concept hierarchy."""
+    options = vars(_parser(prog_name).parse_args(args))
+    run = options.pop("run")
+    config_path = options.pop("config_path")
+    logging.basicConfig(
+        level=logging.DEBUG if options.pop("verbose") else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+    )
+    try:
+        run(_load_run_config(config_path), **options)
+    except ConceptCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,9 @@ from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import conceptcheck as cc
 from conceptcheck.cli import main
+from clirunner import CliRunner
 from conftest import make_graph
 from oracles import floyd_warshall_reachability, random_dag
 from stubserver import serving

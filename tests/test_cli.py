@@ -9,15 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import conceptcheck as cc
 from conceptcheck.cli import main
+from clirunner import CliRunner
 from conftest import ladder_edges, make_graph
 from stubserver import serving
 
 GRAPH = "fixture:medical_graph.json"
 DUMP = "fixture:medical_dump.jsonl"
+_REMOTE = {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "retries": 0}
 
 
 @pytest.fixture()
@@ -602,31 +603,37 @@ def test_scenarios_custom_roster(runner, tmp_path):
 
 
 def test_scenarios_reject_empty_roster(runner, tmp_path):
-    result = run(
-        runner, "scenarios", "--graph", GRAPH, "--specialists", ",",
-        "--out-dir", tmp_path / "s", code=2,
-    )
-    assert result.stderr == "error: the specialist roster is empty\n"
-    assert not (tmp_path / "s").exists()
+    for backend in ([], ["--backend", json.dumps(_REMOTE), "--cache-dir", tmp_path / "c"]):
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--specialists", ",", *backend,
+            "--out-dir", tmp_path / "s", code=2,
+        )
+        assert result.stderr == "error: the specialist roster is empty\n"
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "c").exists()
 
 
 def test_scenarios_reject_unknown_specialists(runner, tmp_path):
-    result = run(
-        runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,nobody,ghost",
-        "--backend", '{"kind": "perfect"}', "--out-dir", tmp_path / "s", code=2,
-    )
-    assert result.stderr == "error: the specialist roster names unknown concepts: nobody, ghost\n"
-    assert not (tmp_path / "s").exists()
+    for backend in ('{"kind": "perfect"}', json.dumps(_REMOTE)):
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,nobody,ghost",
+            "--backend", backend, "--cache-dir", tmp_path / "c", "--out-dir", tmp_path / "s", code=2,
+        )
+        assert result.stderr == "error: the specialist roster names unknown concepts: nobody, ghost\n"
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "c").exists()
 
 
 def test_scenarios_reject_a_repeated_specialist(runner, tmp_path):
     # Asking twice would double the questions: 0/40 incorrect where surgeon alone gives 0/20.
-    result = run(
-        runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,surgeon",
-        "--backend", '{"kind": "perfect"}', "--out-dir", tmp_path / "s", code=2,
-    )
-    assert result.stderr == "error: the specialist roster repeats surgeon\n"
-    assert not (tmp_path / "s").exists()
+    for backend in ('{"kind": "perfect"}', json.dumps(_REMOTE)):
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--specialists", "surgeon,surgeon",
+            "--backend", backend, "--cache-dir", tmp_path / "c", "--out-dir", tmp_path / "s", code=2,
+        )
+        assert result.stderr == "error: the specialist roster repeats surgeon\n"
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "c").exists()
 
 
 def test_scenarios_reject_a_prompt_with_two_expected_answers(runner, tmp_path):
@@ -635,12 +642,25 @@ def test_scenarios_reject_a_prompt_with_two_expected_answers(runner, tmp_path):
     four_day_week["policy_question_template"] = four_day_week["applicability_template"]
     path = tmp_path / "scenarios.json"
     path.write_text(json.dumps(scenarios), encoding="utf-8")
-    result = run(
-        runner, "scenarios", "--graph", GRAPH, "--scenarios", path, "--backend", '{"kind": "perfect"}',
-        "--out-dir", tmp_path / "s", code=2,
-    )
-    assert result.stderr.startswith("error: scenarios four-day-week and four-day-week ask ")
-    assert not (tmp_path / "s").exists()
+    for backend in ('{"kind": "perfect"}', json.dumps(_REMOTE)):
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--scenarios", path, "--backend", backend,
+            "--cache-dir", tmp_path / "c", "--out-dir", tmp_path / "s", code=2,
+        )
+        assert result.stderr.startswith("error: scenarios four-day-week and four-day-week ask ")
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "c").exists()
+
+
+def test_scenarios_make_their_out_dir_before_asking_any_question(runner, tmp_path):
+    (tmp_path / "afile").write_text("a file\n")
+    with serving(lambda method, path, query, body: (200, {"text": "yes"})) as (url, log):
+        spec = json.dumps({"kind": "remote", "endpoint": url, "model": "m"})
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--backend", spec, "--out-dir", tmp_path / "afile" / "s", code=2,
+        )
+        assert log.count == 0
+    assert result.stderr == f"error: cannot make directory {tmp_path / 'afile' / 's'}: Not a directory\n"
 
 
 def test_scenarios_reject_duplicate_backend_ids(runner, tmp_path):
@@ -676,9 +696,6 @@ def test_backend_ids_with_equal_file_names_rejected(runner, tmp_path, dataset_fi
         "error: backend ids 'a/b' and 'a-b' would both write files named 'a-b'; set explicit 'id' fields\n"
     )
     assert not (tmp_path / "out").exists()
-
-
-_REMOTE = {"kind": "remote", "endpoint": "http://127.0.0.1:1/x", "model": "m", "retries": 0}
 
 
 @pytest.mark.parametrize("command, spec, message", [
@@ -942,9 +959,20 @@ def test_config_file_errors(runner, tmp_path):
     assert "JSON object" in result.stderr
 
 
-def test_missing_required_option_exits_2(runner):
-    result = runner.invoke(main, ["generate"])  # no --out
-    assert result.exit_code == 2
+def test_missing_required_option_exits_2(runner, tmp_path):
+    out = tmp_path / "d.json"
+    for argv in (
+        ["generate"],  # no --out
+        [],  # no command
+        ["generate", "--graph", GRAPH, "--colour", "red", "--out", out],
+        ["generate", "--graph", GRAPH, "--negative", 5, "--out", out],  # a prefix of --negative-count
+        ["extract", "--dump", DUMP, "--seed-concept", "Q3332438", "--direction", "sideways", "--out", out],
+        ["generate", "--graph", GRAPH, "--seed", "one", "--out", out],
+    ):
+        result = runner.invoke(main, [str(a) for a in argv])
+        assert result.exit_code == 2, argv
+        assert result.stderr.startswith("usage: "), result.stderr
+        assert not any(tmp_path.iterdir()), argv
 
 
 def test_help_runs(runner):

@@ -83,6 +83,8 @@ def test_importing_the_package_loads_no_http_stack(module):
     added = modules_added(f"import {module}")
     assert module in added
     assert added & NOT_ON_IMPORT == set()
+    # The package depends on nothing beyond the standard library.
+    assert {m for m in added if m.split(".")[0] not in {*sys.stdlib_module_names, "conceptcheck"}} == set()
 
 
 def test_building_a_remote_backend_loads_the_transport():

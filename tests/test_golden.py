@@ -11,10 +11,10 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import conceptcheck as cc
 from conceptcheck.cli import main
+from clirunner import CliRunner
 
 GRAPH = "fixture:medical_graph.json"
 PERFECT = '{"kind": "perfect"}'

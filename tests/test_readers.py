@@ -12,10 +12,10 @@ import copy
 import json
 
 import pytest
-from click.testing import CliRunner
 
 import conceptcheck as cc
 from conceptcheck.cli import main
+from clirunner import CliRunner
 
 GRAPH = "fixture:medical_graph.json"
 PATH_CLUSTER = 96  # the first cluster of the medical dataset with a path
