@@ -111,21 +111,33 @@ def read_json(path: str | Path, what: str) -> object:
 
 
 _DECODER = json.JSONDecoder()
-_JSON_SPACE = " \t\n\r"
+# The decoder's scanner (C, unless `_json` is missing): the value starting at
+# an index and the index after it, or StopIteration when none starts there,
+# the contract `JSONDecoder.raw_decode` relies on too.
+_SCAN = _DECODER.scan_once
+JSON_SPACE = " \t\n\r"
 
 
 def decode_json_line(line: str) -> Any:
     """`json.loads(line)`: the same values, and the same JSONDecodeError for
     the same lines, without its per-call wrapper and whitespace regexes.
 
-    JSON whitespace (space, tab, newline, carriage return) is skipped on
-    both sides of the value; anything else after it is "Extra data".
+    A line that is one value and nothing else is read by one scanner call.
+    Any other line is read as `json.loads` reads it: JSON whitespace (space,
+    tab, newline, carriage return) is skipped on both sides of the value, a
+    BOM is refused, and anything else after the value is "Extra data".
     """
+    try:
+        value, end = _SCAN(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, json.JSONDecodeError):
+        pass
     if line.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(JSON_SPACE)))
     if end != len(line):
-        end = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+        end = len(line) - len(line[end:].lstrip(JSON_SPACE))
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
     return value

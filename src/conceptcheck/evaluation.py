@@ -17,6 +17,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as quote_json
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,6 +26,7 @@ from .backends import Backend, PromptTemplate, render_prefix
 from .clusters import ClusterDataset, ClusterType
 from .errors import BOOLEAN, INTEGER, STRING, STRINGS, one_of, optional, read_fields
 from .errors import (
+    JSON_SPACE,
     ConceptCheckError,
     DenominatorMismatch,
     MismatchedDataset,
@@ -64,6 +66,12 @@ class AnswerRecord(NamedTuple):
     error: bool = False
 
 
+# Getters of an AnswerRecord's fields: C-level calls, where a lambda or a
+# comprehension runs Python bytecode for each record.
+_CLUSTER_ID = attrgetter("cluster_id")
+_CORRECT = attrgetter("correct")
+
+
 @dataclass(frozen=True)
 class ResultSet:
     """All answers of one backend over one dataset, in dataset order."""
@@ -77,7 +85,7 @@ class ResultSet:
     @cached_property
     def verdicts(self) -> dict[str, Verdict]:
         out: dict[str, Verdict] = {}
-        for cluster_id, group in groupby(self.records, key=lambda r: r.cluster_id):
+        for cluster_id, group in groupby(self.records, key=_CLUSTER_ID):
             out[cluster_id] = classify_cluster(group)
         return out
 
@@ -88,7 +96,7 @@ class ResultSet:
 
 def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
     """Consistent if all correct, Incomplete if none, Inconsistent otherwise."""
-    flags = [r.correct for r in records]
+    flags = [*map(_CORRECT, records)]
     if not flags:
         raise SchemaViolation("cannot classify a cluster with no answers")
     if all(flags):
@@ -414,6 +422,14 @@ _ANSWER_FIELDS = {
     "cluster_id": STRING, "question_index": INTEGER, "raw": STRING,
     "normalized": one_of(*_ANSWERS), "correct": BOOLEAN, "error": BOOLEAN,
 }
+# An answer line's "record" and fields, and the exact type of each field on a
+# valid line: every answer field is required, so a line whose fields have these
+# types needs no other check but of "record" and "normalized".
+_ANSWER_KEYS = ("record", *_ANSWER_FIELDS)
+_ANSWER_TYPES = (str, int, str, str, bool, bool)
+# Makes an AnswerRecord of a tuple of its six fields, as `AnswerRecord._make`
+# does, without the Python-level call around it.
+_new_record = tuple.__new__
 
 
 # Filled in by one %-format per record: a dict and a `canonical_json` call per
@@ -457,10 +473,14 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
 def read_results(path: str | Path) -> ResultSet:
     """The result set `write_results` wrote to `path`.
 
-    Each non-blank line is decoded as `json.loads` would decode it, by
-    `decode_json_line`, and must be one header (of this format version, and
-    only one) or an answer record; any other line, field or version is a
-    SchemaViolation that names the file and the line.
+    Each line is decoded as `json.loads` would decode it, by
+    `decode_json_line`; a line that is empty once JSON whitespace (space,
+    tab, carriage return) is stripped is skipped. Every other line must be
+    one header (of this format version, and only one) or an answer record;
+    any other line, field or version is a SchemaViolation that names the
+    file and the line. An answer line whose fields all have their exact
+    types is read with one lookup of all its fields; any other line is
+    checked field by field by `read_fields`, which words the error.
     """
     text = read_text(path, "results file")
     header: list | None = None
@@ -468,10 +488,17 @@ def read_results(path: str | Path) -> ResultSet:
     # Records end at "\n" only: str.splitlines would also break inside a JSON
     # string at U+2028, U+0085 and other characters JSON leaves unescaped.
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(JSON_SPACE):
             continue
         try:
             data = decode_json_line(line)
+            if type(data) is dict:
+                kind, cluster_id, index, raw, normalized, correct, error = map(data.get, _ANSWER_KEYS)
+                types = (type(cluster_id), type(index), type(raw), type(normalized), type(correct), type(error))
+                if kind == "answer" and types == _ANSWER_TYPES and normalized in _ANSWERS:
+                    fields = (cluster_id, index, raw, _ANSWERS[normalized], correct, error)
+                    records.append(_new_record(AnswerRecord, fields))
+                    continue
             kind = data.get("record") if isinstance(data, dict) else None
             if kind == "answer":
                 cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")

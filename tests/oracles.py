@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and written against plain edge lists,
 not against the library's own types, so a bug in the package cannot hide
-inside its oracle.
+inside its oracle. The results reader returns the library's `ResultSet` so
+the two can be compared, but decodes each line with `json.loads`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import dataclasses
 import hashlib
 import json
 import random
+from pathlib import Path
+
+from conceptcheck import Answer, AnswerRecord, ResultSet, SchemaViolation
+from conceptcheck.errors import BOOLEAN, INTEGER, STRING, one_of, optional, read_fields
 
 
 def floyd_warshall_reachability(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -243,6 +248,60 @@ def fingerprint_by_hand(obj: object) -> str:
     fingerprint wrote it before they shared one codec."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def results_by_hand(path) -> ResultSet:
+    """A results file read as its format describes it, one line at a time:
+    lines of JSON whitespace only are skipped, every other line goes through
+    `json.loads` and then `read_fields`, and each error names the file and
+    the line, as `read_results` words it."""
+    header = None
+    records = []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip(" \t\r") == "":
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        kind = None
+        if isinstance(data, dict):
+            kind = data.get("record")
+        try:
+            if kind == "answer":
+                fields = {
+                    "cluster_id": STRING,
+                    "question_index": INTEGER,
+                    "raw": STRING,
+                    "normalized": one_of("yes", "no", "other"),
+                    "correct": BOOLEAN,
+                    "error": BOOLEAN,
+                }
+                cluster_id, index, raw, normalized, correct, error = read_fields(data, fields, "answer")
+                records.append(AnswerRecord(cluster_id, index, raw, Answer(normalized), correct, error))
+            elif kind == "header":
+                if header is not None:
+                    raise SchemaViolation("duplicate header record")
+                version = data.get("version")
+                if version != "1":
+                    raise SchemaViolation(
+                        f"results format version {version!r} is not supported (this version reads '1')"
+                    )
+                fields = {
+                    "backend": STRING,
+                    "dataset_fingerprint": STRING,
+                    "prompt_fingerprint": STRING,
+                    "context_fingerprint": optional(STRING),
+                }
+                header = read_fields(data, fields, "header")
+            else:
+                raise SchemaViolation(f"unknown record kind {kind!r}")
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
+    if header is None:
+        raise SchemaViolation(f"{path}: missing header record")
+    return ResultSet(*header, records=tuple(records))
 
 
 def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, truth: str) -> str:

@@ -367,7 +367,7 @@ def test_compute_report_checks_fingerprint(chain, medical_dataset, template):
 
 
 def _misfiled(rs: cc.ResultSet, edit: str) -> tuple[cc.ResultSet, str]:
-    """The result set with one record missing, repeated or moved; the message expected."""
+    """The result set with one record missing, repeated, moved or mislabelled; the message expected."""
     records = list(rs.records)
     name = "{0.cluster_id}[{0.question_index}]".format
     if edit == "missing":
@@ -377,13 +377,17 @@ def _misfiled(rs: cc.ResultSet, edit: str) -> tuple[cc.ResultSet, str]:
         first = records[0]
         records.append(first._replace(correct=not first.correct))
         message = f"answer {len(rs.records) + 1}: found {name(first)}, expected the end"
+    elif edit == "mislabelled":
+        # Every question index still lines up; only one cluster id is wrong.
+        records[3] = records[3]._replace(cluster_id=records[-1].cluster_id)
+        message = f"answer 4: found {name(records[3])}, expected {name(rs.records[3])}"
     else:
         records.append(records.pop(0))
         message = f"answer 1: found {name(rs.records[1])}, expected {name(rs.records[0])}"
     return dataclasses.replace(rs, records=tuple(records)), message
 
 
-@pytest.mark.parametrize("edit", ["missing", "duplicate", "reordered"])
+@pytest.mark.parametrize("edit", ["missing", "duplicate", "reordered", "mislabelled"])
 def test_result_sets_must_answer_each_question_once_in_order(medical_dataset, medical_closure, template, edit):
     noisy = cc.NoisyOracle(medical_closure, medical_dataset, flip_probability=0.3, seed=7)
     rs, message = _misfiled(cc.evaluate_dataset(medical_dataset, noisy, template), edit)
@@ -655,6 +659,18 @@ def test_read_results_tolerates_blank_lines(tmp_path, chain, template):
     padded = tmp_path / "padded.jsonl"
     padded.write_text("\n\n".join(path.read_text().splitlines()) + "\n", encoding="utf-8")
     assert cc.read_results(padded) == rs
+    lines = path.read_text().splitlines()
+    for blank in (" ", "\t", " \t "):
+        padded.write_text("\n".join([lines[0], blank, *lines[1:]]) + "\n", encoding="utf-8")
+        assert cc.read_results(padded) == rs
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_text("\r\n\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    assert cc.read_results(crlf) == rs
+    # Whitespace to str.strip but not to JSON: a line of it is not blank.
+    for stray in ("\x0c", "\x0b", "\xa0", "\x85", "\u2028", "\x1c"):
+        padded.write_text("\n".join([lines[0], stray, *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(cc.SchemaViolation, match=r"padded\.jsonl:2: not valid JSON: Expecting value"):
+            cc.read_results(padded)
 
 
 def test_read_results_keeps_raw_answers_holding_unicode_line_breaks(tmp_path, chain, template):

@@ -2,23 +2,27 @@
 and context files survive save -> load -> save byte for byte, a dataset
 file holds the bytes the standard library's encoder writes, every
 fingerprint equals the hand-written formula in `oracles.py`, including for
-non-ASCII and astral text, and the JSON-lines decoder reads each line as
-`json.loads` does."""
+non-ASCII and astral text, the JSON-lines decoder reads each line as
+`json.loads` does, with either of `json`'s scanners, and the results reader
+reads any file, valid or not, as the reference reader in `oracles.py` does."""
 
 from __future__ import annotations
 
 import json
 import warnings
+from json.scanner import py_make_scanner
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
+from conceptcheck import errors
 from conceptcheck.errors import decode_json_line
 from conceptcheck.evaluation import ask_and_judge
 from conceptcheck.hierarchy import _slug
-from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand
+from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand, results_by_hand
 
 CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -250,10 +254,18 @@ json_lines = st.one_of(
 )
 
 
+# The scanner `json` builds by default (in C, when `_json` is there) and the
+# pure-Python one it falls back to: `decode_json_line` must read every line
+# as `json.loads` does with either of them.
+SCANNERS = (errors._SCAN, py_make_scanner(errors._DECODER))
+
+
 @settings(CHECK, max_examples=400)
 @given(line=json_lines)
 def test_decode_json_line_reads_a_line_as_json_loads_does(line):
-    assert _decoded(decode_json_line, line) == _decoded(json.loads, line)
+    for scan in SCANNERS:
+        with patch.object(errors, "_SCAN", scan):
+            assert _decoded(decode_json_line, line) == _decoded(json.loads, line)
 
 
 @pytest.mark.parametrize("line, accepted", [
@@ -263,8 +275,104 @@ def test_decode_json_line_reads_a_line_as_json_loads_does(line):
     ("\ufeff{}", False), ("{} {}", False), ("{}x", False), ("{} x", False),
     ("NaN", True), ("Infinity", True), ("-Infinity", True), ("[NaN, -Infinity]", True),
     ("{}", True), ("", False), (" ", False),
+    # The value ends before the line does.
+    ("{}\r", True), ("[1]]", False),
+    # The scan fails past the first character, or raises its own error.
+    ("[1,", False), ('{"a":', False), ('"abc', False), ('[1, x]', False),
 ])
 def test_decode_json_line_accepts_and_refuses_what_json_loads_does(line, accepted):
-    decoded = _decoded(decode_json_line, line)
-    assert decoded == _decoded(json.loads, line)
-    assert (decoded[0] == "value") is accepted
+    for scan in SCANNERS:
+        with patch.object(errors, "_SCAN", scan):
+            decoded = _decoded(decode_json_line, line)
+        assert decoded == _decoded(json.loads, line)
+        assert (decoded[0] == "value") is accepted
+
+
+# --- results files against the reference reader ----------------------------
+
+MISSING = object()
+# What a field may hold instead: null, the other of bool and int, a float, a
+# list, an object, a string of another kind (record kinds and versions among
+# them), or nothing at all.
+REPLACEMENTS = (
+    None, True, False, 0, 1, 1.0, [], ["yes"], {}, "", "yes", "no", "other", "answer", "header", "telemetry", "2",
+    MISSING,
+)
+HEADER = {
+    "record": "header", "version": "1", "backend": "b", "dataset_fingerprint": "d",
+    "prompt_fingerprint": "p", "context_fingerprint": None,
+}
+# JSON whitespace, and lines of whitespace JSON refuses.
+line_padding = st.text(st.sampled_from(" \t\r"), max_size=2)
+stray_lines = st.sampled_from(["", " ", "\t", "\r", " \t", "\x0c", "\x0b", "\xa0", "\x85", "\u2028", "\x1c"])
+
+
+@st.composite
+def results_files(draw) -> str:
+    """The text of a results file: answer lines, some with one field swapped,
+    dropped or added, or another record kind; no, one or two headers, of this
+    or another version; JSON whitespace around lines, stray lines between
+    them, CRLF line ends and a BOM."""
+    objects = [
+        {
+            "record": "answer", "cluster_id": draw(st.sampled_from(["c", "é\u2028"])), "question_index": index,
+            "raw": draw(st.sampled_from(["yes", "No.", "", "\x85"])),
+            "normalized": draw(st.sampled_from(["yes", "no", "other"])),
+            "correct": draw(st.booleans()), "error": draw(st.booleans()),
+        }
+        for index in range(draw(st.integers(0, 4)))
+    ]
+    for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+        objects.insert(draw(st.integers(0, len(objects))), dict(HEADER))
+    for obj in draw(st.lists(st.sampled_from(objects), max_size=2)) if objects else ():
+        key = draw(st.sampled_from([*obj, "extra"]))
+        value = draw(st.sampled_from(REPLACEMENTS))
+        if value is MISSING:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    lines = [
+        draw(line_padding) + json.dumps(obj, ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans()))
+        + draw(line_padding)
+        for obj in objects
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(stray_lines))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+    return draw(st.sampled_from([*[""] * 9, "\ufeff"])) + text
+
+
+def _read(read, path) -> tuple:
+    """What `read` makes of `path`: the result set and the type of each
+    record and field, or the SchemaViolation's message."""
+    try:
+        rs = read(path)
+    except cc.SchemaViolation as exc:
+        return "error", str(exc)
+    return "value", rs, [(type(r), *map(type, r)) for r in rs.records]
+
+
+@settings(CHECK, max_examples=300)
+@given(text=results_files())
+@example(text='{"record":"header","version":"1","backend":"b","dataset_fingerprint":"d","prompt_fingerprint":"p"}\n'
+              '{"cluster_id":"c","correct":true,"error":false,"normalized":"yes","question_index":0,"raw":"y",'
+              '"record":"answer"}\n')
+def test_read_results_reads_a_file_as_the_reference_reader_does(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("r") / "results.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _read(cc.read_results, path) == _read(results_by_hand, path)
+
+
+def test_read_results_reads_each_changed_answer_field_as_the_reference_reader_does(tmp_path):
+    answer = {
+        "record": "answer", "cluster_id": "c", "question_index": 0, "raw": "y", "normalized": "yes",
+        "correct": True, "error": False,
+    }
+    path = tmp_path / "results.jsonl"
+    for key in [*answer, "extra"]:
+        for value in REPLACEMENTS:
+            changed = {k: v for k, v in answer.items() if k != key}
+            if value is not MISSING:
+                changed[key] = value
+            path.write_text(json.dumps(HEADER) + "\n" + json.dumps(changed) + "\n", encoding="utf-8")
+            assert _read(cc.read_results, path) == _read(results_by_hand, path), (key, value)
