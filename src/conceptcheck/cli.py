@@ -10,6 +10,7 @@ results files), 2 on configuration or input errors. Paths may use the
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import logging
 import re
@@ -40,13 +41,13 @@ from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read
 from .errors import ConceptCheckError, ConfigError, read_json, write_json, write_text
 from .evaluation import (
     CONTEXT_GRANULARITIES,
-    ReportRow,
     ResultSet,
     build_context,
     compute_report,
     evaluate_dataset,
     load_context,
     read_results,
+    report_from_verdicts,
     save_context,
     write_results,
 )
@@ -290,10 +291,10 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
     return rows, errors
 
 
-def _read_baselines(paths: list[str], dataset: ClusterDataset) -> tuple[list[ResultSet], dict[str, ReportRow]]:
-    """Each --baseline file's result set, and its report row by backend id;
-    rows are matched by that id, so two files holding one id are refused."""
-    resultsets, rows, files = [], {}, {}
+def _read_baselines(paths: list[str]) -> dict[str, ResultSet]:
+    """Each --baseline file's result set by backend id; report rows are
+    matched by that id, so two files holding one id are refused."""
+    resultsets, files = {}, {}
     for path in paths:
         resultset = read_results(resolve_path(path))
         if resultset.backend_id in files:
@@ -302,9 +303,8 @@ def _read_baselines(paths: list[str], dataset: ClusterDataset) -> tuple[list[Res
                 f"results of backend id {resultset.backend_id!r}"
             )
         files[resultset.backend_id] = path
-        resultsets.append(resultset)
-        rows[resultset.backend_id] = compute_report(resultset, dataset)
-    return resultsets, rows
+        resultsets[resultset.backend_id] = resultset
+    return resultsets
 
 
 def _exit_if_failed(errors: int) -> None:
@@ -340,10 +340,12 @@ def augment(config, dataset_path, baseline_paths, graph, prompt, backend_flags,
             granularity, cache_dir, out_dir):
     """Build context from jointly-missed questions and re-evaluate with it."""
     dataset = _load_dataset(dataset_path, config)
-    baselines, baseline_rows = _read_baselines(baseline_paths, dataset)
+    baselines = _read_baselines(baseline_paths)
+    # build_context checks each baseline against the dataset, so its rows need no compute_report.
     context = build_context(
-        baselines, dataset, granularity=_merge(granularity, config["granularity"], "question")
+        list(baselines.values()), dataset, granularity=_merge(granularity, config["granularity"], "question")
     )
+    baseline_rows = {name: report_from_verdicts(name, rs.verdicts, dataset) for name, rs in baselines.items()}
     template = _load_prompt(prompt, config)
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
     out = Path(out_dir)
@@ -380,13 +382,13 @@ def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, 
     closure = deductive_closure(loaded_graph)
     template = _load_prompt(prompt, config)
     # Refuses a bad roster, or a prompt with two expected answers, before any backend opens its cache.
-    ScenarioOracle(policy_scenarios, roster, loaded_graph, closure, template)
+    oracle = ScenarioOracle(policy_scenarios, roster, loaded_graph, closure, template)
 
     def build(spec: dict) -> Backend:
         if spec["kind"] == "perfect":
-            return ScenarioOracle(
-                policy_scenarios, roster, loaded_graph, closure, template, id=spec.get("id") or "perfect"
-            )
+            perfect = copy.copy(oracle)
+            perfect.id = spec.get("id") or "perfect"
+            return perfect
         if spec["kind"] == "noisy":
             raise ConfigError("the noisy backend only evaluates cluster datasets")
         return backend_from_config(spec)
@@ -418,7 +420,7 @@ def report(config, dataset_path, results_paths, baseline_paths, title, out_dir):
     """Re-render the consistency report from stored results files."""
     dataset = _load_dataset(dataset_path, config)
     rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
-    baselines = _read_baselines(baseline_paths, dataset)[1] if baseline_paths else None
+    baselines = {name: compute_report(rs, dataset) for name, rs in _read_baselines(baseline_paths).items()} or None
     out = Path(out_dir)
     _make_dir(out)
     _write_reports(

@@ -261,8 +261,8 @@ def _subsumption_clusters(
 
 
 def _edges_by_label(graph: ConceptGraph) -> list[tuple[ConceptId, ConceptId]]:
-    label = graph.label_of
-    return sorted(graph.edges, key=lambda e: (label(e[0]), label(e[1])))
+    """Every (child, parent) edge, sorted by the child's label and then the parent's (labels are unique)."""
+    return [(child, parent) for child in graph.ids_by_label for parent in graph.parents_map[child]]
 
 
 def gen_positive_clusters(graph: ConceptGraph, config: GenerationConfig) -> list[QuestionCluster]:

@@ -29,6 +29,7 @@ from .errors import (
     JSON_SPACE,
     ConceptCheckError,
     DenominatorMismatch,
+    FingerprintMismatch,
     MismatchedDataset,
     SchemaViolation,
     canonical_json,
@@ -178,8 +179,14 @@ def evaluate_dataset(
     is above one is asked by that many workers, each taking the next
     question when its call returns; records come back in dataset order,
     and an exception other than a `ConceptCheckError` stops new calls and
-    reaches the caller.
+    reaches the caller. A context built from another dataset is refused
+    with FingerprintMismatch before any question is asked.
     """
+    if context is not None and context.dataset_fingerprint != dataset.fingerprint:
+        raise FingerprintMismatch(
+            f"context block is for dataset {context.dataset_fingerprint[:12]}..., "
+            f"the evaluated dataset is {dataset.fingerprint[:12]}..."
+        )
     prefix = render_prefix(template, context.statements if context is not None else ())
     jobs = [
         (cluster.id, idx, question, prefix, cluster.expected)

@@ -14,9 +14,9 @@ import random
 import re
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable
 
@@ -94,19 +94,18 @@ class ConceptGraph:
 
     @cached_property
     def parents_map(self) -> dict[ConceptId, tuple[ConceptId, ...]]:
-        out: dict[ConceptId, list[ConceptId]] = {c.id: [] for c in self.concepts}
-        for child, parent in self.edges:
-            out[child].append(parent)
-        label = self.label_of
-        return {k: tuple(sorted(v, key=label)) for k, v in out.items()}
+        return self._neighbours(self.edges)
 
     @cached_property
     def children_map(self) -> dict[ConceptId, tuple[ConceptId, ...]]:
+        return self._neighbours((parent, child) for child, parent in self.edges)
+
+    def _neighbours(self, pairs: Iterable[tuple[ConceptId, ConceptId]]) -> dict[ConceptId, tuple[ConceptId, ...]]:
+        """Each concept's partners b in the (a, b) `pairs`, sorted by label."""
         out: dict[ConceptId, list[ConceptId]] = {c.id: [] for c in self.concepts}
-        for child, parent in self.edges:
-            out[parent].append(child)
-        label = self.label_of
-        return {k: tuple(sorted(v, key=label)) for k, v in out.items()}
+        for a, b in pairs:
+            out[a].append(b)
+        return {k: tuple(sorted(v, key=self.label_of)) for k, v in out.items()}
 
     @cached_property
     def parent_first(self) -> tuple[ConceptId, ...]:
@@ -243,39 +242,35 @@ class DeductiveClosure:
 
     `implied` holds every ordered (descendant, ancestor) pair, direct edges
     included; the relation is irreflexive. `derived_from` is the fingerprint
-    of the source graph.
+    of the source graph. `ancestor_sets` holds each concept's ancestors, the
+    sets `implied` is flattened from.
     """
 
     nodes: frozenset[ConceptId]
     direct: frozenset[tuple[ConceptId, ConceptId]]
     implied: frozenset[tuple[ConceptId, ConceptId]]
     derived_from: str
+    ancestor_sets: dict[ConceptId, frozenset[ConceptId]] = field(repr=False, compare=False)
 
     @cached_property
     def strictly_implied(self) -> frozenset[tuple[ConceptId, ConceptId]]:
         return self.implied - self.direct
 
     @cached_property
-    def _ancestor_map(self) -> dict[ConceptId, frozenset[ConceptId]]:
-        out: dict[ConceptId, set[ConceptId]] = {n: set() for n in self.nodes}
-        for child, parent in self.implied:
-            out[child].add(parent)
-        return {k: frozenset(v) for k, v in out.items()}
-
-    @cached_property
-    def _descendant_map(self) -> dict[ConceptId, frozenset[ConceptId]]:
-        out: dict[ConceptId, set[ConceptId]] = {n: set() for n in self.nodes}
-        for child, parent in self.implied:
-            out[parent].add(child)
+    def _descendant_sets(self) -> dict[ConceptId, frozenset[ConceptId]]:
+        out: dict[ConceptId, list[ConceptId]] = {n: [] for n in self.ancestor_sets}
+        for child, ancestors in self.ancestor_sets.items():
+            for ancestor in ancestors:
+                out[ancestor].append(child)
         return {k: frozenset(v) for k, v in out.items()}
 
     def ancestors(self, concept: ConceptId) -> frozenset[ConceptId]:
         self._check(concept)
-        return self._ancestor_map[concept]
+        return self.ancestor_sets[concept]
 
     def strict_descendants(self, concept: ConceptId) -> frozenset[ConceptId]:
         self._check(concept)
-        return self._descendant_map[concept]
+        return self._descendant_sets[concept]
 
     def _check(self, concept: ConceptId) -> None:
         if concept not in self.nodes:
@@ -284,21 +279,19 @@ class DeductiveClosure:
 
 def deductive_closure(graph: ConceptGraph) -> DeductiveClosure:
     """Compute the closure by ancestor propagation in parent-first order."""
-    ancestors: dict[ConceptId, set[ConceptId]] = {}
+    ancestors: dict[ConceptId, frozenset[ConceptId]] = {}
     for node in graph.parent_first:
-        acc: set[ConceptId] = set()
-        for parent in graph.parents_map[node]:
-            acc.add(parent)
+        parents = graph.parents_map[node]
+        acc = set(parents)
+        for parent in parents:
             acc |= ancestors[parent]
-        ancestors[node] = acc
-    implied = frozenset(
-        (child, anc) for child, accs in ancestors.items() for anc in accs
-    )
+        ancestors[node] = frozenset(acc)
     return DeductiveClosure(
         nodes=frozenset(graph.concept_ids),
         direct=graph.edge_set,
-        implied=implied,
+        implied=frozenset((child, anc) for child, accs in ancestors.items() for anc in accs),
         derived_from=graph.fingerprint,
+        ancestor_sets=ancestors,
     )
 
 
@@ -362,23 +355,18 @@ def unrelated_pairs(
         raise ConfigError("min_distance must be >= 1")
     ordered = graph.ids_by_label
     position = {c: i for i, c in enumerate(ordered)}
-    adjacent: dict[ConceptId, set[ConceptId]] = {c: set() for c in ordered}
-    linked: dict[ConceptId, set[ConceptId]] = {c: set() for c in ordered}
-    for pairs, table in ((graph.edges, adjacent), (graph.same_as, linked)):
-        for a, b in pairs:
-            table[a].add(b)
-            table[b].add(a)
+    linked = graph._neighbours(chain(graph.same_as, ((b, a) for a, b in graph.same_as)))
 
     def excluded_after(i: int) -> list[int]:
         """Positions after row i that are not candidate partners of row i."""
         a = ordered[i]
         near = frontier = {a}
         for _ in range(min_distance - 1):
-            frontier = {o for cur in frontier for o in adjacent[cur]} - near
+            frontier = {o for cur in frontier for o in chain(graph.parents_map[cur], graph.children_map[cur])} - near
             if not frontier:
                 break
             near = near | frontier
-        excluded = near | linked[a] | closure.ancestors(a) | closure.strict_descendants(a)
+        excluded = near.union(linked[a], closure.ancestors(a), closure.strict_descendants(a))
         return sorted(p for p in map(position.__getitem__, excluded) if p > i)
 
     ends = list(accumulate(len(ordered) - 1 - i - len(excluded_after(i)) for i in range(len(ordered))))

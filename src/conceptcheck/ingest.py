@@ -26,6 +26,7 @@ from typing import IO, Iterable
 from .backends import ResponseCache
 from .errors import INTEGER, LIST, optional, read_fields
 from .errors import (
+    JSON_SPACE,
     ConfigError,
     EmptyFragment,
     MalformedResponse,
@@ -151,8 +152,8 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
     """Parse a line-delimited dump; malformed lines become diagnostics.
 
     Well-formed records always come back, in file order; array wrapper
-    lines ("[", "]") and trailing commas are tolerated because full dump
-    exports carry them.
+    lines ("[", "]"), trailing commas and JSON whitespace around a record
+    are tolerated because full dump exports carry them.
     """
     if hasattr(source, "read"):
         where = f"dump stream {source.name}" if hasattr(source, "name") else "dump stream"
@@ -170,7 +171,7 @@ def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
         # Records end at "\n" only: str.splitlines would also break inside a JSON
         # string at U+2028, U+0085 and other characters JSON leaves unescaped.
         for lineno, line in enumerate(text.split("\n"), start=1):
-            stripped = line.strip().rstrip(",")
+            stripped = line.strip(JSON_SPACE).rstrip(",")
             if not stripped or stripped in ("[", "]"):
                 continue
             try:

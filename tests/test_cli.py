@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import conceptcheck as cc
+import conceptcheck.evaluation
+import conceptcheck.scenarios
 from conceptcheck.cli import main
 from clirunner import CliRunner
 from conftest import ladder_edges, make_graph
@@ -470,6 +473,30 @@ def test_evaluate_with_context_file(runner, tmp_path, dataset_file):
     assert results.context_fingerprint == context.fingerprint()
 
 
+def test_evaluate_refuses_a_context_built_from_another_dataset(runner, tmp_path, dataset_file):
+    # A context of the medical dataset, handed to a run over the finance dataset.
+    context = cc.ContextBlock(
+        statements=("a surgeon is a medical specialist",),
+        source_cluster_ids=("positive-edge:surgeon:medical-specialist",),
+        backend_ids=("by-hand",),
+        dataset_fingerprint=cc.read_dataset(dataset_file).fingerprint,
+    )
+    context_path = tmp_path / "context.json"
+    cc.save_context(context, context_path)
+    finance = tmp_path / "finance.json"
+    run(runner, "generate", "--graph", "fixture:finance_graph.json", "--out", finance)
+    out_dir = tmp_path / "eval"
+    result = run(
+        runner, "evaluate", "--dataset", finance, "--graph", "fixture:finance_graph.json",
+        "--context", context_path, "--out-dir", out_dir, code=2,
+    )
+    assert result.stderr == (
+        f"error: context block is for dataset {context.dataset_fingerprint[:12]}..., "
+        f"the evaluated dataset is {cc.read_dataset(finance).fingerprint[:12]}...\n"
+    )
+    assert not list(out_dir.glob("results-*"))
+
+
 def test_evaluate_replays_a_cache_of_one_file_per_entry(runner, tmp_path, dataset_file):
     # The former cache layout, one <key>.json per entry written by hand, still
     # replays with no request; a damaged file is a miss, and that layout is
@@ -539,6 +566,20 @@ def test_augment_replays_missed_knowledge(runner, tmp_path, dataset_file):
     assert f"| {expected} |" in report.splitlines()[-1]
 
 
+def test_augment_checks_each_result_set_against_the_dataset_once(runner, tmp_path, dataset_file):
+    # Once for the baseline, in build_context, and once for the augmented run's report row.
+    eval_dir = tmp_path / "eval"
+    noisy = '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}'
+    run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--backend", noisy, "--out-dir", eval_dir)
+    module = conceptcheck.evaluation
+    with patch.object(module, "_check_answers_match", wraps=module._check_answers_match) as check:
+        run(
+            runner, "augment", "--dataset", dataset_file, "--baseline", eval_dir / "results-noisy-p0.3-s7.jsonl",
+            "--graph", GRAPH, "--out-dir", tmp_path / "aug",
+        )
+    assert check.call_count == 2
+
+
 def test_augment_with_perfect_baseline_skips_rerun(runner, tmp_path, dataset_file):
     eval_dir = tmp_path / "eval"
     run(
@@ -591,6 +632,21 @@ def test_scenarios_perfect_oracle(runner, tmp_path):
     assert "| perfect | 0 | 0 |" in summary
     assert (out_dir / "scenario-results-perfect.jsonl").exists()
     assert (out_dir / "scenario-report-perfect.md").exists()
+
+
+def test_scenarios_copy_the_checked_oracle_for_each_perfect_backend(runner, tmp_path):
+    # The jobs are built for the roster check, whose oracle each perfect spec
+    # copies, and then once per backend by evaluate_scenarios.
+    module = conceptcheck.scenarios
+    with patch.object(module, "_scenario_jobs", wraps=module._scenario_jobs) as jobs:
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--backend", '{"kind": "perfect"}',
+            "--backend", '{"kind": "perfect", "id": "again"}', "--out-dir", tmp_path / "scen",
+        )
+    assert jobs.call_count == 3
+    for backend_id in ("perfect", "again"):
+        assert f"{backend_id}: 0/140 incorrect, 0/10 inconsistent scenarios" in result.output
+        assert (tmp_path / "scen" / f"scenario-results-{backend_id}.jsonl").exists()
 
 
 def test_scenarios_custom_roster(runner, tmp_path):

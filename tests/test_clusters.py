@@ -121,6 +121,18 @@ def test_inverse_clusters_flip_direction(medical_graph):
     assert flipped.questions[0] == "is a medical specialist a surgeon ?"
 
 
+def test_edge_clusters_follow_label_order_not_id_order():
+    # Ids sort one way and labels the other, for the children and for the parents of one child.
+    labels = {"a": "zebra", "b": "yak", "c": "wolf", "d": "cat"}
+    edges = [("a", "d"), ("a", "c"), ("b", "d"), ("c", "d")]
+    graph = cc.build_graph([cc.Concept(i, label) for i, label in labels.items()], edges)
+    by_labels = [("c", "d"), ("b", "d"), ("a", "d"), ("a", "c")]
+    assert by_labels == sorted(graph.edges, key=lambda e: (labels[e[0]], labels[e[1]]))
+    config = cc.GenerationConfig()
+    assert [(c.source, c.target) for c in gen_positive_clusters(graph, config)] == by_labels
+    assert [(c.target, c.source) for c in gen_inverse_clusters(graph, config)] == by_labels
+
+
 def test_inverse_clusters_skip_same_as_edges():
     g = make_graph([("b", "a"), ("c", "a")], same_as=[("b", "a")])
     config = cc.GenerationConfig(seed=1)

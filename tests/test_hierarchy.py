@@ -136,10 +136,22 @@ def test_closure_matches_brute_force_on_random_dags():
     for seed in range(20):
         rng = random.Random(seed)
         nodes, edges = random_dag(rng)
-        concepts = [cc.Concept(id=n, label=n, aliases=()) for n in nodes]
+        # Labels sort in another order than ids, so a map sorted by id would differ.
+        labels = dict(zip(nodes, rng.sample([f"label {i:02d}" for i in range(len(nodes))], len(nodes))))
+        concepts = [cc.Concept(id=n, label=labels[n], aliases=()) for n in nodes]
         graph = cc.build_graph(concepts, edges)
         closure = cc.deductive_closure(graph)
         assert set(closure.implied) == floyd_warshall_reachability(nodes, edges), f"seed {seed}"
+        reversed_edges = {(parent, child) for child, parent in edges}
+        for node in nodes:
+            where = f"seed {seed}, {node}"
+            ancestors, descendants = closure.ancestors(node), closure.strict_descendants(node)
+            assert type(ancestors) is frozenset and ancestors == ancestors_by_bfs(node, edges), where
+            assert type(descendants) is frozenset and descendants == ancestors_by_bfs(node, reversed_edges), where
+            parents = sorted((p for c, p in edges if c == node), key=labels.get)
+            children = sorted((c for c, p in edges if p == node), key=labels.get)
+            assert graph.parents_map[node] == tuple(parents), where
+            assert graph.children_map[node] == tuple(children), where
 
 
 def test_closure_is_irreflexive_and_contains_direct_edges(medical_graph, medical_closure):

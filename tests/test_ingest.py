@@ -128,6 +128,15 @@ def test_parse_keeps_labels_holding_unicode_line_breaks(tmp_path):
         assert [e.label("en") for e in result.entities] == ["line\u2028separator", f"next{breaks}line\x85", "three"]
         assert len(result.diagnostics) == 1
         assert result.diagnostics[0].startswith("line 3: not valid JSON")
+    # As in results files, only JSON whitespace (space, tab, "\r") pads a
+    # record or blanks a line; json.loads refuses any other character there.
+    four, five = (json.dumps({"id": f"Q{i}", "labels": {"en": {"value": f"q{i}"}}}) for i in (4, 5))
+    for stray in ("\xa0", "\x0c", "\u2028", "\x85", "\x1c"):
+        result = cc.parse_entity_dump(io.StringIO(f" \t{four},\r\n{stray}{five}{stray}\n{stray}\n"))
+        assert [e.id for e in result.entities] == ["Q4"], repr(stray)
+        assert result.diagnostics == [
+            f"line {n}: not valid JSON: Expecting value: line 1 column 1 (char 0)" for n in (2, 3)
+        ], repr(stray)
 
 
 def test_parse_tolerates_array_wrapper_and_trailing_commas(tmp_path):
