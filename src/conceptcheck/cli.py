@@ -43,6 +43,7 @@ from .evaluation import (
     CONTEXT_GRANULARITIES,
     ResultSet,
     build_context,
+    check_context,
     compute_report,
     evaluate_dataset,
     load_context,
@@ -286,7 +287,8 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
     for backend in backends:
         resultset = evaluate_dataset(dataset, backend, template, context)
         write_results(resultset, out / f"results-{_slug(backend.id)}{suffix}.jsonl")
-        rows.append(compute_report(resultset, dataset))
+        # The records were just built in dataset order, so the row needs no compute_report.
+        rows.append(report_from_verdicts(resultset.backend_id, resultset.verdicts, dataset))
         errors += resultset.error_count
     return rows, errors
 
@@ -326,6 +328,7 @@ def evaluate(config, dataset_path, graph, prompt, backend_flags, context_path, c
     dataset = _load_dataset(dataset_path, config)
     template = _load_prompt(prompt, config)
     context = load_context(resolve_path(context_path)) if context_path else None
+    check_context(context, dataset)
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
 
     out = Path(out_dir)

@@ -8,10 +8,13 @@ so CLI code can map the whole family to a single exit code.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import json
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 
 class ConceptCheckError(Exception):
@@ -99,6 +102,71 @@ def read_text(path: str | Path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableSource(f"cannot read {what} {path}: {exc}") from exc
+
+
+# Characters (bytes, from a file or a binary stream) that `read_lines` reads at
+# once: far less than a results file, so that reading one holds its records
+# and not its text.
+LINE_BLOCK = 1 << 16
+
+
+def read_lines(source: str | Path | IO, what: str) -> Iterator[tuple[int, str]]:
+    """Each line of the file at `source`, or of the stream `source`, with its
+    number from 1, as `enumerate(text.split("\\n"), start=1)` gives them for
+    the whole text, read `LINE_BLOCK` at a time. Records end at "\\n" only:
+    str.splitlines would also break inside a JSON string at U+2028, U+0085
+    and other characters JSON leaves unescaped.
+
+    A file is read as `read_text` reads it (UTF-8, universal newlines), a
+    binary stream as UTF-8 with its newlines as they are, and a text stream
+    as it comes. An OSError, or bytes that are not UTF-8, are an
+    UnreadableSource naming the "<what> file" or "<what> stream", raised
+    when reading reaches the fault. A file or binary stream gives the byte
+    position that a decode of its whole text gives; a text stream words its
+    own errors.
+    """
+    stream = hasattr(source, "read")
+    if stream:
+        name = f"{what} stream {source.name}" if hasattr(source, "name") else f"{what} stream"
+    else:
+        name = f"{what} file {source}"
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    if not stream:
+        decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    lineno, parts, read = 0, [], 0
+    try:
+        with nullcontext(source) if stream else open(source, "rb") as file:
+            while True:
+                chunk = block = file.read(LINE_BLOCK)
+                if type(chunk) is bytes:
+                    read += len(chunk)
+                    block = decoder.decode(chunk, final=not chunk)
+                lines = block.split("\n")
+                parts.append(lines[0])
+                if len(lines) > 1:
+                    lines[0] = "".join(parts)
+                    parts = [lines.pop()]
+                    yield from enumerate(lines, lineno + 1)
+                    lineno += len(lines)
+                if not chunk:
+                    break
+    except UnicodeDecodeError as exc:
+        # The decoder failed inside the bytes it held over plus the last block read.
+        shift = read - len(exc.object) if read else 0
+        raise UnreadableSource(f"cannot read {name}: {_decode_error(exc, shift)}") from exc
+    except OSError as exc:
+        raise UnreadableSource(f"cannot read {name}: {exc}") from exc
+    yield lineno + 1, "".join(parts)
+
+
+def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
+    """`str(exc)`, with its positions `shift` bytes further on."""
+    start, end = exc.start + shift, exc.end + shift
+    if end == start + 1:
+        at = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        at = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {at}: {exc.reason}"
 
 
 def read_json(path: str | Path, what: str) -> object:
@@ -237,4 +305,4 @@ def write_json(path: str | Path, obj: object) -> None:
 
 def write_json_lines(path: str | Path, objs: Iterable[object]) -> None:
     """Write each object as one `canonical_json` line."""
-    write_text(path, [canonical_json(obj) + "\n" for obj in objs])
+    write_text(path, (canonical_json(obj) + "\n" for obj in objs))

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote_json
 from operator import attrgetter
 from pathlib import Path
@@ -36,7 +36,7 @@ from .errors import (
     decode_json_line,
     digest,
     read_json,
-    read_text,
+    read_lines,
     write_json,
     write_text,
 )
@@ -164,6 +164,15 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     return records
 
 
+def check_context(context: "ContextBlock | None", dataset: ClusterDataset) -> None:
+    """Refuse, with FingerprintMismatch, a context block built from another dataset."""
+    if context is not None and context.dataset_fingerprint != dataset.fingerprint:
+        raise FingerprintMismatch(
+            f"context block is for dataset {context.dataset_fingerprint[:12]}..., "
+            f"the evaluated dataset is {dataset.fingerprint[:12]}..."
+        )
+
+
 def evaluate_dataset(
     dataset: ClusterDataset,
     backend: Backend,
@@ -179,14 +188,10 @@ def evaluate_dataset(
     is above one is asked by that many workers, each taking the next
     question when its call returns; records come back in dataset order,
     and an exception other than a `ConceptCheckError` stops new calls and
-    reaches the caller. A context built from another dataset is refused
-    with FingerprintMismatch before any question is asked.
+    reaches the caller. A context built from another dataset is refused by
+    `check_context` before any question is asked.
     """
-    if context is not None and context.dataset_fingerprint != dataset.fingerprint:
-        raise FingerprintMismatch(
-            f"context block is for dataset {context.dataset_fingerprint[:12]}..., "
-            f"the evaluated dataset is {dataset.fingerprint[:12]}..."
-        )
+    check_context(context, dataset)
     prefix = render_prefix(template, context.statements if context is not None else ())
     jobs = [
         (cluster.id, idx, question, prefix, cluster.expected)
@@ -466,35 +471,38 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
         "prompt_fingerprint": resultset.prompt_fingerprint,
         "context_fingerprint": resultset.context_fingerprint,
     }
-    lines = [canonical_json(header) + "\n"]
-    lines += [
+    answers = (
         _ANSWER_LINE % (
             quote_json(cluster_id), "true" if correct else "false", "true" if error else "false",
             quote_json(normalized), index, quote_json(raw),
         )
         for cluster_id, index, raw, normalized, correct, error in resultset.records
-    ]
-    write_text(path, lines)
+    )
+    write_text(path, chain([canonical_json(header) + "\n"], answers))
 
 
 def read_results(path: str | Path) -> ResultSet:
     """The result set `write_results` wrote to `path`.
 
-    Each line is decoded as `json.loads` would decode it, by
-    `decode_json_line`; a line that is empty once JSON whitespace (space,
-    tab, carriage return) is stripped is skipped. Every other line must be
-    one header (of this format version, and only one) or an answer record;
-    any other line, field or version is a SchemaViolation that names the
-    file and the line. An answer line whose fields all have their exact
-    types is read with one lookup of all its fields; any other line is
-    checked field by field by `read_fields`, which words the error.
+    The file is read by `read_lines`, a block at a time, so that reading
+    holds the records and not the file's text: a line is decoded and checked
+    before the next block is read, so a bad line is reported before a
+    non-UTF-8 byte in a later block. Each line is decoded as `json.loads`
+    would decode it, by `decode_json_line`; a line that is empty once JSON
+    whitespace (space, tab, carriage return) is stripped is skipped. Every
+    other line must be one header (of this format version, and only one) or
+    an answer record; any other line, field or version is a SchemaViolation
+    that names the file and the line. An answer line whose fields all have
+    their exact types is read with one lookup of all its fields; any other
+    line is checked field by field by `read_fields`, which words the error.
+    Records of one cluster share one cluster id string, and equal raw
+    answers share one string.
     """
-    text = read_text(path, "results file")
     header: list | None = None
     records: list[AnswerRecord] = []
-    # Records end at "\n" only: str.splitlines would also break inside a JSON
-    # string at U+2028, U+0085 and other characters JSON leaves unescaped.
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    shared_id = ""  # the cluster id of the previous answer, shared by the records of its cluster
+    raws: dict[str, str] = {}  # one string for each distinct raw answer
+    for lineno, line in read_lines(path, "results"):
         if not line.strip(JSON_SPACE):
             continue
         try:
@@ -503,7 +511,9 @@ def read_results(path: str | Path) -> ResultSet:
                 kind, cluster_id, index, raw, normalized, correct, error = map(data.get, _ANSWER_KEYS)
                 types = (type(cluster_id), type(index), type(raw), type(normalized), type(correct), type(error))
                 if kind == "answer" and types == _ANSWER_TYPES and normalized in _ANSWERS:
-                    fields = (cluster_id, index, raw, _ANSWERS[normalized], correct, error)
+                    if cluster_id != shared_id:
+                        shared_id = cluster_id
+                    fields = (shared_id, index, raws.setdefault(raw, raw), _ANSWERS[normalized], correct, error)
                     records.append(_new_record(AnswerRecord, fields))
                     continue
             kind = data.get("record") if isinstance(data, dict) else None

@@ -31,9 +31,8 @@ from .errors import (
     EmptyFragment,
     MalformedResponse,
     SeedNotFound,
-    UnreadableSource,
     decode_json_line,
-    read_text,
+    read_lines,
 )
 from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
 
@@ -148,29 +147,21 @@ def _collect(tagged: Iterable[tuple[str, object]], result: ParseResult) -> Parse
     return result
 
 
-def parse_entity_dump(source: str | Path | IO[str]) -> ParseResult:
+def parse_entity_dump(source: str | Path | IO[str] | IO[bytes]) -> ParseResult:
     """Parse a line-delimited dump; malformed lines become diagnostics.
 
     Well-formed records always come back, in file order; array wrapper
     lines ("[", "]"), trailing commas and JSON whitespace around a record
-    are tolerated because full dump exports carry them.
+    are tolerated because full dump exports carry them. The dump is read by
+    `read_lines`, a block at a time, from a file (UTF-8, universal newlines),
+    a text stream, or a binary stream (UTF-8, newlines as they are). Records
+    are parsed as their blocks are read, so bytes that are not UTF-8 stop the
+    parse with an UnreadableSource only when reading reaches them.
     """
-    if hasattr(source, "read"):
-        where = f"dump stream {source.name}" if hasattr(source, "name") else "dump stream"
-        try:
-            text = source.read()
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableSource(f"cannot read {where}: {exc}") from exc
-    else:
-        text = read_text(source, "dump file")
     result = ParseResult(entities=[])
 
     def records():
-        # Records end at "\n" only: str.splitlines would also break inside a JSON
-        # string at U+2028, U+0085 and other characters JSON leaves unescaped.
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in read_lines(source, "dump"):
             stripped = line.strip(JSON_SPACE).rstrip(",")
             if not stripped or stripped in ("[", "]"):
                 continue

@@ -14,8 +14,9 @@ import json
 import random
 from pathlib import Path
 
-from conceptcheck import Answer, AnswerRecord, ResultSet, SchemaViolation
+from conceptcheck import Answer, AnswerRecord, ResultSet, SchemaViolation, UnreadableSource
 from conceptcheck.errors import BOOLEAN, INTEGER, STRING, one_of, optional, read_fields
+from conceptcheck.ingest import ParseResult, _collect
 
 
 def floyd_warshall_reachability(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -302,6 +303,41 @@ def results_by_hand(path) -> ResultSet:
     if header is None:
         raise SchemaViolation(f"{path}: missing header record")
     return ResultSet(*header, records=tuple(records))
+
+
+def entity_dump_by_hand(source) -> ParseResult:
+    """An entity dump read as one text: a file by `Path.read_text`, a stream
+    by one `read()`, decoded as UTF-8 when it gives bytes. Each line of
+    `text.split("\\n")` is stripped of JSON whitespace and a trailing comma;
+    empty and array wrapper lines are skipped, and every other line goes
+    through `json.loads`, a line it refuses being a diagnostic that names
+    its number. The records then go through `parse_entity_dump`'s own rules
+    for ids and labels."""
+    try:
+        if hasattr(source, "read"):
+            where = f"dump stream {source.name}" if hasattr(source, "name") else "dump stream"
+            text = source.read()
+            text = text.decode("utf-8") if isinstance(text, bytes) else text
+        else:
+            where = f"dump file {source}"
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableSource(f"cannot read {where}: {exc}") from None
+    result = ParseResult(entities=[])
+
+    def records():
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            stripped = line.strip(" \t\n\r").rstrip(",")
+            if stripped in ("", "[", "]"):
+                continue
+            try:
+                data = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
+                continue
+            yield f"line {lineno}", data
+
+    return _collect(records(), result)
 
 
 def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, truth: str) -> str:

@@ -494,7 +494,8 @@ def test_evaluate_refuses_a_context_built_from_another_dataset(runner, tmp_path,
         f"error: context block is for dataset {context.dataset_fingerprint[:12]}..., "
         f"the evaluated dataset is {cc.read_dataset(finance).fingerprint[:12]}...\n"
     )
-    assert not list(out_dir.glob("results-*"))
+    # The context is checked before the output directory is made.
+    assert not out_dir.exists()
 
 
 def test_evaluate_replays_a_cache_of_one_file_per_entry(runner, tmp_path, dataset_file):
@@ -567,17 +568,20 @@ def test_augment_replays_missed_knowledge(runner, tmp_path, dataset_file):
 
 
 def test_augment_checks_each_result_set_against_the_dataset_once(runner, tmp_path, dataset_file):
-    # Once for the baseline, in build_context, and once for the augmented run's report row.
+    # evaluate builds its records in dataset order and checks none of them;
+    # augment checks its baseline once, in build_context, and its own fresh records not at all.
     eval_dir = tmp_path / "eval"
     noisy = '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}'
-    run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--backend", noisy, "--out-dir", eval_dir)
     module = conceptcheck.evaluation
+    with patch.object(module, "_check_answers_match", wraps=module._check_answers_match) as check:
+        run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--backend", noisy, "--out-dir", eval_dir)
+    assert check.call_count == 0
     with patch.object(module, "_check_answers_match", wraps=module._check_answers_match) as check:
         run(
             runner, "augment", "--dataset", dataset_file, "--baseline", eval_dir / "results-noisy-p0.3-s7.jsonl",
             "--graph", GRAPH, "--out-dir", tmp_path / "aug",
         )
-    assert check.call_count == 2
+    assert check.call_count == 1
 
 
 def test_augment_with_perfect_baseline_skips_rerun(runner, tmp_path, dataset_file):

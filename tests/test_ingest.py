@@ -7,10 +7,15 @@ import json
 import logging
 import re
 import time
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conceptcheck as cc
+from conceptcheck import errors
+from oracles import entity_dump_by_hand
 from stubserver import serving
 
 ROOT = "Q3332438"
@@ -177,6 +182,71 @@ def test_parse_refuses_bytes_that_are_not_utf8(tmp_path):
         cc.parse_entity_dump(stream)
     with pytest.raises(cc.UnreadableSource, match="^cannot read dump stream: "):
         cc.parse_entity_dump(io.BytesIO(dump.read_bytes()))
+
+
+@st.composite
+def dump_texts(draw) -> str:
+    """The text of a dump: records with repeated ids, ids of the wrong type and
+    labels holding two-byte, three-byte and line-breaking characters, padded
+    with JSON whitespace and trailing commas, between array wrapper lines,
+    malformed lines and stray whitespace; LF, CRLF or lone CR line ends, and a BOM."""
+    label = st.sampled_from(["one", "Gefäß", "中\u2028文", "x\x85y", ""])
+    lines = [
+        draw(st.sampled_from(["", " ", "\t"]))
+        + json.dumps(
+            {"id": draw(st.sampled_from(["Q1", "Q2", "Q3", 7])), "labels": {"en": {"value": draw(label)}},
+             "claims": {"P279": [{"mainsnak": {"datavalue": {"value": {"id": draw(st.sampled_from(["Q1", "Q2"]))}}}}]}},
+            ensure_ascii=draw(st.booleans()),
+        )
+        + draw(st.sampled_from(["", ",", " ", "\r"]))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        stray = draw(st.sampled_from(["[", "]", "", " ", "{broken", "\xa0", "\u2028", "é"]))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + text
+
+
+def _parsed(parse, source) -> tuple:
+    """What `parse` makes of `source`: its entities and diagnostics, or the UnreadableSource's message."""
+    try:
+        result = parse(source)
+    except cc.UnreadableSource as exc:
+        return "error", str(exc)
+    return "value", result.entities, result.diagnostics
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(text=dump_texts(), block=st.sampled_from([errors.LINE_BLOCK, 1, 2, 3, 4, 5, 6, 7]))
+def test_parse_reads_a_dump_as_the_whole_text_reader_does(text, block, tmp_path_factory):
+    # Blocks of 1 to 7 characters end inside lines, CRLF pairs and multi-byte characters.
+    dump = tmp_path_factory.mktemp("d") / "dump.jsonl"
+    dump.write_text(text, encoding="utf-8", newline="")
+    sources = {
+        "file": lambda: dump,
+        "text stream": lambda: io.StringIO(text),
+        "binary stream": lambda: io.BytesIO(text.encode("utf-8")),
+    }
+    for kind, source in sources.items():
+        with patch.object(errors, "LINE_BLOCK", block):
+            assert _parsed(cc.parse_entity_dump, source()) == _parsed(entity_dump_by_hand, source()), kind
+
+
+@pytest.mark.parametrize("block", [errors.LINE_BLOCK, 7])
+def test_parse_names_a_dump_with_a_byte_that_is_not_utf8_past_the_first_block(block, tmp_path):
+    record = json.dumps({"id": "Q1", "labels": {"en": {"value": "Gefäß"}}}, ensure_ascii=False)
+    data = ((record + "\r\n") * (3 * block // len(record) + 1)).encode("utf-8") + record.encode("latin-1")
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start > block
+    with patch.object(errors, "LINE_BLOCK", block):
+        for source, name in ((dump, f"dump file {dump}"), (io.BytesIO(data), "dump stream")):
+            with pytest.raises(cc.UnreadableSource) as caught:
+                cc.parse_entity_dump(source)
+            assert str(caught.value) == f"cannot read {name}: {whole.value}"
 
 
 def test_parse_missing_file(tmp_path):

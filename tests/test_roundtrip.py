@@ -9,6 +9,8 @@ reads any file, valid or not, as the reference reader in `oracles.py` does."""
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 import warnings
 from json.scanner import py_make_scanner
 from unittest.mock import patch
@@ -352,15 +354,80 @@ def _read(read, path) -> tuple:
     return "value", rs, [(type(r), *map(type, r)) for r in rs.records]
 
 
+# The block size a reader reads at, and sizes that put block edges inside
+# lines, inside CRLF pairs and inside multi-byte characters.
+block_sizes = st.sampled_from([errors.LINE_BLOCK, 1, 2, 3, 4, 5, 6, 7])
+
+
 @settings(CHECK, max_examples=300)
-@given(text=results_files())
+@given(text=results_files(), block=block_sizes)
 @example(text='{"record":"header","version":"1","backend":"b","dataset_fingerprint":"d","prompt_fingerprint":"p"}\n'
               '{"cluster_id":"c","correct":true,"error":false,"normalized":"yes","question_index":0,"raw":"y",'
-              '"record":"answer"}\n')
-def test_read_results_reads_a_file_as_the_reference_reader_does(text, tmp_path_factory):
+              '"record":"answer"}\n', block=errors.LINE_BLOCK)
+def test_read_results_reads_a_file_as_the_reference_reader_does(text, block, tmp_path_factory):
     path = tmp_path_factory.mktemp("r") / "results.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _read(cc.read_results, path) == _read(results_by_hand, path)
+    with patch.object(errors, "LINE_BLOCK", block):
+        assert _read(cc.read_results, path) == _read(results_by_hand, path)
+
+
+def _lines_then_a_latin1_byte(block: int) -> bytes:
+    """A results file of CRLF lines holding two-byte characters, longer than
+    three blocks, then an answer whose raw text is Latin-1."""
+    answer = {"record": "answer", "cluster_id": "c", "normalized": "no", "correct": False, "error": False}
+    lines = [json.dumps(HEADER)] + [
+        json.dumps({**answer, "question_index": i, "raw": "né"}, ensure_ascii=False) for i in range(3 * block // 50 + 1)
+    ]
+    latin1 = json.dumps({**answer, "question_index": 0, "raw": "Gefäß"}, ensure_ascii=False).encode("latin-1")
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8") + latin1
+
+
+@pytest.mark.parametrize("block", [errors.LINE_BLOCK, 7])
+def test_a_byte_that_is_not_utf8_past_the_first_block_names_the_file_and_its_position(block, tmp_path):
+    data = _lines_then_a_latin1_byte(block)
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start > block
+    with patch.object(errors, "LINE_BLOCK", block), pytest.raises(cc.UnreadableSource) as caught:
+        cc.read_results(path)
+    assert str(caught.value) == f"cannot read results file {path}: {whole.value}"
+
+
+def test_a_bad_line_before_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
+    # Lines are checked as their block is read, so the bad line two blocks
+    # before the byte stops the read first.
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"{not json\n" + _lines_then_a_latin1_byte(7))
+    with patch.object(errors, "LINE_BLOCK", 7), pytest.raises(cc.SchemaViolation, match=f"^{path}:1: not valid JSON"):
+        cc.read_results(path)
+
+
+def test_reading_a_results_file_holds_its_records_not_its_text(tmp_path):
+    records = tuple(
+        cc.AnswerRecord(f"positive-edge:concept-{i // 3}:parent-{i // 3}", i % 3, "Yes." if i % 4 else f"no, {i}",
+                        cc.Answer.YES if i % 4 else cc.Answer.NO, bool(i % 5), False)
+        for i in range(20_000)
+    )
+    resultset = cc.ResultSet("b", "d" * 64, "p" * 64, None, records)
+    path = tmp_path / "results.jsonl"
+    cc.write_results(resultset, path)
+    tracemalloc.start()
+    try:
+        read = cc.read_results(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read == resultset
+    # Beside the records, a reader may hold a few blocks of text and their
+    # lines, and the list it gathers the records in before they become a
+    # tuple. Holding the file's text, or a list of all its lines, is far more.
+    assert path.stat().st_size > 40 * errors.LINE_BLOCK
+    assert peak - retained < 8 * errors.LINE_BLOCK + sys.getsizeof(list(records))
+    # The records of one cluster share one id string, and equal raw answers one string.
+    assert len({id(r.cluster_id) for r in read.records}) == len({r.cluster_id for r in read.records})
+    assert len({id(r.raw) for r in read.records}) == len({r.raw for r in read.records})
 
 
 def test_read_results_reads_each_changed_answer_field_as_the_reference_reader_does(tmp_path):
