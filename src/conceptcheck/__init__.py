@@ -5,224 +5,71 @@ closure, generate clusters of questions that must agree, evaluate a model
 backend, classify each cluster as consistent, inconsistent, or incomplete,
 and optionally re-evaluate with the jointly-missed statements injected as
 prompt context.
+
+Importing the package loads none of its modules. The first read of any
+exported name loads them all, in the order of `_EXPORTS`, and binds every
+export at once, so that the library's import cost is paid in one place and
+not inside the first call of each function. `import conceptcheck.<module>`
+loads only that module and what it imports.
 """
 
-from .answers import Answer, normalize_answer
-from .backends import (
-    Backend,
-    NoisyOracle,
-    PerfectOracle,
-    PromptTemplate,
-    RemoteBackend,
-    ResponseCache,
-    ScriptedBackend,
-    backend_from_config,
-    load_prompt_template,
-    load_scripted_answers,
-    prompt_with_prefix,
-    render_prefix,
-)
-from .clusters import (
-    ClusterDataset,
-    ClusterType,
-    GenerationConfig,
-    QuestionCluster,
-    dataset_fingerprint,
-    generate_dataset,
-    read_dataset,
-    write_dataset,
-)
-from .errors import (
-    AuthMissing,
-    ConceptCheckError,
-    ConfigError,
-    CycleDetected,
-    DanglingReference,
-    DenominatorMismatch,
-    DuplicateLabel,
-    EmptyFragment,
-    FingerprintMismatch,
-    InsufficientPairsWarning,
-    MalformedResponse,
-    MismatchedDataset,
-    NetworkError,
-    SchemaViolation,
-    SeedNotFound,
-    UnknownConcept,
-    UnknownTemplate,
-    UnreadableSource,
-)
-from .evaluation import (
-    AnswerRecord,
-    ContextBlock,
-    GroupCount,
-    ReportRow,
-    ResultSet,
-    Verdict,
-    build_context,
-    classify_cluster,
-    compute_report,
-    evaluate_dataset,
-    improvement,
-    load_context,
-    read_results,
-    report_from_verdicts,
-    save_context,
-    write_results,
-)
-from .fixtures import (
-    MEDICAL_GENERATION,
-    MEDICAL_SPECIALISTS,
-    available_fixtures,
-    fixture_path,
-    load_default_prompt,
-    load_finance_graph,
-    load_medical_graph,
-    load_medical_scenarios,
-    medical_dump_path,
-    resolve_path,
-)
-from .hierarchy import (
-    MAX_ENUMERATED_PATHS,
-    Concept,
-    ConceptGraph,
-    DeductiveClosure,
-    PropertyAssertion,
-    build_graph,
-    deductive_closure,
-    graph_fingerprint,
-    implied_paths,
-    inherited_properties,
-    is_subconcept,
-    load_graph,
-    save_graph,
-    unrelated_pairs,
-)
-from .ingest import (
-    ExtractionSpec,
-    RawEntity,
-    extract_fragment,
-    fetch_live,
-    parse_entity_dump,
-)
-from .reporting import format_percent, render_csv, render_markdown, round_percent
-from .scenarios import (
-    PolicyScenario,
-    ScenarioOracle,
-    ScenarioQuestion,
-    ScenarioQuestionKind,
-    ScenarioResult,
-    ScenarioSummary,
-    evaluate_scenarios,
-    expected_answer,
-    gen_scenario_questions,
-    load_scenarios,
-    render_scenario_markdown,
-    write_scenario_results,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Answer",
-    "AnswerRecord",
-    "AuthMissing",
-    "Backend",
-    "ClusterDataset",
-    "ClusterType",
-    "Concept",
-    "ConceptCheckError",
-    "ConceptGraph",
-    "ConfigError",
-    "ContextBlock",
-    "CycleDetected",
-    "DanglingReference",
-    "DeductiveClosure",
-    "DenominatorMismatch",
-    "DuplicateLabel",
-    "EmptyFragment",
-    "ExtractionSpec",
-    "FingerprintMismatch",
-    "GenerationConfig",
-    "GroupCount",
-    "InsufficientPairsWarning",
-    "MAX_ENUMERATED_PATHS",
-    "MEDICAL_GENERATION",
-    "MEDICAL_SPECIALISTS",
-    "MalformedResponse",
-    "MismatchedDataset",
-    "NetworkError",
-    "NoisyOracle",
-    "PerfectOracle",
-    "PolicyScenario",
-    "PromptTemplate",
-    "PropertyAssertion",
-    "QuestionCluster",
-    "RawEntity",
-    "RemoteBackend",
-    "ReportRow",
-    "ResponseCache",
-    "ResultSet",
-    "ScenarioOracle",
-    "ScenarioQuestion",
-    "ScenarioQuestionKind",
-    "ScenarioResult",
-    "ScenarioSummary",
-    "SchemaViolation",
-    "ScriptedBackend",
-    "SeedNotFound",
-    "UnknownConcept",
-    "UnknownTemplate",
-    "UnreadableSource",
-    "Verdict",
-    "available_fixtures",
-    "backend_from_config",
-    "build_context",
-    "build_graph",
-    "classify_cluster",
-    "compute_report",
-    "dataset_fingerprint",
-    "deductive_closure",
-    "evaluate_dataset",
-    "evaluate_scenarios",
-    "expected_answer",
-    "extract_fragment",
-    "fetch_live",
-    "fixture_path",
-    "format_percent",
-    "gen_scenario_questions",
-    "generate_dataset",
-    "graph_fingerprint",
-    "implied_paths",
-    "improvement",
-    "inherited_properties",
-    "is_subconcept",
-    "load_context",
-    "load_default_prompt",
-    "load_finance_graph",
-    "load_graph",
-    "load_medical_graph",
-    "load_medical_scenarios",
-    "load_prompt_template",
-    "load_scenarios",
-    "load_scripted_answers",
-    "medical_dump_path",
-    "normalize_answer",
-    "parse_entity_dump",
-    "prompt_with_prefix",
-    "read_dataset",
-    "read_results",
-    "render_csv",
-    "render_markdown",
-    "render_prefix",
-    "render_scenario_markdown",
-    "report_from_verdicts",
-    "resolve_path",
-    "round_percent",
-    "save_context",
-    "save_graph",
-    "unrelated_pairs",
-    "write_dataset",
-    "write_results",
-    "write_scenario_results",
-]
+# Each module and the names the package exports from it.
+_EXPORTS = {
+    "answers": ("Answer", "normalize_answer"),
+    "backends": (
+        "Backend", "NoisyOracle", "PerfectOracle", "RemoteBackend", "ResponseCache", "ScriptedBackend",
+        "backend_from_config", "load_scripted_answers",
+    ),
+    "clusters": (
+        "ClusterDataset", "ClusterType", "GenerationConfig", "QuestionCluster",
+        "dataset_fingerprint", "generate_dataset", "read_dataset", "write_dataset",
+    ),
+    "errors": (
+        "AuthMissing", "ConceptCheckError", "ConfigError", "CycleDetected", "DanglingReference",
+        "DenominatorMismatch", "DuplicateLabel", "EmptyFragment", "FingerprintMismatch",
+        "InsufficientPairsWarning", "MalformedResponse", "MismatchedDataset", "NetworkError",
+        "SchemaViolation", "SeedNotFound", "UnknownConcept", "UnknownTemplate", "UnreadableSource",
+    ),
+    "evaluation": (
+        "AnswerRecord", "ContextBlock", "GroupCount", "PromptTemplate", "ReportRow", "ResultSet", "Verdict",
+        "build_context", "classify_cluster", "compute_report", "evaluate_dataset", "improvement", "load_context",
+        "load_prompt_template", "prompt_with_prefix", "read_results", "render_prefix", "report_from_verdicts",
+        "save_context", "write_results",
+    ),
+    "fixtures": (
+        "MEDICAL_GENERATION", "MEDICAL_SPECIALISTS", "fixture_path", "load_default_prompt",
+        "load_medical_graph", "load_medical_scenarios", "medical_dump_path", "resolve_path",
+    ),
+    "hierarchy": (
+        "MAX_ENUMERATED_PATHS", "Concept", "ConceptGraph", "DeductiveClosure", "PropertyAssertion",
+        "build_graph", "deductive_closure", "graph_fingerprint", "implied_paths", "inherited_properties",
+        "is_subconcept", "load_graph", "save_graph", "unrelated_pairs",
+    ),
+    "ingest": ("ExtractionSpec", "RawEntity", "extract_fragment", "fetch_live", "parse_entity_dump"),
+    "reporting": ("format_percent", "render_csv", "render_markdown", "round_percent"),
+    "scenarios": (
+        "PolicyScenario", "ScenarioOracle", "ScenarioQuestion", "ScenarioQuestionKind", "ScenarioResult",
+        "ScenarioSummary", "evaluate_scenarios", "expected_answer", "gen_scenario_questions", "load_scenarios",
+        "render_scenario_markdown", "write_scenario_results",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    """Bind every export on the first read of one (PEP 562); other names are missing."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        namespace = vars(import_module(f".{module}", __name__))
+        globals().update((export, namespace[export]) for export in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,4 +1,4 @@
-"""Answering backends and prompt plumbing.
+"""Answering backends and the cache of their remote responses.
 
 A backend turns (question, prompt prefix) into raw answer text. Four
 kinds exist: a remote HTTP model, a perfect oracle giving each question's
@@ -19,12 +19,11 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 
 from .answers import Answer
 from .clusters import ClusterDataset
-from .errors import INTEGER, LIST, NUMBER, OBJECT, STRING, Kind, optional, read_fields
+from .errors import INTEGER, NUMBER, OBJECT, STRING, Kind, optional, read_fields
 from .errors import (
     AuthMissing,
     ConfigError,
@@ -35,56 +34,10 @@ from .errors import (
     digest,
     read_json,
 )
+from .evaluation import prompt_with_prefix
 from .hierarchy import DeductiveClosure
 
 log = logging.getLogger(__name__)
-
-
-# --- prompt template --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Preamble plus few-shot question/answer pairs."""
-
-    preamble: str
-    few_shot: tuple[tuple[str, str], ...] = ()
-
-    def fingerprint(self) -> str:
-        return digest({"preamble": self.preamble, "few_shot": [list(p) for p in self.few_shot]})
-
-
-def render_prefix(template: PromptTemplate, context_statements: tuple[str, ...] = ()) -> str:
-    """Render everything above a prompt's final question, once for many questions.
-
-    The preamble and a blank line, each few-shot pair and a blank line, then
-    the context statements verbatim: every line ends in a newline, so the
-    prefix is "" when all of them are empty.
-    """
-    parts: list[str] = []
-    if template.preamble:
-        parts += (template.preamble, "")
-    for shot_q, shot_a in template.few_shot:
-        parts += (f"Q: {shot_q}", f"A: {shot_a}", "")
-    parts.extend(context_statements)
-    return "".join(f"{part}\n" for part in parts)
-
-
-def prompt_with_prefix(prefix: str, question: str) -> str:
-    """The full prompt for one question below a prefix from `render_prefix`."""
-    return f"{prefix}Q: {question}\nA:"
-
-
-_TEMPLATE_FIELDS = {"preamble": STRING, "few_shot": optional(LIST, [])}
-_SHOT_FIELDS = {"question": STRING, "answer": STRING}
-
-
-def load_prompt_template(path: str | Path) -> PromptTemplate:
-    """Read a template file: {"preamble": str, "few_shot": [{"question","answer"}]}."""
-    where = f"prompt template {path}"
-    preamble, shots = read_fields(read_json(path, "prompt template"), _TEMPLATE_FIELDS, where)
-    few_shot = (tuple(read_fields(s, _SHOT_FIELDS, f"{where} few_shot #{i}")) for i, s in enumerate(shots))
-    return PromptTemplate(preamble=preamble, few_shot=tuple(few_shot))
 
 
 # --- response cache ---------------------------------------------------------

@@ -18,15 +18,8 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .backends import (
-    Backend,
-    PromptTemplate,
-    backend_from_config,
-    load_prompt_template,
-    read_spec,
-    shared_cache,
-)
 from .clusters import (
     ARTICLE_STYLES,
     PATH_GRANULARITIES,
@@ -41,29 +34,24 @@ from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read
 from .errors import ConceptCheckError, ConfigError, read_json, write_json, write_text
 from .evaluation import (
     CONTEXT_GRANULARITIES,
+    PromptTemplate,
     ResultSet,
     build_context,
     check_context,
     compute_report,
     evaluate_dataset,
     load_context,
+    load_prompt_template,
     read_results,
     report_from_verdicts,
     save_context,
     write_results,
 )
 from .fixtures import MEDICAL_SPECIALISTS, load_default_prompt, resolve_path
-from .hierarchy import ConceptGraph, deductive_closure, load_graph, save_graph
-from .ingest import DIRECTIONS, ExtractionSpec, extract_fragment, fetch_live, parse_entity_dump
-from .reporting import render_csv, render_markdown
-from .scenarios import (
-    ScenarioOracle,
-    evaluate_scenarios,
-    load_scenarios,
-    render_scenario_markdown,
-    render_scenario_summary,
-    write_scenario_results,
-)
+from .hierarchy import DIRECTIONS, ConceptGraph, deductive_closure, load_graph, save_graph
+
+if TYPE_CHECKING:
+    from .backends import Backend
 
 log = logging.getLogger(__name__)
 
@@ -126,22 +114,6 @@ def _load_prompt(prompt: str | None, config: dict) -> PromptTemplate:
     return load_prompt_template(resolve_path(path))
 
 
-def _backend_specs(backend_flags: list[str], cache_dir: str | None, config: dict) -> list[dict]:
-    """The --backend (else config, else perfect) specs; a remote one without a
-    cache_dir takes --cache-dir (else the config's)."""
-    specs = []
-    for text in backend_flags:
-        try:
-            specs.append(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
-    specs = specs or config["backends"] or [{"kind": "perfect"}]
-    for i, spec in enumerate(specs, start=1):
-        read_spec(spec, f"backend spec #{i}")
-    directory = _merge(cache_dir, config["cache_dir"])
-    return [{"cache_dir": directory, **spec} if spec["kind"] == "remote" else spec for spec in specs]
-
-
 def _generation_config(config: dict, **flags) -> GenerationConfig:
     base = GenerationConfig.from_dict(config["generation"], "config 'generation'", ConfigError)
     return replace(base, **{name: value for name, value in flags.items() if value is not None})
@@ -164,6 +136,8 @@ def _load_dataset(dataset_path: str | None, config: dict) -> ClusterDataset:
 def extract(config, dump, native, endpoint, seed_concept, seed_property, max_depth,
             direction, language, cache_dir, out):
     """Build a native graph file from a dump, an endpoint, or a native file."""
+    from .ingest import ExtractionSpec, extract_fragment, fetch_live, parse_entity_dump  # here: only extract runs it
+
     graph_cfg = config["graph"]
     source_kind = graph_cfg["source"]
     dump = dump or (graph_cfg["path"] if source_kind == "dump" else None)
@@ -238,9 +212,24 @@ def generate(config, graph, seed, negative_count, min_distance, min_path_len,
     print(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
 
 
-def _build_all(specs: list[dict], build) -> list[Backend]:
-    """A backend from each spec by `build`, their ids checked, and only then the
-    remote ones' caches opened, so a refused spec or id leaves no cache directory."""
+def _build_all(backend_flags: list[str], cache_dir: str | None, config: dict, build) -> list[Backend]:
+    """A backend by `build` from each --backend (else config, else perfect) spec,
+    their ids checked, and only then the remote ones' caches opened, so a
+    refused spec or id leaves no cache directory. A remote spec without a
+    cache_dir takes --cache-dir (else the config's)."""
+    from .backends import read_spec, shared_cache  # here, so the commands that ask no backend never load them
+
+    specs = []
+    for text in backend_flags:
+        try:
+            specs.append(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
+    specs = specs or config["backends"] or [{"kind": "perfect"}]
+    for i, spec in enumerate(specs, start=1):
+        read_spec(spec, f"backend spec #{i}")
+    directory = _merge(cache_dir, config["cache_dir"])
+    specs = [{"cache_dir": directory, **spec} if spec["kind"] == "remote" else spec for spec in specs]
     backends = [build({**spec, "cache_dir": None} if spec["kind"] == "remote" else spec) for spec in specs]
     _check_unique_ids(backends)
     caches = {}
@@ -252,6 +241,8 @@ def _build_all(specs: list[dict], build) -> list[Backend]:
 
 def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: ClusterDataset) -> list[Backend]:
     """The --backend (or config) backends; the oracle kinds answer from the --graph closure."""
+    from .backends import backend_from_config  # here, so the commands that ask no backend never load them
+
     graph_path = _merge(graph, config["graph"]["path"])
     closure = deductive_closure(load_graph(resolve_path(graph_path))) if graph_path else None
 
@@ -262,7 +253,7 @@ def _build_backends(config: dict, backend_flags, cache_dir, graph, dataset: Clus
             )
         return backend_from_config(spec, closure=closure, dataset=dataset)
 
-    return _build_all(_backend_specs(backend_flags, cache_dir, config), build)
+    return _build_all(backend_flags, cache_dir, config, build)
 
 
 def _check_unique_ids(backends: list[Backend]) -> None:
@@ -317,6 +308,8 @@ def _exit_if_failed(errors: int) -> None:
 
 
 def _write_reports(rows, out_dir: Path, fingerprint: str, baselines=None, title="Consistency report") -> None:
+    from .reporting import render_csv, render_markdown  # here, so extract and generate never load the renderers
+
     write_text(
         out_dir / "report.md", render_markdown(rows, dataset_fingerprint=fingerprint, baselines=baselines, title=title)
     )
@@ -370,6 +363,17 @@ def augment(config, dataset_path, baseline_paths, graph, prompt, backend_flags,
 
 def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, cache_dir, out_dir):
     """Evaluate policy scenarios: applicability and policy questions per specialist."""
+    # Here, so that only this command loads the scenarios and, with them, the backends.
+    from .backends import backend_from_config
+    from .scenarios import (
+        ScenarioOracle,
+        evaluate_scenarios,
+        load_scenarios,
+        render_scenario_markdown,
+        render_scenario_summary,
+        write_scenario_results,
+    )
+
     loaded_graph = _load_graph_arg(graph, config)
     scenario_file = _merge(scenario_path, config["scenarios"], "fixture:scenarios_medical.json")
     policy_scenarios = load_scenarios(resolve_path(scenario_file))
@@ -396,7 +400,7 @@ def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, 
             raise ConfigError("the noisy backend only evaluates cluster datasets")
         return backend_from_config(spec)
 
-    backends = _build_all(_backend_specs(backend_flags, cache_dir, config), build)
+    backends = _build_all(backend_flags, cache_dir, config, build)
 
     out = Path(out_dir)
     _make_dir(out)

@@ -122,8 +122,9 @@ def read_lines(source: str | Path | IO, what: str) -> Iterator[tuple[int, str]]:
     as it comes. An OSError, or bytes that are not UTF-8, are an
     UnreadableSource naming the "<what> file" or "<what> stream", raised
     when reading reaches the fault. A file or binary stream gives the byte
-    position that a decode of its whole text gives; a text stream words its
-    own errors.
+    position that a decode of its whole text gives. A text stream decodes its
+    own bytes and reports a position in its current buffer, not in its
+    source, so its error gives no position.
     """
     stream = hasattr(source, "read")
     if stream:
@@ -151,21 +152,22 @@ def read_lines(source: str | Path | IO, what: str) -> Iterator[tuple[int, str]]:
                 if not chunk:
                     break
     except UnicodeDecodeError as exc:
-        # The decoder failed inside the bytes it held over plus the last block read.
-        shift = read - len(exc.object) if read else 0
+        # The decoder failed inside the bytes it held over plus the last block
+        # read; nothing was read as bytes when a text stream failed itself.
+        shift = read - len(exc.object) if read else None
         raise UnreadableSource(f"cannot read {name}: {_decode_error(exc, shift)}") from exc
     except OSError as exc:
         raise UnreadableSource(f"cannot read {name}: {exc}") from exc
     yield lineno + 1, "".join(parts)
 
 
-def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
-    """`str(exc)`, with its positions `shift` bytes further on."""
-    start, end = exc.start + shift, exc.end + shift
-    if end == start + 1:
-        at = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        at = f"bytes in position {start}-{end - 1}"
+def _decode_error(exc: UnicodeDecodeError, shift: int | None) -> str:
+    """`str(exc)`, with its positions `shift` bytes further on, or without them when `shift` is None."""
+    one = exc.end == exc.start + 1
+    at = f"byte 0x{exc.object[exc.start]:02x}" if one else "bytes"
+    if shift is not None:
+        start = exc.start + shift
+        at += f" in position {start}" if one else f" in position {start}-{exc.end + shift - 1}"
     return f"'{exc.encoding}' codec can't decode {at}: {exc.reason}"
 
 

@@ -1,4 +1,4 @@
-"""Evaluation engine: run backends over a dataset, classify, compare.
+"""Evaluation engine: render prompts, run backends over a dataset, classify, compare.
 
 A cluster's verdict partitions into exactly one of three outcomes:
 Consistent (every question answered correctly), Incomplete (every question
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -19,12 +18,11 @@ from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote_json
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .answers import Answer, normalize_answer
-from .backends import Backend, PromptTemplate, render_prefix
 from .clusters import ClusterDataset, ClusterType
-from .errors import BOOLEAN, INTEGER, STRING, STRINGS, one_of, optional, read_fields
+from .errors import BOOLEAN, INTEGER, LIST, STRING, STRINGS, one_of, optional, read_fields
 from .errors import (
     JSON_SPACE,
     ConceptCheckError,
@@ -41,12 +39,65 @@ from .errors import (
     write_text,
 )
 
+if TYPE_CHECKING:
+    from .backends import Backend
+
 RESULTS_FORMAT_VERSION = "1"
 CONTEXT_GRANULARITIES = ("question", "cluster")
 
 # (cluster_id, question_index, question, prompt prefix, expected); jobs that
 # share a context share one prefix string from `render_prefix`.
 Job = tuple[str, int, str, str, Answer]
+
+
+# --- prompt template --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PromptTemplate:
+    """Preamble plus few-shot question/answer pairs."""
+
+    preamble: str
+    few_shot: tuple[tuple[str, str], ...] = ()
+
+    def fingerprint(self) -> str:
+        return digest({"preamble": self.preamble, "few_shot": [list(p) for p in self.few_shot]})
+
+
+def render_prefix(template: PromptTemplate, context_statements: tuple[str, ...] = ()) -> str:
+    """Render everything above a prompt's final question, once for many questions.
+
+    The preamble and a blank line, each few-shot pair and a blank line, then
+    the context statements verbatim: every line ends in a newline, so the
+    prefix is "" when all of them are empty.
+    """
+    parts: list[str] = []
+    if template.preamble:
+        parts += (template.preamble, "")
+    for shot_q, shot_a in template.few_shot:
+        parts += (f"Q: {shot_q}", f"A: {shot_a}", "")
+    parts.extend(context_statements)
+    return "".join(f"{part}\n" for part in parts)
+
+
+def prompt_with_prefix(prefix: str, question: str) -> str:
+    """The full prompt for one question below a prefix from `render_prefix`."""
+    return f"{prefix}Q: {question}\nA:"
+
+
+_TEMPLATE_FIELDS = {"preamble": STRING, "few_shot": optional(LIST, [])}
+_SHOT_FIELDS = {"question": STRING, "answer": STRING}
+
+
+def load_prompt_template(path: str | Path) -> PromptTemplate:
+    """Read a template file: {"preamble": str, "few_shot": [{"question","answer"}]}."""
+    where = f"prompt template {path}"
+    preamble, shots = read_fields(read_json(path, "prompt template"), _TEMPLATE_FIELDS, where)
+    few_shot = (tuple(read_fields(s, _SHOT_FIELDS, f"{where} few_shot #{i}")) for i, s in enumerate(shots))
+    return PromptTemplate(preamble=preamble, few_shot=tuple(few_shot))
+
+
+# --- answers and verdicts ---------------------------------------------------
 
 
 class Verdict(str, Enum):
@@ -157,6 +208,8 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
         except BaseException:
             failed.set()
             raise
+
+    from concurrent.futures import ThreadPoolExecutor  # here, so a process that asks one call at a time never loads it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for worker in [pool.submit(drain) for _ in range(workers)]:
@@ -518,8 +571,8 @@ def read_results(path: str | Path) -> ResultSet:
                     continue
             kind = data.get("record") if isinstance(data, dict) else None
             if kind == "answer":
-                cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")
-                records.append(AnswerRecord(cluster_id, index, raw, _ANSWERS[normalized], correct, error))
+                # The line failed the exact-type check above, so this raises the SchemaViolation that words why.
+                read_fields(data, _ANSWER_FIELDS, "answer")
             elif kind == "header" and header is None:
                 if data.get("version") != RESULTS_FORMAT_VERSION:
                     raise SchemaViolation(

@@ -14,12 +14,15 @@ offline.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .backends import PromptTemplate, load_prompt_template
 from .clusters import GenerationConfig
 from .errors import UnreadableSource
+from .evaluation import PromptTemplate, load_prompt_template
 from .hierarchy import ConceptGraph, load_graph
-from .scenarios import PolicyScenario, load_scenarios
+
+if TYPE_CHECKING:
+    from .scenarios import PolicyScenario
 
 # The seven concepts the policy scenarios quantify over.
 MEDICAL_SPECIALISTS: tuple[str, ...] = (
@@ -44,12 +47,12 @@ def fixture_path(name: str) -> Path:
     path = _FIXTURE_DIR / name
     if not path.is_file():
         raise UnreadableSource(
-            f"no bundled fixture named {name!r}; available: {', '.join(available_fixtures())}"
+            f"no bundled fixture named {name!r}; available: {', '.join(_available_fixtures())}"
         )
     return path
 
 
-def available_fixtures() -> list[str]:
+def _available_fixtures() -> list[str]:
     return sorted(p.name for p in _FIXTURE_DIR.iterdir() if p.is_file())
 
 
@@ -64,15 +67,13 @@ def load_medical_graph() -> ConceptGraph:
     return load_graph(fixture_path("medical_graph.json"))
 
 
-def load_finance_graph() -> ConceptGraph:
-    return load_graph(fixture_path("finance_graph.json"))
-
-
 def load_default_prompt() -> PromptTemplate:
     return load_prompt_template(fixture_path("prompt_default.json"))
 
 
 def load_medical_scenarios() -> list[PolicyScenario]:
+    from .scenarios import load_scenarios  # here, so a command that runs no scenarios never loads them
+
     return load_scenarios(fixture_path("scenarios_medical.json"))
 
 

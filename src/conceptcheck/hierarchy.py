@@ -42,6 +42,9 @@ GRAPH_FORMAT_VERSION = "1"
 # clusters never list paths and are not limited by it.
 MAX_ENUMERATED_PATHS = 100_000
 
+# The ways an extraction walks from its seed concept: up, down or both.
+DIRECTIONS = ("ancestors", "descendants", "both")
+
 
 @dataclass(frozen=True)
 class Concept:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
 
-from .backends import ResponseCache
 from .errors import INTEGER, LIST, optional, read_fields
 from .errors import (
     JSON_SPACE,
@@ -34,13 +33,12 @@ from .errors import (
     decode_json_line,
     read_lines,
 )
-from .hierarchy import Concept, ConceptGraph, PropertyAssertion, build_graph
+from .hierarchy import DIRECTIONS, Concept, ConceptGraph, PropertyAssertion, build_graph
 
 log = logging.getLogger(__name__)
 
 SUBCLASS_PROPERTIES = ("P279", "P31")
 SAME_AS_PROPERTY = "P460"
-DIRECTIONS = ("ancestors", "descendants", "both")
 
 
 @dataclass(frozen=True)
@@ -292,6 +290,7 @@ def fetch_live(
     waits out `rate_limit` seconds since the last one. Records are read as
     `parse_entity_dump` reads them, with diagnostics naming their page.
     """
+    from .backends import ResponseCache  # here, so reading a dump never loads the backends
     from .transport import JsonClient  # here, so a process that builds no client never loads http.client
     spec.validate()
     client = JsonClient(  # checks the endpoint before a cache directory is made

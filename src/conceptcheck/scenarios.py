@@ -26,7 +26,7 @@ from pathlib import Path
 from string import Formatter
 
 from .answers import Answer
-from .backends import Backend, PromptTemplate, ScriptedBackend, prompt_with_prefix, render_prefix
+from .backends import Backend, ScriptedBackend
 from .clusters import answer_table
 from .errors import TEXT, one_of, read_fields
 from .errors import (
@@ -36,7 +36,8 @@ from .errors import (
     read_json,
     write_json_lines,
 )
-from .evaluation import AnswerRecord, Job, Verdict, ask_and_judge, classify_cluster
+from .evaluation import AnswerRecord, Job, PromptTemplate, Verdict, ask_and_judge, classify_cluster
+from .evaluation import prompt_with_prefix, render_prefix
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 from .reporting import format_percent
 

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import conceptcheck as cc
+from conceptcheck import backends
 from conceptcheck.backends import shared_cache
 from stubserver import serving
 
@@ -189,7 +190,7 @@ def test_cache_reads_only_request_keys_of_the_old_layout(tmp_path, caplog):
 
 def test_cache_indexes_lines_longer_than_a_read(tmp_path, monkeypatch):
     # The log is indexed a block at a time; a line may span blocks or exceed one.
-    monkeypatch.setattr(cc.backends, "_BLOCK", 64)
+    monkeypatch.setattr(backends, "_BLOCK", 64)
     entries = {cc.ResponseCache.key("m", "p", str(i)): {"raw": "x" * (i * 37 % 300)} for i in range(40)}
     writer = cc.ResponseCache(tmp_path)
     for key, entry in entries.items():

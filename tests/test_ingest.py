@@ -249,6 +249,19 @@ def test_parse_names_a_dump_with_a_byte_that_is_not_utf8_past_the_first_block(bl
             assert str(caught.value) == f"cannot read {name}: {whole.value}"
 
 
+def test_parse_gives_no_byte_position_for_a_text_stream_that_is_not_utf8(tmp_path):
+    # The stream decodes its own bytes, a buffer at a time, and its error counts from that buffer's
+    # start: here it would put the byte at 159,044 in position 22,826.
+    record = json.dumps({"id": "Q1", "labels": {"en": {"value": "Gefäß"}}}, ensure_ascii=False)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(((record + "\n") * 3000).encode("utf-8") + record.encode("latin-1"))
+    with dump.open(encoding="utf-8") as stream, pytest.raises(cc.UnreadableSource) as caught:
+        cc.parse_entity_dump(stream)
+    assert str(caught.value) == (
+        f"cannot read dump stream {dump}: 'utf-8' codec can't decode byte 0xe4: invalid continuation byte"
+    )
+
+
 def test_parse_missing_file(tmp_path):
     with pytest.raises(cc.UnreadableSource):
         cc.parse_entity_dump(tmp_path / "absent.jsonl")
