@@ -17,14 +17,7 @@ class Answer(str, enum.Enum):
 _STRIP = " \t\r\n.,;:!?\"'`()[]*"
 
 
-def normalize_answer(raw: str) -> Answer:
-    """Classify by the leading token: yes, no, or Other.
-
-    Surrounding whitespace and punctuation are ignored, so "Yes.",
-    "no, not every one" and " NO " all normalize cleanly; a hedged
-    paragraph that never leads with yes/no is Other. Idempotent over its
-    own yes/no outputs.
-    """
+def _by_leading_token(raw: str) -> Answer:
     first = ""
     for token in raw.split():
         first = token.strip(_STRIP).casefold()
@@ -35,3 +28,21 @@ def normalize_answer(raw: str) -> Answer:
     if first == "no":
         return Answer.NO
     return Answer.OTHER
+
+
+# The bare spellings that oracles and most models give, each classified by
+# the token loop itself, so the table cannot disagree with it. A fixed table,
+# not a cache: it never grows with the answers a run sees.
+_BARE = {raw: _by_leading_token(raw) for raw in ("yes", "no", "Yes", "No", "Yes.", "No.", "YES", "NO")}
+
+
+def normalize_answer(raw: str) -> Answer:
+    """Classify by the leading token: yes, no, or Other.
+
+    Surrounding whitespace and punctuation are ignored, so "Yes.",
+    "no, not every one" and " NO " all normalize cleanly; a hedged
+    paragraph that never leads with yes/no is Other. Idempotent over its
+    own yes/no outputs. A bare "yes", "No." or "YES" costs one dict lookup.
+    """
+    answer = _BARE.get(raw)
+    return answer if answer is not None else _by_leading_token(raw)

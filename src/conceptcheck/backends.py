@@ -21,7 +21,6 @@ import time
 import weakref
 from pathlib import Path
 
-from .answers import Answer
 from .clusters import ClusterDataset
 from .errors import INTEGER, NUMBER, OBJECT, STRING, Kind, optional, read_fields
 from .errors import (
@@ -200,12 +199,18 @@ class PerfectOracle(ScriptedBackend):
         super().__init__(dataset.answer_key(), id="perfect")
 
 
+# The other answer of a yes/no truth, by one lookup.
+_FLIPPED = {"yes": "no", "no": "yes"}
+
+
 class NoisyOracle(Backend):
     """Perfect oracle with each answer flipped independently.
 
     The flip decision is a pure function of (seed, question text), so the
     answer stream is identical across runs and processes and does not
-    depend on the order questions arrive in.
+    depend on the order questions arrive in: an answer flips when the first
+    eight bytes of sha256("<seed>:<question>" in UTF-8), read big-endian as
+    a fraction of 2**64, fall below the flip probability.
     """
 
     def __init__(
@@ -220,18 +225,16 @@ class NoisyOracle(Backend):
         self._inner = PerfectOracle(closure, dataset)
         self.flip_probability = flip_probability
         self.seed = seed
+        self._seed_prefix = f"{seed}:".encode("utf-8")  # encoded once, not per question
         self.id = f"noisy-p{flip_probability:g}-s{seed}"
 
     def _flips(self, question: str) -> bool:
-        digest = hashlib.sha256(f"{self.seed}:{question}".encode("utf-8")).digest()
-        draw = int.from_bytes(digest[:8], "big") / 2**64
-        return draw < self.flip_probability
+        digest = hashlib.sha256(self._seed_prefix + question.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64 < self.flip_probability
 
     def answer(self, question: str, prefix: str) -> str:
         truth = self._inner.answer(question, prefix)
-        if self._flips(question):
-            return Answer.NO.value if truth == Answer.YES.value else Answer.YES.value
-        return truth
+        return _FLIPPED[truth] if self._flips(question) else truth
 
 
 _ANSWER_FILE_FIELDS = {

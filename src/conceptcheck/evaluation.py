@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote_json
-from operator import attrgetter
+from operator import attrgetter, not_
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -118,6 +118,11 @@ class AnswerRecord(NamedTuple):
     error: bool = False
 
 
+# Makes an AnswerRecord of a tuple of its six fields, as `AnswerRecord._make`
+# does, in one C call: the generated keyword `__new__` costs a Python frame
+# and the binding of six arguments per record.
+_new_record = tuple.__new__
+
 # Getters of an AnswerRecord's fields: C-level calls, where a lambda or a
 # comprehension runs Python bytecode for each record.
 _CLUSTER_ID = attrgetter("cluster_id")
@@ -164,6 +169,9 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     `prefix` is the rendered preamble, few-shots and context, shared by
     reference across jobs and handed to the backend untouched, so the loop
     builds no prompt: a backend that needs the full prompt joins it itself.
+    Each record is built from its six fields by one C call, and a bare
+    yes/no answer is normalized by one lookup (see `normalize_answer`), so
+    with an oracle the loop costs little more than the backend's own call.
     A backend failure on one question is recorded (as an incorrect Other
     answer with an empty raw text and the error flag set) and evaluation
     continues; it never aborts the run.
@@ -181,13 +189,13 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
         try:
             raw = backend.answer(question, prefix)
         except ConceptCheckError:
-            return AnswerRecord(cluster_id, idx, raw="", normalized=Answer.OTHER, correct=False, error=True)
+            return _new_record(AnswerRecord, (cluster_id, idx, "", Answer.OTHER, False, True))
         if not raw.isascii():
             # A results file reads a surrogate pair back as the one character
             # it encodes, so the record holds that character already.
             raw = raw.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
         normalized = normalize_answer(raw)
-        return AnswerRecord(cluster_id, idx, raw=raw, normalized=normalized, correct=normalized == expected)
+        return _new_record(AnswerRecord, (cluster_id, idx, raw, normalized, normalized == expected, False))
 
     workers = min(getattr(backend, "concurrency", 1), len(jobs))
     if workers <= 1:
@@ -425,7 +433,8 @@ def build_context(
     for rs in resultsets:
         _check_answers_match(rs, dataset)
     # Records follow dataset order, so missed[n] is about the dataset's n-th question.
-    missed = [not any(r.correct for r in answers) for answers in zip(*(rs.records for rs in resultsets))]
+    # By C calls alone: a question is missed when none of its records across the result sets is correct.
+    missed = [*map(not_, map(any, zip(*(map(_CORRECT, rs.records) for rs in resultsets))))]
     statements: list[str] = []
     seen: set[str] = set()
     clusters_used: list[str] = []
@@ -492,9 +501,6 @@ _ANSWER_FIELDS = {
 # types needs no other check but of "record" and "normalized".
 _ANSWER_KEYS = ("record", *_ANSWER_FIELDS)
 _ANSWER_TYPES = (str, int, str, str, bool, bool)
-# Makes an AnswerRecord of a tuple of its six fields, as `AnswerRecord._make`
-# does, without the Python-level call around it.
-_new_record = tuple.__new__
 
 
 # Filled in by one %-format per record: a dict and a `canonical_json` call per

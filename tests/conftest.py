@@ -8,6 +8,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 import conceptcheck as cc
 
@@ -72,3 +73,19 @@ class Jittery(cc.Backend):
         with self._lock:
             self._live -= 1
         return self._inner.answer(question, prefix)
+
+
+# The bare spellings that `normalize_answer` looks up in its table.
+BARE_ANSWERS = ("yes", "no", "Yes", "No", "Yes.", "No.", "YES", "NO")
+# A bare spelling in another case (or with a long s, which casefolds to s),
+# inside whitespace, punctuation and trailing words.
+bare_answers_in_noise = st.builds(
+    lambda before, word, case, after: before + case(word) + after,
+    st.text(" \t\r\n\u00a0\u2028.,;:!?\"'`()[]*-", max_size=3),
+    st.sampled_from(BARE_ANSWERS),
+    st.sampled_from([str, str.lower, str.upper, str.title, str.swapcase, lambda w: w.replace("s", "\u017f")]),
+    st.one_of(
+        st.text(" \t\n.,;:!?\"'`()[]*", max_size=3),
+        st.sampled_from(["s", "pe", " sir", ", every one", "\u00e9"]),
+    ),
+)

@@ -14,7 +14,9 @@ import json
 import random
 from pathlib import Path
 
-from conceptcheck import Answer, AnswerRecord, ResultSet, SchemaViolation, UnreadableSource
+from conceptcheck import (
+    Answer, AnswerRecord, ConceptCheckError, ResultSet, SchemaViolation, UnreadableSource, normalize_answer
+)
 from conceptcheck.errors import BOOLEAN, INTEGER, STRING, one_of, optional, read_fields
 from conceptcheck.ingest import ParseResult, _collect
 
@@ -348,6 +350,50 @@ def noisy_answer_by_hand(seed: int, flip_probability: float, question: str, trut
     if draw < flip_probability:
         return {"yes": "no", "no": "yes"}[truth]
     return truth
+
+
+# Characters that surround an answer's leading word without being part of it.
+ANSWER_PUNCTUATION = frozenset(".,;:!?\"'`()[]*")
+
+
+def normalized_by_hand(raw: str) -> Answer:
+    """The leading-token rule, spelled out: the first whitespace-separated
+    word that is not all punctuation, with punctuation peeled off both ends
+    one character at a time, is yes or no when it casefolds to "yes" or
+    "no"; any other word, or none, is Other."""
+    for word in raw.split():
+        start, end = 0, len(word)
+        while start < end and word[start] in ANSWER_PUNCTUATION:
+            start += 1
+        while end > start and word[end - 1] in ANSWER_PUNCTUATION:
+            end -= 1
+        if start < end:
+            return {"yes": Answer.YES, "no": Answer.NO}.get(word[start:end].casefold(), Answer.OTHER)
+    return Answer.OTHER
+
+
+def judged_by_hand(jobs, backend) -> list[AnswerRecord]:
+    """One record per (cluster_id, question_index, question, prefix, expected)
+    job, asked in order and built by keyword: a `ConceptCheckError` gives an
+    incorrect Other record with an empty raw and the error flag; any other raw
+    has its surrogate pairs joined into the characters they encode and is
+    judged by `normalize_answer`."""
+    records = []
+    for cluster_id, idx, question, prefix, expected in jobs:
+        try:
+            raw = backend.answer(question, prefix)
+        except ConceptCheckError:
+            records.append(AnswerRecord(
+                cluster_id=cluster_id, question_index=idx, raw="", normalized=Answer.OTHER, correct=False, error=True
+            ))
+            continue
+        raw = raw.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+        normalized = normalize_answer(raw)
+        records.append(AnswerRecord(
+            cluster_id=cluster_id, question_index=idx, raw=raw, normalized=normalized,
+            correct=normalized == expected, error=False,
+        ))
+    return records
 
 
 # --- question forms, spelled out one function per kind of text ---------------

@@ -9,10 +9,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import backends
 from conceptcheck.backends import shared_cache
+from conftest import BARE_ANSWERS, bare_answers_in_noise
+from oracles import normalized_by_hand
 from stubserver import serving
 
 
@@ -44,6 +48,17 @@ def test_normalize_is_idempotent():
     n = cc.normalize_answer(" Yes. ")
     assert n is cc.Answer.YES
     assert cc.normalize_answer(n.value) is n
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.one_of(
+    st.sampled_from(BARE_ANSWERS),
+    bare_answers_in_noise,
+    st.text(st.sampled_from(" \t\n\u00a0.,!?\"'()*yesnoYESNO\u017f\u0130"), max_size=10),
+    st.text(st.characters(blacklist_categories=()), max_size=10),
+))
+def test_normalize_follows_the_leading_token_rule(raw):
+    assert cc.normalize_answer(raw) is normalized_by_hand(raw)
 
 
 # --- prompt templates -----------------------------------------------------------

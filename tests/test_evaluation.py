@@ -13,10 +13,13 @@ from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import clusters, evaluation, scenarios
-from conftest import Jittery, make_graph
+from conftest import BARE_ANSWERS, Jittery, bare_answers_in_noise, make_graph
+from oracles import judged_by_hand
 
 V = cc.Verdict
 MISSING = object()
@@ -190,6 +193,49 @@ def test_evaluate_more_workers_than_questions(chain, template):
     assert [(r.cluster_id, r.question_index) for r in rs.records] == [(first.id, i) for i in range(3)]
     assert [r.raw for r in rs.records] == [first.expected.value] * 3
     assert all(r.correct for r in rs.records)
+
+
+class Replaying(cc.Backend):
+    """Answers question i with raws[i], or raises a ConceptCheckError where it is None."""
+
+    id = "replaying"
+
+    def __init__(self, raws, concurrency):
+        self._raws = raws
+        self.concurrency = concurrency
+
+    def answer(self, question, prefix):
+        raw = self._raws[int(question[1:])]
+        if raw is None:
+            raise cc.MismatchedDataset(f"no answer for {question}")
+        return raw
+
+
+raw_answers = st.one_of(
+    st.sampled_from(BARE_ANSWERS),
+    bare_answers_in_noise,
+    st.sampled_from(["", "   ", "Yes, every surgeon is.", "I think yes", "nope", "S\u00ed", "\uff59\uff45\uff53"]),
+    st.text(max_size=12),
+    # A surrogate pair, and lone surrogates.
+    st.sampled_from(["yes \ud83d\ude00", "\ud83d\ude00", "no \ud800", "\udfff yes"]),
+    st.text(st.characters(blacklist_categories=()), max_size=6),
+    st.none(),  # the backend raises
+)
+PREFIX = "Answer yes or no.\n\n"
+EXPECTED = st.sampled_from([cc.Answer.YES, cc.Answer.NO, "yes", "no"])  # a caller's job may hold a plain string
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(answers=st.lists(st.tuples(raw_answers, EXPECTED), max_size=12))
+def test_ask_and_judge_gives_the_records_of_a_reference_loop(concurrency, answers):
+    jobs = [(f"c{i // 4}", i % 4, f"q{i}", PREFIX, expected) for i, (_, expected) in enumerate(answers)]
+    backend = Replaying([raw for raw, _ in answers], concurrency)
+    records = evaluation.ask_and_judge(jobs, backend)
+    assert records == judged_by_hand(jobs, backend)
+    for r in records:
+        assert type(r) is cc.AnswerRecord
+        assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
 
 
 def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):
