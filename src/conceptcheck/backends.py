@@ -24,6 +24,7 @@ from pathlib import Path
 from .clusters import ClusterDataset
 from .errors import INTEGER, NUMBER, OBJECT, STRING, Kind, optional, read_fields
 from .errors import (
+    JSON_REFUSALS,
     AuthMissing,
     ConfigError,
     FingerprintMismatch,
@@ -112,7 +113,7 @@ class ResponseCache:
         try:
             record = json.loads(os.pread(self._fd, length, offset))
             found, entry = read_fields(record, _RECORD_FIELDS, "cache log line")
-        except (ValueError, SchemaViolation) as exc:
+        except (*JSON_REFUSALS, SchemaViolation) as exc:
             log.warning("skipping damaged cache log line: %s", exc)
             return None
         return entry if found == key else None
@@ -123,7 +124,7 @@ class ResponseCache:
             return json.loads(path.read_bytes())
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as exc:
+        except (OSError, *JSON_REFUSALS) as exc:
             log.warning("skipping unreadable cache file %s: %s", path.name, exc)
             return None
 

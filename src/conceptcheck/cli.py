@@ -31,7 +31,7 @@ from .clusters import (
     write_dataset,
 )
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, Kind, optional, read_fields
-from .errors import ConceptCheckError, ConfigError, read_json, write_json, write_text
+from .errors import JSON_REFUSALS, ConceptCheckError, ConfigError, read_json, write_json, write_text
 from .evaluation import (
     CONTEXT_GRANULARITIES,
     PromptTemplate,
@@ -223,7 +223,7 @@ def _build_all(backend_flags: list[str], cache_dir: str | None, config: dict, bu
     for text in backend_flags:
         try:
             specs.append(json.loads(text))
-        except json.JSONDecodeError as exc:
+        except JSON_REFUSALS as exc:
             raise ConfigError(f"--backend must be a JSON object: {text!r} ({exc})") from exc
     specs = specs or config["backends"] or [{"kind": "perfect"}]
     for i, spec in enumerate(specs, start=1):

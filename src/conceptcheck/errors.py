@@ -171,12 +171,19 @@ def _decode_error(exc: UnicodeDecodeError, shift: int | None) -> str:
     return f"'{exc.encoding}' codec can't decode {at}: {exc.reason}"
 
 
+# What `json`'s decoder raises for text it refuses: a JSONDecodeError (a
+# ValueError) for text that is not JSON, a ValueError for an integer longer
+# than the interpreter's digit limit, and a RecursionError for nesting deeper
+# than its recursion limit.
+JSON_REFUSALS = (ValueError, RecursionError)
+
+
 def read_json(path: str | Path, what: str) -> object:
     """Parse the JSON file at `path`, named `what` in UnreadableSource and
     SchemaViolation messages."""
     try:
         return json.loads(read_text(path, what))
-    except json.JSONDecodeError as exc:
+    except JSON_REFUSALS as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -189,8 +196,10 @@ JSON_SPACE = " \t\n\r"
 
 
 def decode_json_line(line: str) -> Any:
-    """`json.loads(line)`: the same values, and the same JSONDecodeError for
-    the same lines, without its per-call wrapper and whitespace regexes.
+    """`json.loads(line)`: the same values, and the same errors for the same
+    lines (one of `JSON_REFUSALS`), without its per-call wrapper and
+    whitespace regexes. `read_results` calls it only for a line that is not
+    in the form `write_results` writes answers in.
 
     A line that is one value and nothing else is read by one scanner call.
     Any other line is read as `json.loads` reads it: JSON whitespace (space,

@@ -9,12 +9,14 @@ neither yes nor no count as incorrect.
 
 from __future__ import annotations
 
-import json
+import logging
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as quote_json
 from operator import attrgetter, not_
 from pathlib import Path
@@ -24,6 +26,7 @@ from .answers import Answer, normalize_answer
 from .clusters import ClusterDataset, ClusterType
 from .errors import BOOLEAN, INTEGER, LIST, STRING, STRINGS, one_of, optional, read_fields
 from .errors import (
+    JSON_REFUSALS,
     JSON_SPACE,
     ConceptCheckError,
     DenominatorMismatch,
@@ -41,6 +44,8 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .backends import Backend
+
+log = logging.getLogger(__name__)
 
 RESULTS_FORMAT_VERSION = "1"
 CONTEXT_GRANULARITIES = ("question", "cluster")
@@ -496,11 +501,6 @@ _ANSWER_FIELDS = {
     "cluster_id": STRING, "question_index": INTEGER, "raw": STRING,
     "normalized": one_of(*_ANSWERS), "correct": BOOLEAN, "error": BOOLEAN,
 }
-# An answer line's "record" and fields, and the exact type of each field on a
-# valid line: every answer field is required, so a line whose fields have these
-# types needs no other check but of "record" and "normalized".
-_ANSWER_KEYS = ("record", *_ANSWER_FIELDS)
-_ANSWER_TYPES = (str, int, str, str, bool, bool)
 
 
 # Filled in by one %-format per record: a dict and a `canonical_json` call per
@@ -540,61 +540,84 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
     write_text(path, chain([canonical_json(header) + "\n"], answers))
 
 
+# A JSON string with its escapes and no raw control character, as the strict decoder reads it.
+_JSON_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+# Matches a whole answer line in exactly the form `_ANSWER_LINE` writes: its
+# text, each placeholder in turn the group of its field's JSON form. An index
+# has at most 18 digits, so that `int` never reaches the interpreter's limit.
+_ANSWER_MATCH = re.compile("".join(chain.from_iterable(zip(
+    map(re.escape, re.split("%[sd]", _ANSWER_LINE.removesuffix("\n"))),
+    (_JSON_STRING, "(true|false)", "(true|false)", f'"({"|".join(map(re.escape, _ANSWERS))})"',
+     "(0|[1-9][0-9]{0,17})", _JSON_STRING, ""),
+)))).fullmatch
+
+
 def read_results(path: str | Path) -> ResultSet:
     """The result set `write_results` wrote to `path`.
 
     The file is read by `read_lines`, a block at a time, so that reading
-    holds the records and not the file's text: a line is decoded and checked
+    holds the records and not the file's text: a line is read and checked
     before the next block is read, so a bad line is reported before a
-    non-UTF-8 byte in a later block. Each line is decoded as `json.loads`
-    would decode it, by `decode_json_line`; a line that is empty once JSON
-    whitespace (space, tab, carriage return) is stripped is skipped. Every
-    other line must be one header (of this format version, and only one) or
-    an answer record; any other line, field or version is a SchemaViolation
-    that names the file and the line. An answer line whose fields all have
-    their exact types is read with one lookup of all its fields; any other
-    line is checked field by field by `read_fields`, which words the error.
-    Records of one cluster share one cluster id string, and equal raw
-    answers share one string.
+    non-UTF-8 byte in a later block. An answer line in the form
+    `write_results` writes is read by one match, to the values `json.loads`
+    gives (a string with escapes by `json.decoder.scanstring`, as it does).
+    Any other line is decoded by `decode_json_line`, as `json.loads` would
+    decode it; a line that is empty once JSON whitespace (space, tab,
+    carriage return) is stripped is skipped. Every other line must be one
+    header (of this format version, and only one) or an answer record whose
+    fields `read_fields` checks; any other line, field or version, and JSON
+    the decoder refuses, is a SchemaViolation that names the file and the
+    line. Records of one cluster share one cluster id string, and equal raw
+    answers share one string. Logs at DEBUG how many answers were read and
+    how many were not in the written form.
     """
     header: list | None = None
     records: list[AnswerRecord] = []
+    decoded = 0  # answers not in the written form, read by the JSON path
     shared_id = ""  # the cluster id of the previous answer, shared by the records of its cluster
     raws: dict[str, str] = {}  # one string for each distinct raw answer
     for lineno, line in read_lines(path, "results"):
-        if not line.strip(JSON_SPACE):
+        match = _ANSWER_MATCH(line)
+        if match is not None:
+            cluster_id, correct, error, normalized, index, raw = match.groups()
+            # A group without a backslash is the string's value already.
+            if "\\" in cluster_id:
+                cluster_id = scanstring(line, match.start(1))[0]
+            if "\\" in raw:
+                raw = scanstring(line, match.start(6))[0]
+            index, correct, error = int(index), correct == "true", error == "true"
+        elif not line.strip(JSON_SPACE):
             continue
-        try:
-            data = decode_json_line(line)
-            if type(data) is dict:
-                kind, cluster_id, index, raw, normalized, correct, error = map(data.get, _ANSWER_KEYS)
-                types = (type(cluster_id), type(index), type(raw), type(normalized), type(correct), type(error))
-                if kind == "answer" and types == _ANSWER_TYPES and normalized in _ANSWERS:
-                    if cluster_id != shared_id:
-                        shared_id = cluster_id
-                    fields = (shared_id, index, raws.setdefault(raw, raw), _ANSWERS[normalized], correct, error)
-                    records.append(_new_record(AnswerRecord, fields))
+        else:
+            try:
+                data = decode_json_line(line)
+                kind = data.get("record") if isinstance(data, dict) else None
+                if kind == "answer":
+                    cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")
+                    decoded += 1
+                elif kind == "header" and header is None:
+                    if data.get("version") != RESULTS_FORMAT_VERSION:
+                        raise SchemaViolation(
+                            f"results format version {data.get('version')!r} is not "
+                            f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
+                        )
+                    header = read_fields(data, _HEADER_FIELDS, "header")
                     continue
-            kind = data.get("record") if isinstance(data, dict) else None
-            if kind == "answer":
-                # The line failed the exact-type check above, so this raises the SchemaViolation that words why.
-                read_fields(data, _ANSWER_FIELDS, "answer")
-            elif kind == "header" and header is None:
-                if data.get("version") != RESULTS_FORMAT_VERSION:
-                    raise SchemaViolation(
-                        f"results format version {data.get('version')!r} is not "
-                        f"supported (this version reads {RESULTS_FORMAT_VERSION!r})"
-                    )
-                header = read_fields(data, _HEADER_FIELDS, "header")
-            elif kind == "header":
-                raise SchemaViolation("duplicate header record")
-            else:
-                raise SchemaViolation(f"unknown record kind {kind!r}")
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        except SchemaViolation as exc:
-            # Every error on a line names the file and the line.
-            raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
+                elif kind == "header":
+                    raise SchemaViolation("duplicate header record")
+                else:
+                    raise SchemaViolation(f"unknown record kind {kind!r}")
+            except JSON_REFUSALS as exc:
+                raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+            except SchemaViolation as exc:
+                # Every error on a line names the file and the line.
+                raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
+        if cluster_id != shared_id:
+            shared_id = cluster_id
+        fields = (shared_id, index, raws.setdefault(raw, raw), _ANSWERS[normalized], correct, error)
+        records.append(_new_record(AnswerRecord, fields))
     if header is None:
         raise SchemaViolation(f"{path}: missing header record")
+    log.debug("read %d answers from %s, %d of them not in the written form and decoded as JSON",
+              len(records), path, decoded)
     return ResultSet(*header, records=tuple(records))

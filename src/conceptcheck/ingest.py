@@ -25,6 +25,7 @@ from typing import IO, Iterable
 
 from .errors import INTEGER, LIST, optional, read_fields
 from .errors import (
+    JSON_REFUSALS,
     JSON_SPACE,
     ConfigError,
     EmptyFragment,
@@ -165,7 +166,7 @@ def parse_entity_dump(source: str | Path | IO[str] | IO[bytes]) -> ParseResult:
                 continue
             try:
                 data = decode_json_line(stripped)
-            except json.JSONDecodeError as exc:
+            except JSON_REFUSALS as exc:
                 result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
                 continue
             yield f"line {lineno}", data

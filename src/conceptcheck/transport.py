@@ -17,7 +17,7 @@ import weakref
 from collections import deque
 from urllib.parse import urlencode, urlsplit
 
-from .errors import ConfigError, MalformedResponse, NetworkError
+from .errors import JSON_REFUSALS, ConfigError, MalformedResponse, NetworkError
 
 
 class JsonClient:
@@ -67,7 +67,7 @@ class JsonClient:
                 raise NetworkError(f"endpoint returned {status}: {body.decode('utf-8', 'replace')[:200]}")
             try:
                 return json.loads(body)
-            except ValueError as exc:
+            except JSON_REFUSALS as exc:
                 raise MalformedResponse(f"endpoint returned non-JSON body: {exc}") from exc
         raise NetworkError(f"request failed after {self.retries + 1} attempts: {last_error}")
 

@@ -4,6 +4,7 @@ dataset are expensive enough to build once per session."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -89,3 +90,13 @@ bare_answers_in_noise = st.builds(
         st.sampled_from(["s", "pe", " sir", ", every one", "\u00e9"]),
     ),
 )
+
+
+# JSON values that `json` refuses with an error other than a JSONDecodeError,
+# each with the start of its message: an integer one digit past the
+# interpreter's limit (when it has one), and nesting past the recursion limit.
+REFUSED_JSON_VALUES = [
+    pytest.param("1" * (sys.get_int_max_str_digits() + 1), "Exceeds the limit", id="digits", marks=pytest.mark.skipif(
+        sys.get_int_max_str_digits() == 0, reason="the interpreter has no integer digit limit")),
+    pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="nesting"),
+]

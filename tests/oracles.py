@@ -20,6 +20,11 @@ from conceptcheck import (
 from conceptcheck.errors import BOOLEAN, INTEGER, STRING, one_of, optional, read_fields
 from conceptcheck.ingest import ParseResult, _collect
 
+# What `json.loads` raises for text it refuses: JSONDecodeError, a ValueError
+# too, for text that is not JSON; ValueError for an integer past the
+# interpreter's digit limit; RecursionError for nesting past its recursion limit.
+JSON_REFUSALS = (ValueError, RecursionError)
+
 
 def floyd_warshall_reachability(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """All-pairs reachability by cubic Floyd-Warshall over a boolean matrix.
@@ -256,8 +261,9 @@ def fingerprint_by_hand(obj: object) -> str:
 def results_by_hand(path) -> ResultSet:
     """A results file read as its format describes it, one line at a time:
     lines of JSON whitespace only are skipped, every other line goes through
-    `json.loads` and then `read_fields`, and each error names the file and
-    the line, as `read_results` words it."""
+    `json.loads` and then `read_fields`, and each error, a refusal of
+    `json.loads` among them, names the file and the line, as `read_results`
+    words it."""
     header = None
     records = []
     text = Path(path).read_text(encoding="utf-8")
@@ -266,7 +272,7 @@ def results_by_hand(path) -> ResultSet:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except JSON_REFUSALS as exc:
             raise SchemaViolation(f"{path}:{lineno}: not valid JSON: {exc}") from None
         kind = None
         if isinstance(data, dict):
@@ -312,8 +318,8 @@ def entity_dump_by_hand(source) -> ParseResult:
     by one `read()`, decoded as UTF-8 when it gives bytes. Each line of
     `text.split("\\n")` is stripped of JSON whitespace and a trailing comma;
     empty and array wrapper lines are skipped, and every other line goes
-    through `json.loads`, a line it refuses being a diagnostic that names
-    its number. The records then go through `parse_entity_dump`'s own rules
+    through `json.loads`, a line it refuses (with any of `JSON_REFUSALS`)
+    being a diagnostic that names its number. The records then go through `parse_entity_dump`'s own rules
     for ids and labels."""
     try:
         if hasattr(source, "read"):
@@ -334,7 +340,7 @@ def entity_dump_by_hand(source) -> ParseResult:
                 continue
             try:
                 data = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+            except JSON_REFUSALS as exc:
                 result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
                 continue
             yield f"line {lineno}", data

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import conceptcheck as cc
 from conceptcheck import backends
 from conceptcheck.backends import shared_cache
+from conceptcheck.evaluation import ask_and_judge
 from conftest import BARE_ANSWERS, bare_answers_in_noise
 from oracles import normalized_by_hand
 from stubserver import serving
@@ -278,6 +279,29 @@ def test_remote_backend_asks_again_past_a_malformed_cache_entry(tmp_path, caplog
     assert cc.ResponseCache(tmp_path).get(key)["raw"] == "Yes."
 
 
+# A JSON value nested deeper than `json`'s decoder reads: it raises a
+# RecursionError, not a ValueError.
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("layout, logged", [
+    ("log", "skipping damaged cache log line"), ("file", "skipping unreadable cache file"),
+])
+def test_remote_backend_asks_again_past_a_cache_entry_nested_too_deep(tmp_path, caplog, layout, logged):
+    key = cc.ResponseCache.key("m", "pQ: q\nA:", "q")
+    if layout == "log":
+        (tmp_path / cc.ResponseCache.LOG_NAME).write_bytes(b'{"key": "%s", "entry": %s}\n' % (key.encode(), TOO_DEEP))
+    else:
+        (tmp_path / f"{key}.json").write_bytes(TOO_DEEP)
+    cache = cc.ResponseCache(tmp_path)
+    assert cache.get(key) is None
+    with serving(lambda method, path, query, body: (200, {"text": "Yes."})) as (url, log):
+        assert cc.RemoteBackend(url, "m", cache=cache).answer("q", "p") == "Yes."
+        assert log.count == 1
+    assert logged in caplog.text
+    assert cc.ResponseCache(tmp_path).get(key)["raw"] == "Yes."
+
+
 # --- oracles -----------------------------------------------------------------------
 
 
@@ -495,6 +519,22 @@ def test_remote_backend_rejects_malformed_bodies():
     with serving(missing_text) as (url, _):
         with pytest.raises(cc.MalformedResponse):
             cc.RemoteBackend(url, "m").answer("q", "p")
+
+
+def test_a_body_nested_too_deep_is_a_malformed_response_and_one_questions_error():
+    def app(method, path, query, body):
+        if body["prompt"].endswith("Q: deep\nA:"):
+            return 200, TOO_DEEP.decode()
+        return 200, {"text": "Yes."}
+
+    with serving(app) as (url, log):
+        backend = cc.RemoteBackend(url, "m", retries=0)
+        with pytest.raises(cc.MalformedResponse, match="maximum recursion depth exceeded"):
+            backend.answer("deep", "")
+        jobs = [("c", 0, "deep", "", cc.Answer.YES), ("c", 1, "fine", "", cc.Answer.YES)]
+        records = ask_and_judge(jobs, backend)
+    assert [(r.raw, r.correct, r.error) for r in records] == [("", False, True), ("Yes.", True, False)]
+    assert log.count == 3
 
 
 def test_remote_backend_auth_env(monkeypatch):

@@ -16,7 +16,7 @@ import conceptcheck.evaluation
 import conceptcheck.scenarios
 from conceptcheck.cli import main
 from clirunner import CliRunner
-from conftest import ladder_edges, make_graph
+from conftest import REFUSED_JSON_VALUES, ladder_edges, make_graph
 from stubserver import serving
 
 GRAPH = "fixture:medical_graph.json"
@@ -936,6 +936,31 @@ def test_report_refuses_mistyped_answer_records(runner, tmp_path, dataset_file, 
     path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n", encoding="utf-8")
     result = run(runner, "report", "--dataset", dataset_file, "--results", path, "--out-dir", tmp_path / "r", code=2)
     assert f"results-noisy-p0.3-s7.jsonl:{wrong + 2}: answer field '{field}' must be" in result.stderr
+
+
+@pytest.mark.parametrize("value, message", REFUSED_JSON_VALUES)
+@pytest.mark.parametrize("flag", ["--results", "--dataset"])
+def test_report_refuses_json_past_the_decoders_limits_with_exit_2(runner, tmp_path, dataset_file, flag, value, message):
+    eval_dir = tmp_path / "eval"
+    run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--out-dir", eval_dir)
+    results = eval_dir / "results-perfect.jsonl"
+    if flag == "--results":
+        lines = results.read_text(encoding="utf-8").split("\n")
+        lines[1] = '{"question_index": %s}' % value
+        results.write_text("\n".join(lines), encoding="utf-8")
+    else:
+        dataset_file.write_text('{"version": %s}\n' % value, encoding="utf-8")
+    result = run(runner, "report", "--dataset", dataset_file, "--results", results, "--out-dir", tmp_path / "r", code=2)
+    where = {"--results": f"{results}:2:", "--dataset": f"dataset file {dataset_file} is"}[flag]
+    assert result.stderr.startswith(f"error: {where} not valid JSON: {message}")
+
+
+@pytest.mark.parametrize("value, message", REFUSED_JSON_VALUES)
+def test_a_backend_spec_past_the_decoders_limits_exits_2(runner, tmp_path, dataset_file, value, message):
+    spec = '{"kind": "perfect", "x": %s}' % value
+    result = run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--backend", spec,
+                 "--out-dir", tmp_path / "e", code=2)
+    assert result.stderr.startswith("error: --backend must be a JSON object") and message in result.stderr
 
 
 # --- run-config files ----------------------------------------------------------------------

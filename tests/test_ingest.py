@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import errors
+from conftest import REFUSED_JSON_VALUES
 from oracles import entity_dump_by_hand
 from stubserver import serving
 
@@ -115,6 +116,17 @@ def test_parse_turns_parts_of_the_wrong_type_into_diagnostics(tmp_path):
     ]
     graph = cc.extract_fragment(cc.ExtractionSpec(seed_concept="Q1"), result.entities)
     assert graph.edges == (("Q2", "Q1"),)
+
+
+@pytest.mark.parametrize("value, message", REFUSED_JSON_VALUES)
+def test_parse_records_json_past_the_decoders_limits_as_a_diagnostic(value, message, tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    good = [json.dumps({"id": f"Q{i}", "labels": {"en": {"value": f"l{i}"}}}) for i in (1, 2)]
+    dump.write_text("\n".join([good[0], '{"id": "Q9", "n": %s}' % value, good[1]]) + "\n", encoding="utf-8")
+    result = cc.parse_entity_dump(dump)
+    assert [e.id for e in result.entities] == ["Q1", "Q2"]
+    assert len(result.diagnostics) == 1 and result.diagnostics[0].startswith(f"line 2: not valid JSON: {message}")
+    assert _parsed(cc.parse_entity_dump, dump) == _parsed(entity_dump_by_hand, dump)
 
 
 def test_parse_keeps_labels_holding_unicode_line_breaks(tmp_path):

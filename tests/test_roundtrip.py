@@ -9,6 +9,8 @@ reads any file, valid or not, as the reference reader in `oracles.py` does."""
 from __future__ import annotations
 
 import json
+import logging
+import re
 import sys
 import tracemalloc
 import warnings
@@ -20,10 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conceptcheck as cc
-from conceptcheck import errors
+from conceptcheck import errors, evaluation
 from conceptcheck.errors import decode_json_line
 from conceptcheck.evaluation import ask_and_judge
 from conceptcheck.hierarchy import _slug
+from conftest import REFUSED_JSON_VALUES
 from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand, results_by_hand
 
 CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -156,14 +159,22 @@ def answer_record(cluster_id: str, index: int, raw: str | None, expected: cc.Ans
     return record
 
 
-answer_records = st.builds(
-    answer_record,
-    # A cluster id as a dataset file reads it back.
-    cluster_id=answer_text.filter(bool).map(lambda s: json.loads(json.dumps(s))),
-    index=st.integers(0, 10**6),
-    raw=st.none() | st.sampled_from(("yes", "No.")) | answer_text,
-    expected=st.sampled_from((cc.Answer.YES, cc.Answer.NO)),
-)
+def answer_records(max_index: int):
+    """Records as `ask_and_judge` makes them, with indices from 0 to `max_index`."""
+    return st.builds(
+        answer_record,
+        # A cluster id as a dataset file reads it back.
+        cluster_id=answer_text.filter(bool).map(lambda s: json.loads(json.dumps(s))),
+        index=st.integers(0, max_index),
+        raw=st.none() | st.sampled_from(("yes", "No.")) | answer_text,
+        expected=st.sampled_from((cc.Answer.YES, cc.Answer.NO)),
+    )
+
+
+# Characters the writer escapes by name, control characters it escapes as
+# \u00XX, DEL and "/" that it writes raw, and non-ASCII, astral and lone
+# surrogate characters that it escapes as \uXXXX.
+ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028\U0001f600\ud800'
 
 
 @CHECK
@@ -173,9 +184,13 @@ answer_records = st.builds(
     dataset_fingerprint=text,
     prompt_fingerprint=text,
     context_fingerprint=st.none() | text,
-    records=st.lists(answer_records, max_size=6).map(tuple),
+    # Indices on both sides of the 18 digits an answer line is matched with.
+    records=st.lists(answer_records(10**20), max_size=6).map(tuple),
 ))
 @example(resultset=cc.ResultSet("b", "d", "p", None, (answer_record("c", 0, None, cc.Answer.YES),)))
+@example(resultset=cc.ResultSet("b", "d", "p", None, tuple(
+    answer_record(ESCAPED, index, ESCAPED, cc.Answer.NO) for index in (10**18 - 1, 10**18, 10**20)
+)))
 @example(resultset=cc.ResultSet("b", "d", "p", None, (
     answer_record("c", 0, "\ud800\udc00", cc.Answer.YES), answer_record("c", 1, "\udfff\ud800 \ud800", cc.Answer.NO),
 )))
@@ -308,13 +323,49 @@ HEADER = {
 line_padding = st.text(st.sampled_from(" \t\r"), max_size=2)
 stray_lines = st.sampled_from(["", " ", "\t", "\r", " \t", "\x0c", "\x0b", "\xa0", "\x85", "\u2028", "\x1c"])
 
+# The text of an answer line's values as `write_results` writes them, and near
+# misses: JSON it never writes, and text that JSON refuses.
+INDICES = ("0", "7", "-0", "-1", "01", "9" * 18, "1" + "0" * 18, "1" * 20, "1" * (sys.get_int_max_str_digits() + 1))
+STRING_BODIES = (
+    "c", "", 'a\\"b', "\\\\", "\\/", "\\b\\f\\n\\r\\t", "\\u00E9", "\\u00e9x", "\\ud83d\\ude00", "\\ud800",
+    "\\udfff\\ud800", "\x7f", "é中", "\U0001f600", "\u2028", "\x01", "\\x41", "\\u12", "\\u12\"", "\\",
+)
+BOOLEANS = ("true", "false", "True", "0")
+NORMALIZED = ("yes", "no", "other", "Yes", "maybe")
+
+
+# An answer line as `write_results` writes it, key by key.
+WRITTEN = (
+    ("cluster_id", '"c"'), ("correct", "true"), ("error", "false"), ("normalized", '"yes"'),
+    ("question_index", "0"), ("raw", '"y"'), ("record", '"answer"'),
+)
+
+
+def _written(changed: dict[str, str], colon: str = ":", end: str = "") -> str:
+    """The line of `WRITTEN` with the values in `changed`, `colon` after each key and `end` after the line."""
+    return "{" + ",".join(f'"{key}"{colon}{changed.get(key, value)}' for key, value in WRITTEN) + "}" + end
+
+
+@st.composite
+def answer_lines(draw) -> str:
+    """An answer line in the form `write_results` writes, or one near it:
+    values it never writes, a space after each colon, or whitespace after it."""
+    strings, booleans = st.sampled_from(STRING_BODIES), st.sampled_from(BOOLEANS)
+    values = {
+        "cluster_id": f'"{draw(strings)}"', "correct": draw(booleans), "error": draw(booleans),
+        "normalized": f'"{draw(st.sampled_from(NORMALIZED))}"', "question_index": draw(st.sampled_from(INDICES)),
+        "raw": f'"{draw(strings)}"',
+    }
+    return _written(values, draw(st.sampled_from([":", ":", ": "])), draw(st.sampled_from(["", "", "", " ", "\t"])))
+
 
 @st.composite
 def results_files(draw) -> str:
     """The text of a results file: answer lines, some with one field swapped,
     dropped or added, or another record kind; no, one or two headers, of this
-    or another version; JSON whitespace around lines, stray lines between
-    them, CRLF line ends and a BOM."""
+    or another version; answer lines in the written form or near it; JSON
+    whitespace around lines, stray lines between them, CRLF line ends and a
+    BOM."""
     objects = [
         {
             "record": "answer", "cluster_id": draw(st.sampled_from(["c", "é\u2028"])), "question_index": index,
@@ -338,6 +389,8 @@ def results_files(draw) -> str:
         + draw(line_padding)
         for obj in objects
     ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(answer_lines()))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(stray_lines))
     text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
@@ -354,6 +407,10 @@ def _read(read, path) -> tuple:
     return "value", rs, [(type(r), *map(type, r)) for r in rs.records]
 
 
+# The string decoder `json` reads with (in C, when `_json` is there) and the
+# pure-Python one it falls back to: an answer line's escapes must read as
+# `json.loads` reads them with either.
+SCANSTRINGS = (json.decoder.scanstring, json.decoder.py_scanstring)
 # The block size a reader reads at, and sizes that put block edges inside
 # lines, inside CRLF pairs and inside multi-byte characters.
 block_sizes = st.sampled_from([errors.LINE_BLOCK, 1, 2, 3, 4, 5, 6, 7])
@@ -367,8 +424,10 @@ block_sizes = st.sampled_from([errors.LINE_BLOCK, 1, 2, 3, 4, 5, 6, 7])
 def test_read_results_reads_a_file_as_the_reference_reader_does(text, block, tmp_path_factory):
     path = tmp_path_factory.mktemp("r") / "results.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    with patch.object(errors, "LINE_BLOCK", block):
-        assert _read(cc.read_results, path) == _read(results_by_hand, path)
+    expected = _read(results_by_hand, path)
+    for scan in SCANSTRINGS:
+        with patch.object(errors, "LINE_BLOCK", block), patch.object(evaluation, "scanstring", scan):
+            assert _read(cc.read_results, path) == expected
 
 
 def _lines_then_a_latin1_byte(block: int) -> bytes:
@@ -443,3 +502,99 @@ def test_read_results_reads_each_changed_answer_field_as_the_reference_reader_do
                 changed[key] = value
             path.write_text(json.dumps(HEADER) + "\n" + json.dumps(changed) + "\n", encoding="utf-8")
             assert _read(cc.read_results, path) == _read(results_by_hand, path), (key, value)
+
+
+# --- answer lines in the written form, and JSON past the decoder's limits ------------
+
+
+@CHECK
+@given(resultset=st.builds(
+    cc.ResultSet,
+    backend_id=text,
+    dataset_fingerprint=text,
+    prompt_fingerprint=text,
+    context_fingerprint=st.none() | text,
+    records=st.lists(answer_records(10**18 - 1), max_size=6).map(tuple),
+))
+@example(resultset=cc.ResultSet("b", "d", "p", None, tuple(
+    answer_record(ESCAPED, index, ESCAPED, cc.Answer.YES) for index in (0, 10**18 - 1)
+)))
+def test_read_results_decodes_only_the_header_of_a_file_write_results_wrote(resultset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("r") / "results.jsonl"
+    cc.write_results(resultset, path)
+    decoded = []
+
+    def counted(line: str):
+        decoded.append(line)
+        return decode_json_line(line)
+
+    for scan in SCANSTRINGS:
+        decoded.clear()
+        with patch.object(evaluation, "decode_json_line", counted), patch.object(evaluation, "scanstring", scan):
+            assert cc.read_results(path) == resultset
+        assert len(decoded) == 1 and decoded[0].startswith('{"backend":')
+
+
+def test_read_results_logs_how_many_answers_were_not_in_the_written_form(tmp_path, caplog):
+    resultset = cc.ResultSet("b", "d", "p", None, tuple(answer_record("c", i, "yes", cc.Answer.YES) for i in range(3)))
+    path = tmp_path / "results.jsonl"
+    cc.write_results(resultset, path)
+    with caplog.at_level(logging.DEBUG, logger="conceptcheck.evaluation"):
+        cc.read_results(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] = json.dumps(dict(reversed(json.loads(lines[2]).items())), separators=(",", ":"))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert cc.read_results(path) == resultset
+    assert caplog.messages == [
+        f"read 3 answers from {path}, {n} of them not in the written form and decoded as JSON" for n in (0, 1)
+    ]
+
+
+# Each value of an answer line, in turn, in other text: a value or a form the
+# writer never writes, or text that JSON refuses.
+CHANGED_VALUES = [
+    *((key, index) for key in ("question_index", "cluster_id") for index in INDICES),
+    *((key, f'"{body}"') for key in ("cluster_id", "raw") for body in STRING_BODIES),
+    *((key, value) for key in ("correct", "error") for value in (*BOOLEANS, "null", '"true"')),
+    *(("normalized", f'"{answer}"') for answer in NORMALIZED),
+    ("normalized", "null"), ("record", '"header"'), ("record", '"answer "'),
+]
+
+
+@pytest.mark.parametrize("key, value", CHANGED_VALUES, ids=lambda v: v if len(v) <= 24 else f"<{len(v)} characters>")
+def test_read_results_reads_each_value_of_the_written_form_as_the_reference_reader_does(key, value, tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + _written({key: value}) + "\n", encoding="utf-8")
+    expected = _read(results_by_hand, path)
+    for scan in SCANSTRINGS:
+        with patch.object(evaluation, "scanstring", scan):
+            assert _read(cc.read_results, path) == expected
+
+
+@pytest.mark.parametrize("colon, end", [(": ", ""), (":", " "), (":", "\t"), (":", "\r"), (" :", "")])
+def test_read_results_reads_the_written_form_spaced_out_as_the_reference_reader_does(colon, end, tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + _written({}, colon, end) + "\n", encoding="utf-8")
+    assert _read(cc.read_results, path) == _read(results_by_hand, path)
+
+
+@pytest.mark.parametrize("value, message", REFUSED_JSON_VALUES)
+def test_read_results_refuses_json_past_the_decoders_limits_naming_the_line(value, message, tmp_path):
+    answer = ('{"cluster_id":"c","correct":true,"error":false,"normalized":"yes","question_index":%s,"raw":"y",'
+              '"record":"answer"}')
+    path = tmp_path / "results.jsonl"
+    path.write_text("\n".join([json.dumps(HEADER), answer % 0, answer % value, answer % 1]) + "\n", encoding="utf-8")
+    with pytest.raises(cc.SchemaViolation, match=f"^{re.escape(str(path))}:3: not valid JSON: {message}"):
+        cc.read_results(path)
+    assert _read(cc.read_results, path) == _read(results_by_hand, path)
+
+
+@pytest.mark.parametrize("value, message", REFUSED_JSON_VALUES)
+@pytest.mark.parametrize("read, what", [
+    (cc.read_dataset, "dataset file"), (cc.load_graph, "graph file"), (cc.load_context, "context file"),
+])
+def test_json_file_readers_refuse_json_past_the_decoders_limits_naming_the_file(read, what, value, message, tmp_path):
+    path = tmp_path / "file.json"
+    path.write_text('{"version": %s}\n' % value, encoding="utf-8")
+    with pytest.raises(cc.SchemaViolation, match=f"^{what} {re.escape(str(path))} is not valid JSON: {message}"):
+        read(path)
