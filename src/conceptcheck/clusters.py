@@ -325,10 +325,11 @@ def _least_witness_paths(
     the greedy choice is the least path. The result equals keeping the
     first path per pair of the sorted `implied_paths` enumeration.
     """
-    implied = closure.implied
+    ancestors = closure.ancestor_sets
     longest = _longest_paths(graph, closure) if min_len > 2 else {}
     paths = []
-    for src, dst in closure.strictly_implied:
+    strict = ((src, dst) for src, above in ancestors.items() for dst in above if dst not in graph.parents_map[src])
+    for src, dst in strict:
         if min_len > 2 and longest[src, dst] < min_len:
             continue
         path = [src]
@@ -337,7 +338,7 @@ def _least_witness_paths(
             path.append(next(
                 p for p in graph.parents_map[path[-1]]
                 if (p == dst and need <= 0)
-                or ((p, dst) in implied and (need <= 1 or longest[p, dst] >= need))
+                or (dst in ancestors[p] and (need <= 1 or longest[p, dst] >= need))
             ))
         paths.append(tuple(path))
     label = graph.label_of

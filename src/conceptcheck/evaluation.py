@@ -14,7 +14,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, groupby
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as quote_json
@@ -542,14 +542,20 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
 
 # A JSON string with its escapes and no raw control character, as the strict decoder reads it.
 _JSON_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
-# Matches a whole answer line in exactly the form `_ANSWER_LINE` writes: its
-# text, each placeholder in turn the group of its field's JSON form. An index
-# has at most 18 digits, so that `int` never reaches the interpreter's limit.
-_ANSWER_MATCH = re.compile("".join(chain.from_iterable(zip(
-    map(re.escape, re.split("%[sd]", _ANSWER_LINE.removesuffix("\n"))),
-    (_JSON_STRING, "(true|false)", "(true|false)", f'"({"|".join(map(re.escape, _ANSWERS))})"',
-     "(0|[1-9][0-9]{0,17})", _JSON_STRING, ""),
-)))).fullmatch
+
+
+@cache
+def _answer_match():
+    """The `fullmatch` of a whole answer line in exactly the form `_ANSWER_LINE`
+    writes: its text, each placeholder in turn the group of its field's JSON
+    form. An index has at most 18 digits, so that `int` never reaches the
+    interpreter's limit. Compiled on the first call, so that only a process
+    that reads results pays for it."""
+    return re.compile("".join(chain.from_iterable(zip(
+        map(re.escape, re.split("%[sd]", _ANSWER_LINE.removesuffix("\n"))),
+        (_JSON_STRING, "(true|false)", "(true|false)", f'"({"|".join(map(re.escape, _ANSWERS))})"',
+         "(0|[1-9][0-9]{0,17})", _JSON_STRING, ""),
+    )))).fullmatch
 
 
 def read_results(path: str | Path) -> ResultSet:
@@ -576,8 +582,9 @@ def read_results(path: str | Path) -> ResultSet:
     decoded = 0  # answers not in the written form, read by the JSON path
     shared_id = ""  # the cluster id of the previous answer, shared by the records of its cluster
     raws: dict[str, str] = {}  # one string for each distinct raw answer
+    answer_match = _answer_match()
     for lineno, line in read_lines(path, "results"):
-        match = _ANSWER_MATCH(line)
+        match = answer_match(line)
         if match is not None:
             cluster_id, correct, error, normalized, index, raw = match.groups()
             # A group without a backslash is the string's value already.

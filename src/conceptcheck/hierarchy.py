@@ -243,17 +243,20 @@ def build_graph(
 class DeductiveClosure:
     """Exact transitive reachability over subconcept edges.
 
-    `implied` holds every ordered (descendant, ancestor) pair, direct edges
-    included; the relation is irreflexive. `derived_from` is the fingerprint
-    of the source graph. `ancestor_sets` holds each concept's ancestors, the
-    sets `implied` is flattened from.
+    `ancestor_sets` is the one stored relation: each concept's ancestors,
+    never the concept itself. `direct` holds the graph's (child, parent)
+    edges and `derived_from` its fingerprint. The pair views, `implied` (every
+    (descendant, ancestor) pair) and `strictly_implied` (those not in
+    `direct`), are built on first read and kept.
     """
 
-    nodes: frozenset[ConceptId]
     direct: frozenset[tuple[ConceptId, ConceptId]]
-    implied: frozenset[tuple[ConceptId, ConceptId]]
     derived_from: str
-    ancestor_sets: dict[ConceptId, frozenset[ConceptId]] = field(repr=False, compare=False)
+    ancestor_sets: dict[ConceptId, frozenset[ConceptId]] = field(repr=False, hash=False)
+
+    @cached_property
+    def implied(self) -> frozenset[tuple[ConceptId, ConceptId]]:
+        return frozenset((child, anc) for child, ancs in self.ancestor_sets.items() for anc in ancs)
 
     @cached_property
     def strictly_implied(self) -> frozenset[tuple[ConceptId, ConceptId]]:
@@ -276,7 +279,7 @@ class DeductiveClosure:
         return self._descendant_sets[concept]
 
     def _check(self, concept: ConceptId) -> None:
-        if concept not in self.nodes:
+        if concept not in self.ancestor_sets:
             raise UnknownConcept(concept)
 
 
@@ -289,13 +292,7 @@ def deductive_closure(graph: ConceptGraph) -> DeductiveClosure:
         for parent in parents:
             acc |= ancestors[parent]
         ancestors[node] = frozenset(acc)
-    return DeductiveClosure(
-        nodes=frozenset(graph.concept_ids),
-        direct=graph.edge_set,
-        implied=frozenset((child, anc) for child, accs in ancestors.items() for anc in accs),
-        derived_from=graph.fingerprint,
-        ancestor_sets=ancestors,
-    )
+    return DeductiveClosure(direct=graph.edge_set, derived_from=graph.fingerprint, ancestor_sets=ancestors)
 
 
 def is_subconcept(
@@ -310,7 +307,7 @@ def is_subconcept(
     closure._check(ancestor)
     if candidate == ancestor:
         return reflexive
-    return (candidate, ancestor) in closure.implied
+    return ancestor in closure.ancestor_sets[candidate]
 
 
 def inherited_properties(

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,19 @@ def test_pair_mode_never_enumerates_paths(monkeypatch):
     dataset = cc.generate_dataset(graph, cc.GenerationConfig(seed=7, negative_count=200))
     assert len(clusters_of(dataset, T.PATH)) == len(cc.deductive_closure(graph).strictly_implied)
     assert len(clusters_of(dataset, T.NEGATIVE_EDGE)) == 200
+
+
+def test_generators_and_subsumption_read_no_pair_view_of_the_closure(medical_graph):
+    closure = cc.deductive_closure(medical_graph)
+    assert gen_negative_clusters(medical_graph, closure, cc.GenerationConfig(seed=1, negative_count=66))
+    for granularity in ("pair", "path"):
+        for min_len in (2, 3):
+            config = cc.GenerationConfig(min_path_len=min_len, path_granularity=granularity)
+            assert gen_path_clusters(medical_graph, closure, config)
+    assert gen_property_clusters(medical_graph, closure, cc.MEDICAL_GENERATION)
+    assert cc.is_subconcept(closure, "orthopedic-pediatric-surgeon", "medical-specialist")
+    assert not cc.is_subconcept(closure, "medical-specialist", "orthopedic-pediatric-surgeon")
+    assert not {"implied", "strictly_implied"} & set(vars(closure))
 
 
 def test_path_clusters_skip_pairs_with_redundant_direct_edge():
@@ -467,3 +484,43 @@ def test_generation_config_round_trip():
     assert cc.GenerationConfig.from_dict(config.to_dict()) == config
     with pytest.raises(cc.SchemaViolation):
         cc.GenerationConfig.from_dict({"seed": 1, "surprise": True})
+
+
+# Prints the fingerprint of every dataset generated from a few random DAGs,
+# each with labels in another order than ids, same-as pairs and properties,
+# under each path length and granularity.
+DATASET_FINGERPRINTS = """
+import random
+import conceptcheck as cc
+from oracles import random_dag
+
+for seed in (0, 2, 3):  # 29, 29 and 9 concepts, with 165, 156 and 3 strictly implied pairs
+    rng = random.Random(seed)
+    nodes, edges = random_dag(rng, max_nodes=30, edge_prob=0.25)
+    labels = rng.sample([f"label {i:02d}" for i in range(len(nodes))], len(nodes))
+    concepts = [cc.Concept(id=n, label=label) for n, label in zip(nodes, labels)]
+    same_as = [tuple(rng.sample(nodes, 2)) for _ in range(3)]
+    properties = [cc.PropertyAssertion(rng.choice(nodes), "colour", rng.choice(["red", "blue"])) for _ in range(4)]
+    graph = cc.build_graph(concepts, edges, properties, same_as)
+    for min_path_len in (2, 3):
+        for path_granularity in ("pair", "path"):
+            config = cc.GenerationConfig(seed=seed, negative_count=15, min_path_len=min_path_len,
+                                         path_granularity=path_granularity)
+            dataset = cc.generate_dataset(graph, config)
+            print(len(dataset.clusters), dataset.fingerprint)
+"""
+
+
+def test_generated_datasets_do_not_depend_on_the_hash_seed():
+    # Generation walks sets, whose order follows the hash seed; no such order may reach a dataset.
+    tests = Path(__file__).parent
+    search_path = [str(tests.parent / "src"), str(tests), *filter(None, [os.environ.get("PYTHONPATH")])]
+    outputs = []
+    for hash_seed in ("0", "1", "7"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(search_path), "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run([sys.executable, "-c", DATASET_FINGERPRINTS], capture_output=True, text=True,
+                                timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.splitlines())
+    assert len(outputs[0]) == 12 and all(int(line.split()[0]) > 0 for line in outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -158,3 +158,26 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     added = set(result.stdout.split())
     assert package_modules(added) == CLI | {"conceptcheck.backends", "conceptcheck.reporting", "conceptcheck.transport"}
     assert "concurrent.futures" in added
+
+
+# Records the patterns `re.compile` builds, then imports evaluation, then reads
+# one results file, printing how many answer-line patterns each step compiled.
+ANSWER_PATTERN_COMPILES = """
+import re, sys
+compiled, compile = [], re.compile
+re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)
+answer_patterns = lambda: sum('"cluster_id":' in p for p in compiled if isinstance(p, str))
+import conceptcheck.evaluation as ev
+print(answer_patterns())
+record = ev.AnswerRecord("c", 0, "yes", ev.Answer.YES, True)
+ev.write_results(ev.ResultSet("b", "d", "p", None, (record,)), sys.argv[1])
+assert ev.read_results(sys.argv[1]).records == (record,)
+ev.read_results(sys.argv[1])
+print(answer_patterns())
+"""
+
+
+def test_the_answer_line_pattern_is_compiled_by_the_first_read_not_on_import(tmp_path):
+    result = python(ANSWER_PATTERN_COMPILES, str(tmp_path / "results.jsonl"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1"]

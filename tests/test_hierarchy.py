@@ -141,7 +141,13 @@ def test_closure_matches_brute_force_on_random_dags():
         concepts = [cc.Concept(id=n, label=labels[n], aliases=()) for n in nodes]
         graph = cc.build_graph(concepts, edges)
         closure = cc.deductive_closure(graph)
-        assert set(closure.implied) == floyd_warshall_reachability(nodes, edges), f"seed {seed}"
+        reachable = floyd_warshall_reachability(nodes, edges)
+        assert set(closure.implied) == reachable, f"seed {seed}"
+        for a in nodes:
+            for b in nodes:
+                for reflexive in (False, True):
+                    expected = (a, b) in reachable or (reflexive and a == b)
+                    assert cc.is_subconcept(closure, a, b, reflexive=reflexive) == expected, f"seed {seed}, {a}, {b}"
         reversed_edges = {(parent, child) for child, parent in edges}
         for node in nodes:
             where = f"seed {seed}, {node}"
@@ -159,6 +165,16 @@ def test_closure_is_irreflexive_and_contains_direct_edges(medical_graph, medical
     assert medical_closure.direct == frozenset(medical_graph.edges)
     assert medical_closure.direct <= medical_closure.implied
     assert medical_closure.strictly_implied == medical_closure.implied - medical_closure.direct
+
+
+def test_closures_are_equal_exactly_when_their_relations_are():
+    edges = [("b", "a"), ("c", "b"), ("y", "x")]
+    one, two = cc.deductive_closure(make_graph(edges)), cc.deductive_closure(make_graph(edges))
+    assert one == two and hash(one) == hash(two)
+    assert cc.deductive_closure(make_graph(edges + [("y", "b")])) != one
+    # One more concept without edges has the same edges and fingerprint: only the relation tells them apart.
+    lone = make_graph(edges, extra=["z"])
+    assert lone.fingerprint == one.derived_from and cc.deductive_closure(lone) != one
 
 
 def test_medical_closure_counts(medical_closure):
