@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from string import Formatter
@@ -134,6 +134,16 @@ class ClusterDataset:
             sha.update(cluster.encode())
         sha.update(("]," + canonical_json(_other_fields(self))[1:]).encode())
         return sha.hexdigest()
+
+    @cached_property
+    def question_keys(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """Each question's cluster id and its index in its cluster, as two
+        columns in dataset order: the keys a result set's answers carry."""
+        clusters = self.clusters
+        return (
+            tuple(chain.from_iterable(repeat(c.id, len(c.questions)) for c in clusters)),
+            tuple(chain.from_iterable(range(len(c.questions)) for c in clusters)),
+        )
 
     def answer_key(self) -> dict[str, str]:
         """Each question's one expected answer, "yes" or "no", by `answer_table`."""

@@ -12,13 +12,13 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as quote_json
-from operator import attrgetter, not_
+from operator import countOf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -49,10 +49,6 @@ log = logging.getLogger(__name__)
 
 RESULTS_FORMAT_VERSION = "1"
 CONTEXT_GRANULARITIES = ("question", "cluster")
-
-# (cluster_id, question_index, question, prompt prefix, expected); jobs that
-# share a context share one prefix string from `render_prefix`.
-Job = tuple[str, int, str, str, Answer]
 
 
 # --- prompt template --------------------------------------------------------
@@ -123,90 +119,135 @@ class AnswerRecord(NamedTuple):
     error: bool = False
 
 
-# Makes an AnswerRecord of a tuple of its six fields, as `AnswerRecord._make`
-# does, in one C call: the generated keyword `__new__` costs a Python frame
-# and the binding of six arguments per record.
-_new_record = tuple.__new__
-
-# Getters of an AnswerRecord's fields: C-level calls, where a lambda or a
-# comprehension runs Python bytecode for each record.
-_CLUSTER_ID = attrgetter("cluster_id")
-_CORRECT = attrgetter("correct")
+def records_of(
+    cluster_ids: Iterable[str], question_indices: Iterable[int], raws: Iterable[str],
+    normalized: Iterable[Answer], correct: Iterable[int], error: Iterable[int],
+) -> tuple[AnswerRecord, ...]:
+    """The records of six parallel answer columns, with `correct` and `error` as bools."""
+    flags = map(bool, correct), map(bool, error)
+    return tuple(map(AnswerRecord, cluster_ids, question_indices, raws, normalized, *flags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResultSet:
-    """All answers of one backend over one dataset, in dataset order."""
+    """All answers of one backend over one dataset, in dataset order, held as
+    six parallel columns with no object per answer for the garbage collector
+    to track: `correct` and `error` are `bytes` of 0/1 flags, the others
+    tuples. Equality compares the header fields and the columns.
+    `ResultSet(..., records)` builds the columns of the records."""
 
     backend_id: str
     dataset_fingerprint: str
     prompt_fingerprint: str
     context_fingerprint: str | None
-    records: tuple[AnswerRecord, ...]
+    cluster_ids: tuple[str, ...] = field(init=False)
+    question_indices: tuple[int, ...] = field(init=False)
+    raws: tuple[str, ...] = field(init=False)
+    normalized: tuple[Answer, ...] = field(init=False)
+    correct: bytes = field(init=False)
+    error: bytes = field(init=False)
+
+    def __init__(self, backend_id: str, dataset_fingerprint: str, prompt_fingerprint: str,
+                 context_fingerprint: str | None, records: Iterable[AnswerRecord]):
+        ids, indices, raws, normalized, correct, error = [*zip(*records)] or [()] * 6
+        self._fill(backend_id, dataset_fingerprint, prompt_fingerprint, context_fingerprint,
+                   ids, indices, raws, normalized, bytes(correct), bytes(error))
+
+    @classmethod
+    def from_columns(cls, *values) -> ResultSet:
+        """The result set of its four header fields, then its six columns as they are."""
+        resultset = cls.__new__(cls)
+        resultset._fill(*values)
+        return resultset
+
+    def _fill(self, *values) -> None:
+        vars(self).update(zip([f.name for f in fields(self)], values, strict=True))
+
+    @property
+    def records(self) -> tuple[AnswerRecord, ...]:
+        """The answers as `AnswerRecord`s: a new tuple of new records on each read."""
+        return records_of(self.cluster_ids, self.question_indices, self.raws, self.normalized, self.correct, self.error)
 
     @cached_property
     def verdicts(self) -> dict[str, Verdict]:
         out: dict[str, Verdict] = {}
-        for cluster_id, group in groupby(self.records, key=_CLUSTER_ID):
-            out[cluster_id] = classify_cluster(group)
+        end = 0
+        for cluster_id, run in groupby(self.cluster_ids):
+            # Every id of the run equals `cluster_id`, so this counts the run in C.
+            start, end = end, end + countOf(run, cluster_id)
+            out[cluster_id] = _verdict_of(self.correct[start:end])
         return out
 
     @cached_property
     def error_count(self) -> int:
-        return sum(1 for r in self.records if r.error)
+        return self.error.count(1)
 
 
-def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
-    """Consistent if all correct, Incomplete if none, Inconsistent otherwise."""
-    flags = [*map(_CORRECT, records)]
+def _verdict_of(flags: bytes) -> Verdict:
     if not flags:
         raise SchemaViolation("cannot classify a cluster with no answers")
-    if all(flags):
+    if 0 not in flags:
         return Verdict.CONSISTENT
-    if not any(flags):
+    if 1 not in flags:
         return Verdict.INCOMPLETE
     return Verdict.INCONSISTENT
 
 
-def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
-    """Ask and judge (cluster_id, question_index, question, prefix, expected) jobs.
+def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
+    """Consistent if all correct, Incomplete if none, Inconsistent otherwise."""
+    return _verdict_of(bytes(r.correct for r in records))
 
-    `prefix` is the rendered preamble, few-shots and context, shared by
-    reference across jobs and handed to the backend untouched, so the loop
-    builds no prompt: a backend that needs the full prompt joins it itself.
-    Each record is built from its six fields by one C call, and a bare
-    yes/no answer is normalized by one lookup (see `normalize_answer`), so
-    with an oracle the loop costs little more than the backend's own call.
-    A backend failure on one question is recorded (as an incorrect Other
-    answer with an empty raw text and the error flag set) and evaluation
-    continues; it never aborts the run.
+
+def ask_and_judge(
+    questions: Sequence[str], prefixes: Sequence[str], expected: Sequence[Answer], backend: Backend
+) -> tuple[tuple[str, ...], tuple[Answer, ...], bytes, bytes]:
+    """Ask question i below `prefixes[i]` and judge its answer against
+    `expected[i]`: the raw, normalized, correct and error columns of the
+    answers, in question order.
+
+    A prefix is the rendered preamble, few-shots and context, shared by
+    reference across questions and handed to the backend untouched, so the
+    loop builds no prompt: a backend that needs the full prompt joins it
+    itself. The columns are allocated up front and each answer is stored
+    at its question's index, so the loop makes no object per answer that
+    the garbage collector tracks; a bare yes/no answer is normalized by one
+    lookup (see `normalize_answer`), so with an oracle the loop costs
+    little more than the backend's own call. A backend failure on one
+    question is recorded (as an incorrect Other answer with an empty raw
+    text and the error flag set) and evaluation continues; it never aborts
+    the run.
 
     A backend that declares a concurrency above one is asked by that many
-    workers (never more than there are jobs); each takes the next job from
-    one shared list when its call returns and stores the record at the
-    job's index, so records come back in job order and at most
+    workers (never more than there are questions); each takes the next
+    index from one shared iterator when its call returns, so at most
     `concurrency` calls are in flight. Any other exception stops new calls:
     the calls already in flight finish, then it reaches the caller.
     """
+    n = len(questions)
+    # Filled with what a failed call leaves: an empty raw, Other, incorrect.
+    raws, normalized = [""] * n, [Answer.OTHER] * n
+    correct, error = bytearray(n), bytearray(n)
 
-    def ask(job: Job) -> AnswerRecord:
-        cluster_id, idx, question, prefix, expected = job
+    def ask(i: int) -> None:
         try:
-            raw = backend.answer(question, prefix)
+            raw = backend.answer(questions[i], prefixes[i])
         except ConceptCheckError:
-            return _new_record(AnswerRecord, (cluster_id, idx, "", Answer.OTHER, False, True))
+            error[i] = 1
+            return
         if not raw.isascii():
             # A results file reads a surrogate pair back as the one character
-            # it encodes, so the record holds that character already.
+            # it encodes, so the column holds that character already.
             raw = raw.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
-        normalized = normalize_answer(raw)
-        return _new_record(AnswerRecord, (cluster_id, idx, raw, normalized, normalized == expected, False))
+        raws[i] = raw
+        normalized[i] = answer = normalize_answer(raw)
+        correct[i] = answer == expected[i]
 
-    workers = min(getattr(backend, "concurrency", 1), len(jobs))
+    workers = min(getattr(backend, "concurrency", 1), n)
     if workers <= 1:
-        return [ask(job) for job in jobs]
-    records: list = [None] * len(jobs)
-    pending = enumerate(jobs)
+        for i in range(n):
+            ask(i)
+        return tuple(raws), tuple(normalized), bytes(correct), bytes(error)
+    pending = iter(range(n))
     lock = threading.Lock()
     failed = threading.Event()
 
@@ -214,10 +255,10 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
         try:
             while not failed.is_set():
                 with lock:
-                    index, job = next(pending, (None, None))
-                if job is None:
+                    i = next(pending, None)
+                if i is None:
                     return
-                records[index] = ask(job)
+                ask(i)
         except BaseException:
             failed.set()
             raise
@@ -227,7 +268,7 @@ def ask_and_judge(jobs: Sequence[Job], backend: Backend) -> list[AnswerRecord]:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for worker in [pool.submit(drain) for _ in range(workers)]:
             worker.result()
-    return records
+    return tuple(raws), tuple(normalized), bytes(correct), bytes(error)
 
 
 def check_context(context: "ContextBlock | None", dataset: ClusterDataset) -> None:
@@ -252,24 +293,25 @@ def evaluate_dataset(
     questions plus context, not with their product.
     Failures are handled as in `ask_and_judge`. A backend whose concurrency
     is above one is asked by that many workers, each taking the next
-    question when its call returns; records come back in dataset order,
+    question when its call returns; answers come back in dataset order,
     and an exception other than a `ConceptCheckError` stops new calls and
     reaches the caller. A context built from another dataset is refused by
-    `check_context` before any question is asked.
+    `check_context` before any question is asked. The result set's cluster
+    id and question index columns are the dataset's `question_keys`, and
+    the other four are `ask_and_judge`'s.
     """
     check_context(context, dataset)
     prefix = render_prefix(template, context.statements if context is not None else ())
-    jobs = [
-        (cluster.id, idx, question, prefix, cluster.expected)
-        for cluster in dataset.clusters
-        for idx, question in enumerate(cluster.questions)
-    ]
-    return ResultSet(
-        backend_id=backend.id,
-        dataset_fingerprint=dataset.fingerprint,
-        prompt_fingerprint=template.fingerprint(),
-        context_fingerprint=context.fingerprint() if context is not None else None,
-        records=tuple(ask_and_judge(jobs, backend)),
+    clusters = dataset.clusters
+    questions = [*chain.from_iterable(c.questions for c in clusters)]
+    expected = [*chain.from_iterable(repeat(c.expected, len(c.questions)) for c in clusters)]
+    return ResultSet.from_columns(
+        backend.id,
+        dataset.fingerprint,
+        template.fingerprint(),
+        context.fingerprint() if context is not None else None,
+        *dataset.question_keys,
+        *ask_and_judge(questions, [prefix] * len(questions), expected, backend),
     )
 
 
@@ -351,28 +393,27 @@ def _check_answers_match(resultset: ResultSet, dataset: ClusterDataset) -> None:
     """A result set comes from the dataset and answers each of its questions
     exactly once, in dataset order.
 
-    Verdicts and context read records by position, so a missing, repeated or
-    misplaced record would otherwise change a score without an error.
+    Verdicts and context read answers by position, so a missing, repeated
+    or misplaced answer would otherwise change a score without an error.
+    The check is two tuple comparisons with the dataset's `question_keys`;
+    only a result set that fails them is walked, to name its first
+    misplaced answer.
     """
     if resultset.dataset_fingerprint != dataset.fingerprint:
         raise MismatchedDataset(f"result set {resultset.backend_id} was produced from a different dataset")
-    records = resultset.records
-    n = 0
-    for cluster in dataset.clusters:
-        for idx in range(len(cluster.questions)):
-            if n == len(records) or records[n].cluster_id != cluster.id or records[n].question_index != idx:
-                _answer_mismatch(resultset, n, f"{cluster.id}[{idx}]")
-            n += 1
-    if n != len(records):
-        _answer_mismatch(resultset, n, "the end")
+    cluster_ids, indices = dataset.question_keys
+    if resultset.cluster_ids == cluster_ids and resultset.question_indices == indices:
+        return
+    found = [*zip(resultset.cluster_ids, resultset.question_indices)]
+    expected = [*zip(cluster_ids, indices)]
+    n = next((n for n, (a, b) in enumerate(zip(found, expected)) if a != b), min(len(found), len(expected)))
 
+    def name(keys: list[tuple[str, int]]) -> str:
+        return "{}[{}]".format(*keys[n]) if n < len(keys) else "the end"
 
-def _answer_mismatch(resultset: ResultSet, n: int, expected: str) -> None:
-    records = resultset.records
-    found = f"{records[n].cluster_id}[{records[n].question_index}]" if n < len(records) else "the end"
     raise MismatchedDataset(
         f"result set {resultset.backend_id} does not follow the dataset at answer {n + 1}: "
-        f"found {found}, expected {expected}"
+        f"found {name(found)}, expected {name(expected)}"
     )
 
 
@@ -437,9 +478,9 @@ def build_context(
         raise MismatchedDataset("build_context needs at least one result set")
     for rs in resultsets:
         _check_answers_match(rs, dataset)
-    # Records follow dataset order, so missed[n] is about the dataset's n-th question.
-    # By C calls alone: a question is missed when none of its records across the result sets is correct.
-    missed = [*map(not_, map(any, zip(*(map(_CORRECT, rs.records) for rs in resultsets))))]
+    # Answers follow dataset order, so hit[n] is about the dataset's n-th question:
+    # 1 when any result set answered it correctly, by C calls alone.
+    hit = bytes(map(any, zip(*(rs.correct for rs in resultsets))))
     statements: list[str] = []
     seen: set[str] = set()
     clusters_used: list[str] = []
@@ -452,7 +493,7 @@ def build_context(
             else:
                 picked = ()
         else:
-            picked = [idx for idx in range(size) if missed[n + idx]]
+            picked = [idx for idx in range(size) if not hit[n + idx]]
         n += size
         for idx in picked:
             statement = cluster.statements[idx]
@@ -535,7 +576,10 @@ def write_results(resultset: ResultSet, path: str | Path) -> None:
             quote_json(cluster_id), "true" if correct else "false", "true" if error else "false",
             quote_json(normalized), index, quote_json(raw),
         )
-        for cluster_id, index, raw, normalized, correct, error in resultset.records
+        for cluster_id, index, raw, normalized, correct, error in zip(
+            resultset.cluster_ids, resultset.question_indices, resultset.raws,
+            resultset.normalized, resultset.correct, resultset.error,
+        )
     )
     write_text(path, chain([canonical_json(header) + "\n"], answers))
 
@@ -573,15 +617,17 @@ def read_results(path: str | Path) -> ResultSet:
     header (of this format version, and only one) or an answer record whose
     fields `read_fields` checks; any other line, field or version, and JSON
     the decoder refuses, is a SchemaViolation that names the file and the
-    line. Records of one cluster share one cluster id string, and equal raw
-    answers share one string. Logs at DEBUG how many answers were read and
-    how many were not in the written form.
+    line. Each line's fields are appended to the result set's columns, and
+    no record is built: answers of one cluster share one cluster id string,
+    and equal raw answers share one string. Logs at DEBUG how many answers
+    were read and how many were not in the written form.
     """
     header: list | None = None
-    records: list[AnswerRecord] = []
+    cluster_ids, indices, raws, answers = [], [], [], []  # `answers` holds the normalized column
+    corrects, errors = bytearray(), bytearray()
+    shared_raws: dict[str, str] = {}  # one string for each distinct raw answer
     decoded = 0  # answers not in the written form, read by the JSON path
-    shared_id = ""  # the cluster id of the previous answer, shared by the records of its cluster
-    raws: dict[str, str] = {}  # one string for each distinct raw answer
+    shared_id = ""  # the cluster id of the previous answer, shared by the answers of its cluster
     answer_match = _answer_match()
     for lineno, line in read_lines(path, "results"):
         match = answer_match(line)
@@ -621,10 +667,18 @@ def read_results(path: str | Path) -> ResultSet:
                 raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
         if cluster_id != shared_id:
             shared_id = cluster_id
-        fields = (shared_id, index, raws.setdefault(raw, raw), _ANSWERS[normalized], correct, error)
-        records.append(_new_record(AnswerRecord, fields))
+        cluster_ids.append(shared_id)
+        indices.append(index)
+        raws.append(shared_raws.setdefault(raw, raw))
+        answers.append(_ANSWERS[normalized])
+        corrects.append(correct)
+        errors.append(error)
     if header is None:
         raise SchemaViolation(f"{path}: missing header record")
     log.debug("read %d answers from %s, %d of them not in the written form and decoded as JSON",
-              len(records), path, decoded)
-    return ResultSet(*header, records=tuple(records))
+              len(indices), path, decoded)
+    columns = []
+    for column in (cluster_ids, indices, raws, answers):
+        columns.append(tuple(column))
+        column.clear()  # so that no more than one column is held twice at a time
+    return ResultSet.from_columns(*header, *columns, bytes(corrects), bytes(errors))

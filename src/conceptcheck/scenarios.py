@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from string import Formatter
 
@@ -36,8 +36,8 @@ from .errors import (
     read_json,
     write_json_lines,
 )
-from .evaluation import AnswerRecord, Job, PromptTemplate, Verdict, ask_and_judge, classify_cluster
-from .evaluation import prompt_with_prefix, render_prefix
+from .evaluation import AnswerRecord, PromptTemplate, Verdict, ask_and_judge, classify_cluster
+from .evaluation import prompt_with_prefix, records_of, render_prefix
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 from .reporting import format_percent
 
@@ -171,16 +171,15 @@ def _scenario_jobs(
     graph: ConceptGraph,
     closure: DeductiveClosure,
     template: PromptTemplate,
-) -> tuple[list[tuple[PolicyScenario, list[ScenarioQuestion]]], list[Job], dict[str, str]]:
-    """Each scenario with its questions, the `ask_and_judge` jobs that ask
-    them, and the `answer_table` of their full prompts.
+) -> tuple[list[tuple[PolicyScenario, list[ScenarioQuestion]]], list[str], dict[str, str]]:
+    """Each scenario with its questions, the prefix each question is asked
+    below, in the same order, and the `answer_table` of their full prompts.
 
     Each scenario's policy line is the context of its questions, rendered
-    once per scenario into the prefix they share. A job's cluster id is its
-    scenario's id, and its question index the question's position in that
-    scenario. Refuses an empty roster, an unknown or repeated specialist,
-    and, with SchemaViolation, a prompt that would carry two different
-    expected answers, since no backend could then answer both.
+    once per scenario into the prefix they share. Refuses an empty roster,
+    an unknown or repeated specialist, and, with SchemaViolation, a prompt
+    that would carry two different expected answers, since no backend could
+    then answer both.
     """
     if not specialists:
         # An empty roster asks nothing, so every scenario would pass vacuously.
@@ -191,15 +190,14 @@ def _scenario_jobs(
     repeated = [s for s, n in Counter(specialists).items() if n > 1]
     if repeated:
         raise ConfigError(f"the specialist roster repeats {', '.join(repeated)}")
-    asked, jobs = [], []
-    for scenario in scenarios:
-        questions = gen_scenario_questions(scenario, specialists, graph, closure)
-        prefix = render_prefix(template, (scenario.policy_text,))
-        jobs += [(scenario.id, idx, q.question, prefix, q.expected) for idx, q in enumerate(questions)]
-        asked.append((scenario, questions))
-    return asked, jobs, answer_table(
-        [job[0] for job in jobs], [job[4] for job in jobs],
-        [(prompt_with_prefix(job[3], job[2]),) for job in jobs], [(job[2],) for job in jobs],
+    asked = [(scenario, gen_scenario_questions(scenario, specialists, graph, closure)) for scenario in scenarios]
+    prefixes = [*chain.from_iterable(
+        repeat(render_prefix(template, (scenario.policy_text,)), len(questions)) for scenario, questions in asked
+    )]
+    flat = [q for _, questions in asked for q in questions]
+    return asked, prefixes, answer_table(
+        [q.scenario_id for q in flat], [q.expected for q in flat],
+        [(prompt_with_prefix(p, q.question),) for p, q in zip(prefixes, flat)], [(q.question,) for q in flat],
         "scenarios", " below one policy text",
     )
 
@@ -240,11 +238,16 @@ def evaluate_scenarios(
 ) -> tuple[list[ScenarioResult], ScenarioSummary]:
     """Ask every scenario question through `ask_and_judge`, as dataset questions are.
 
-    The jobs come from `_scenario_jobs`, so a bad roster or a prompt with
-    two expected answers is refused before any question is asked.
+    The questions come from `_scenario_jobs`, so a bad roster or a prompt
+    with two expected answers is refused before any question is asked. An
+    answer's cluster id is its scenario's id, and its question index the
+    question's position in that scenario.
     """
-    asked, jobs, _ = _scenario_jobs(scenarios, specialists, graph, closure, template)
-    records = iter(ask_and_judge(jobs, backend))
+    asked, prefixes, _ = _scenario_jobs(scenarios, specialists, graph, closure, template)
+    flat = [q for _, questions in asked for q in questions]
+    columns = ask_and_judge([q.question for q in flat], prefixes, [q.expected for q in flat], backend)
+    indices = chain.from_iterable(range(len(questions)) for _, questions in asked)
+    records = iter(records_of([q.scenario_id for q in flat], indices, *columns))
     results = [
         ScenarioResult(scenario, tuple(questions), answers=tuple(islice(records, len(questions))))
         for scenario, questions in asked

@@ -531,9 +531,8 @@ def test_a_body_nested_too_deep_is_a_malformed_response_and_one_questions_error(
         backend = cc.RemoteBackend(url, "m", retries=0)
         with pytest.raises(cc.MalformedResponse, match="maximum recursion depth exceeded"):
             backend.answer("deep", "")
-        jobs = [("c", 0, "deep", "", cc.Answer.YES), ("c", 1, "fine", "", cc.Answer.YES)]
-        records = ask_and_judge(jobs, backend)
-    assert [(r.raw, r.correct, r.error) for r in records] == [("", False, True), ("Yes.", True, False)]
+        raws, _, correct, error = ask_and_judge(["deep", "fine"], ["", ""], [cc.Answer.YES] * 2, backend)
+    assert [*zip(raws, correct, error)] == [("", False, True), ("Yes.", True, False)]
     assert log.count == 3
 
 

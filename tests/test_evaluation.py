@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import sys
 import threading
@@ -222,6 +223,7 @@ raw_answers = st.one_of(
     st.none(),  # the backend raises
 )
 PREFIX = "Answer yes or no.\n\n"
+YES_NO = st.sampled_from([cc.Answer.YES, cc.Answer.NO])
 EXPECTED = st.sampled_from([cc.Answer.YES, cc.Answer.NO, "yes", "no"])  # a caller's job may hold a plain string
 
 
@@ -230,12 +232,80 @@ EXPECTED = st.sampled_from([cc.Answer.YES, cc.Answer.NO, "yes", "no"])  # a call
 @given(answers=st.lists(st.tuples(raw_answers, EXPECTED), max_size=12))
 def test_ask_and_judge_gives_the_records_of_a_reference_loop(concurrency, answers):
     jobs = [(f"c{i // 4}", i % 4, f"q{i}", PREFIX, expected) for i, (_, expected) in enumerate(answers)]
+    ids, indices, questions, prefixes, expected = zip(*jobs) if jobs else [()] * 5
     backend = Replaying([raw for raw, _ in answers], concurrency)
-    records = evaluation.ask_and_judge(jobs, backend)
-    assert records == judged_by_hand(jobs, backend)
+    columns = evaluation.ask_and_judge(questions, prefixes, expected, backend)
+    assert [type(column) for column in columns] == [tuple, tuple, bytes, bytes]
+    records = evaluation.records_of(ids, indices, *columns)
+    assert list(records) == judged_by_hand(jobs, backend)
     for r in records:
         assert type(r) is cc.AnswerRecord
         assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
+
+
+def replayed_dataset(expected: list) -> cc.ClusterDataset:
+    """Questions "q0", "q1", ... in clusters of up to four, each cluster expecting
+    the answer that `expected` holds for its first question."""
+    clusters = [
+        cc.QuestionCluster(f"c{start // 4}", cc.ClusterType.POSITIVE_EDGE, expected[start], "s", "t",
+                           tuple(f"q{i}" for i in range(start, min(start + 4, len(expected)))), ())
+        for start in range(0, len(expected), 4)
+    ]
+    return cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(clusters))
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(raws=st.lists(raw_answers, max_size=12), answers=st.lists(YES_NO, min_size=3))
+def test_evaluate_dataset_gives_the_records_of_a_reference_loop(concurrency, raws, answers):
+    # Every worker stores into the same columns, each at its own question's index.
+    dataset = replayed_dataset([answers[i // 4] for i in range(len(raws))])
+    backend = Replaying(raws, concurrency)
+    rs = cc.evaluate_dataset(dataset, backend, cc.PromptTemplate("Answer yes or no."))
+    jobs = [(c.id, idx, q, PREFIX, c.expected) for c in dataset.clusters for idx, q in enumerate(c.questions)]
+    assert list(rs.records) == judged_by_hand(jobs, backend)
+    for r in rs.records:
+        assert type(r) is cc.AnswerRecord
+        assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
+    assert rs == cc.ResultSet(rs.backend_id, rs.dataset_fingerprint, rs.prompt_fingerprint, None, rs.records)
+
+
+def _tracked_growth(call) -> int:
+    """How many more objects the garbage collector tracks once `call` has returned."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = call()
+    growth = len(gc.get_objects()) - before
+    del result
+    return growth
+
+
+class Yes(cc.Backend):
+    id = "yes"
+
+    def __init__(self, concurrency: int):
+        self.concurrency = concurrency
+
+    def answer(self, question, prefix):
+        return "yes"
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_evaluating_and_reading_track_no_object_per_answer(tmp_path, concurrency):
+    template = cc.PromptTemplate("Answer yes or no.")
+    growth = {}
+    for size in (1_000, 8_000):
+        dataset = replayed_dataset([cc.Answer.YES] * size)
+        path = tmp_path / f"results-{size}.jsonl"
+        # A first run imports the worker pool and caches the dataset's fingerprint and keys.
+        cc.write_results(cc.evaluate_dataset(dataset, Yes(concurrency), template), path)
+        cc.read_results(path)
+        growth[size] = (
+            _tracked_growth(lambda: cc.evaluate_dataset(dataset, Yes(concurrency), template)),
+            _tracked_growth(lambda: cc.read_results(path)),
+        )
+    assert growth[1_000] == growth[8_000]
+    assert max(growth[8_000]) < 50
 
 
 def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):

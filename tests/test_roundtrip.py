@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import conceptcheck as cc
 from conceptcheck import errors, evaluation
 from conceptcheck.errors import decode_json_line
-from conceptcheck.evaluation import ask_and_judge
+from conceptcheck.evaluation import ask_and_judge, records_of
 from conceptcheck.hierarchy import _slug
 from conftest import REFUSED_JSON_VALUES
 from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand, results_by_hand
@@ -155,7 +155,7 @@ class Replying:
 
 def answer_record(cluster_id: str, index: int, raw: str | None, expected: cc.Answer) -> cc.AnswerRecord:
     """The record `ask_and_judge` makes of the answer `raw`."""
-    (record,) = ask_and_judge([(cluster_id, index, "q ?", "", expected)], Replying(raw))
+    (record,) = records_of([cluster_id], [index], *ask_and_judge(["q ?"], [""], [expected], Replying(raw)))
     return record
 
 
@@ -169,6 +169,38 @@ def answer_records(max_index: int):
         raw=st.none() | st.sampled_from(("yes", "No.")) | answer_text,
         expected=st.sampled_from((cc.Answer.YES, cc.Answer.NO)),
     )
+
+
+# One field of a record and the values a second record may hold there instead.
+EDITS = st.one_of(
+    st.tuples(st.just("cluster_id"), st.sampled_from(["c", "d"])),
+    st.tuples(st.just("question_index"), st.integers(0, 2)),
+    st.tuples(st.just("raw"), st.sampled_from(["yes", "Yes.", ""])),
+    st.tuples(st.just("normalized"), st.sampled_from(cc.Answer)),
+    st.tuples(st.sampled_from(["correct", "error"]), st.booleans()),
+)
+
+
+@CHECK
+@given(
+    records=st.lists(answer_records(2), max_size=4),
+    edits=st.lists(st.tuples(st.integers(0, 3), EDITS), max_size=2),
+    other_backend=st.sampled_from(["b", "b2"]),
+)
+def test_result_sets_are_equal_exactly_when_their_records_are(records, edits, other_backend):
+    others = list(records)
+    for n, (name, value) in edits:
+        if n < len(others):
+            others[n] = others[n]._replace(**{name: value})
+    first = cc.ResultSet("b", "d", "p", None, records)
+    second = cc.ResultSet(other_backend, "d", "p", None, others)
+    assert first.records == tuple(records)
+    for r in first.records:
+        assert type(r) is cc.AnswerRecord
+        assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
+    assert (first == second) == (other_backend == "b" and records == others)
+    if first == second:
+        assert hash(first) == hash(second)
 
 
 # Characters the writer escapes by name, control characters it escapes as
@@ -198,7 +230,12 @@ def test_results_file_round_trips(resultset, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("r")
     first, second = _twice(cc.write_results, cc.read_results, resultset, tmp)
     assert first == second
-    assert cc.read_results(tmp / "first") == resultset
+    loaded = cc.read_results(tmp / "first")
+    assert loaded == resultset
+    assert loaded.records == resultset.records
+    for r in loaded.records:
+        assert type(r) is cc.AnswerRecord
+        assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
     header = {
         "record": "header", "version": "1", "backend": resultset.backend_id,
         "dataset_fingerprint": resultset.dataset_fingerprint, "prompt_fingerprint": resultset.prompt_fingerprint,
@@ -404,7 +441,7 @@ def _read(read, path) -> tuple:
         rs = read(path)
     except cc.SchemaViolation as exc:
         return "error", str(exc)
-    return "value", rs, [(type(r), *map(type, r)) for r in rs.records]
+    return "value", rs, [(r, type(r), *map(type, r)) for r in rs.records]
 
 
 # The string decoder `json` reads with (in C, when `_json` is there) and the
