@@ -259,10 +259,12 @@ class RemoteBackend(Backend):
     Request:  POST {endpoint} {"model", "prompt", "max_tokens", "temperature"}
     Response: {"text": "..."}
 
-    Sampling is pinned to temperature 0 for replayability. Responses are
-    cached on disk when a cache is attached; requests follow the retry policy
-    of transport.JsonClient, and a failure after the last retry raises
-    NetworkError.
+    Sampling runs at `temperature`, 0 unless the spec gives another, for
+    replayability. Responses are cached on disk when a cache is attached,
+    keyed by (model, prompt, question) only: neither `temperature` nor
+    `max_tokens` is in the key, so a warm cache replays answers made under
+    other settings. Requests follow the retry policy of transport.JsonClient,
+    and a failure after the last retry raises NetworkError.
     """
 
     def __init__(

@@ -176,6 +176,8 @@ def _decode_error(exc: UnicodeDecodeError, shift: int | None) -> str:
 # than the interpreter's digit limit, and a RecursionError for nesting deeper
 # than its recursion limit.
 JSON_REFUSALS = (ValueError, RecursionError)
+# The whitespace JSON allows around a value: space, tab, newline, carriage return.
+JSON_SPACE = " \t\n\r"
 
 
 def read_json(path: str | Path, what: str) -> object:
@@ -185,41 +187,6 @@ def read_json(path: str | Path, what: str) -> object:
         return json.loads(read_text(path, what))
     except JSON_REFUSALS as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-_DECODER = json.JSONDecoder()
-# The decoder's scanner (C, unless `_json` is missing): the value starting at
-# an index and the index after it, or StopIteration when none starts there,
-# the contract `JSONDecoder.raw_decode` relies on too.
-_SCAN = _DECODER.scan_once
-JSON_SPACE = " \t\n\r"
-
-
-def decode_json_line(line: str) -> Any:
-    """`json.loads(line)`: the same values, and the same errors for the same
-    lines (one of `JSON_REFUSALS`), without its per-call wrapper and
-    whitespace regexes. `read_results` calls it only for a line that is not
-    in the form `write_results` writes answers in.
-
-    A line that is one value and nothing else is read by one scanner call.
-    Any other line is read as `json.loads` reads it: JSON whitespace (space,
-    tab, newline, carriage return) is skipped on both sides of the value, a
-    BOM is refused, and anything else after the value is "Extra data".
-    """
-    try:
-        value, end = _SCAN(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, json.JSONDecodeError):
-        pass
-    if line.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(JSON_SPACE)))
-    if end != len(line):
-        end = len(line) - len(line[end:].lstrip(JSON_SPACE))
-        if end != len(line):
-            raise json.JSONDecodeError("Extra data", line, end)
-    return value
 
 
 _REQUIRED: Any = object()

@@ -9,6 +9,7 @@ neither yes nor no count as incorrect.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 import threading
@@ -34,7 +35,6 @@ from .errors import (
     MismatchedDataset,
     SchemaViolation,
     canonical_json,
-    decode_json_line,
     digest,
     read_json,
     read_lines,
@@ -611,15 +611,14 @@ def read_results(path: str | Path) -> ResultSet:
     non-UTF-8 byte in a later block. An answer line in the form
     `write_results` writes is read by one match, to the values `json.loads`
     gives (a string with escapes by `json.decoder.scanstring`, as it does).
-    Any other line is decoded by `decode_json_line`, as `json.loads` would
-    decode it; a line that is empty once JSON whitespace (space, tab,
-    carriage return) is stripped is skipped. Every other line must be one
-    header (of this format version, and only one) or an answer record whose
-    fields `read_fields` checks; any other line, field or version, and JSON
-    the decoder refuses, is a SchemaViolation that names the file and the
-    line. Each line's fields are appended to the result set's columns, and
-    no record is built: answers of one cluster share one cluster id string,
-    and equal raw answers share one string. Logs at DEBUG how many answers
+    A line that is empty once JSON whitespace (space, tab, carriage return)
+    is stripped is skipped. Every other line is decoded by `json.loads` and
+    must be one header (of this format version, and only one) or an answer
+    record whose fields `read_fields` checks; any other line, field or
+    version, and JSON that `json.loads` refuses, is a SchemaViolation that
+    names the file and the line. Each line's fields are appended to the
+    result set's columns, and no record is built: answers of one cluster
+    share one cluster id string, and equal raw answers share one string. Logs at DEBUG how many answers
     were read and how many were not in the written form.
     """
     header: list | None = None
@@ -643,7 +642,7 @@ def read_results(path: str | Path) -> ResultSet:
             continue
         else:
             try:
-                data = decode_json_line(line)
+                data = json.loads(line)
                 kind = data.get("record") if isinstance(data, dict) else None
                 if kind == "answer":
                     cluster_id, index, raw, normalized, correct, error = read_fields(data, _ANSWER_FIELDS, "answer")

@@ -31,7 +31,6 @@ from .errors import (
     EmptyFragment,
     MalformedResponse,
     SeedNotFound,
-    decode_json_line,
     read_lines,
 )
 from .hierarchy import DIRECTIONS, Concept, ConceptGraph, PropertyAssertion, build_graph
@@ -151,7 +150,9 @@ def parse_entity_dump(source: str | Path | IO[str] | IO[bytes]) -> ParseResult:
 
     Well-formed records always come back, in file order; array wrapper
     lines ("[", "]"), trailing commas and JSON whitespace around a record
-    are tolerated because full dump exports carry them. The dump is read by
+    are tolerated because full dump exports carry them; what is left of a
+    line is decoded by `json.loads`, and a line it refuses is a diagnostic
+    naming the line. The dump is read by
     `read_lines`, a block at a time, from a file (UTF-8, universal newlines),
     a text stream, or a binary stream (UTF-8, newlines as they are). Records
     are parsed as their blocks are read, so bytes that are not UTF-8 stop the
@@ -165,7 +166,7 @@ def parse_entity_dump(source: str | Path | IO[str] | IO[bytes]) -> ParseResult:
             if not stripped or stripped in ("[", "]"):
                 continue
             try:
-                data = decode_json_line(stripped)
+                data = json.loads(stripped)
             except JSON_REFUSALS as exc:
                 result.diagnostics.append(f"line {lineno}: not valid JSON: {exc}")
                 continue

@@ -176,13 +176,15 @@ def _scenario_jobs(
     below, in the same order, and the `answer_table` of their full prompts.
 
     Each scenario's policy line is the context of its questions, rendered
-    once per scenario into the prefix they share. Refuses an empty roster,
-    an unknown or repeated specialist, and, with SchemaViolation, a prompt
-    that would carry two different expected answers, since no backend could
-    then answer both.
+    once per scenario into the prefix they share. Refuses an empty scenario
+    set, an empty roster, an unknown or repeated specialist, and, with
+    SchemaViolation, a prompt that would carry two different expected
+    answers, since no backend could then answer both.
     """
+    # An empty scenario set or roster asks nothing, so a run would pass vacuously.
+    if not scenarios:
+        raise ConfigError("the scenario set is empty")
     if not specialists:
-        # An empty roster asks nothing, so every scenario would pass vacuously.
         raise ConfigError("the specialist roster is empty")
     unknown = [s for s in dict.fromkeys(specialists) if s not in graph]
     if unknown:

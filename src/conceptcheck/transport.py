@@ -1,8 +1,8 @@
 """JSON over HTTP on the standard library, with the package's one retry policy.
 
-Connection errors, 429 and 5xx are retried with capped exponential backoff,
-waiting at least a Retry-After given in seconds; other non-200 statuses fail
-at once. No redirects or proxies; HTTPS verifies against the system CA store.
+Connection errors, 429 and 5xx are retried after the longer of an exponential
+backoff and a Retry-After given in seconds, capped at `backoff_cap`; other
+non-200 statuses fail at once. No redirects or proxies; HTTPS verifies against the system CA store.
 Imported only where a client is built, to keep `http.client` out of start-up.
 """
 

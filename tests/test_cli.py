@@ -843,6 +843,53 @@ def test_scenarios_scripted_backend_mixed(runner, tmp_path):
     assert "| yes-man |" in summary
 
 
+
+def test_scenarios_reject_an_empty_scenario_set(runner, tmp_path):
+    # An empty scenario set asks nothing, so every backend would pass vacuously.
+    scenario_file = tmp_path / "scenarios.json"
+    scenario_file.write_text("[]", encoding="utf-8")
+    for backend in ('{"kind": "perfect"}', json.dumps(_REMOTE)):
+        result = run(
+            runner, "scenarios", "--graph", GRAPH, "--scenarios", scenario_file, "--backend", backend,
+            "--cache-dir", tmp_path / "c", "--out-dir", tmp_path / "s", code=2,
+        )
+        assert result.stderr == "error: the scenario set is empty\n"
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "c").exists()
+
+
+def _questions(command: str, dataset_file: Path) -> list[str]:
+    """The questions `command` asks on the medical fixture."""
+    if command == "augment":
+        return [q for c in cc.read_dataset(dataset_file).clusters for q in c.questions]
+    graph = cc.load_medical_graph()
+    closure = cc.deductive_closure(graph)
+    return [
+        q.question for scenario in cc.load_medical_scenarios()
+        for q in cc.gen_scenario_questions(scenario, list(cc.MEDICAL_SPECIALISTS), graph, closure)
+    ]
+
+
+@pytest.mark.parametrize("command", ["augment", "scenarios"])
+def test_a_command_records_backend_errors_and_exits_1(command, runner, tmp_path, dataset_file):
+    args = [command, "--graph", GRAPH]
+    if command == "augment":
+        run(
+            runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+            "--backend", '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}', "--out-dir", tmp_path / "eval",
+        )
+        args += ["--dataset", dataset_file, "--baseline", tmp_path / "eval" / "results-noisy-p0.3-s7.jsonl"]
+    # Every other question is answered; the backend raises on each question it has no answer for.
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"answers": dict.fromkeys(_questions(command, dataset_file)[::2], "yes")}))
+    scripted = {"kind": "scripted", "answers": str(answers), "id": "b"}
+    result = run(runner, *args, "--backend", json.dumps(scripted), "--out-dir", tmp_path / "failed", code=1)
+    assert "failed and were recorded as errors" in result.stderr
+    run(runner, *args, "--backend", '{"kind": "perfect", "id": "b"}', "--out-dir", tmp_path / "passed")
+    written = sorted(p.name for p in (tmp_path / "passed").iterdir())
+    assert written and sorted(p.name for p in (tmp_path / "failed").iterdir()) == written
+
+
 # --- report ------------------------------------------------------------------------------
 
 

@@ -2,19 +2,18 @@
 and context files survive save -> load -> save byte for byte, a dataset
 file holds the bytes the standard library's encoder writes, every
 fingerprint equals the hand-written formula in `oracles.py`, including for
-non-ASCII and astral text, the JSON-lines decoder reads each line as
-`json.loads` does, with either of `json`'s scanners, and the results reader
-reads any file, valid or not, as the reference reader in `oracles.py` does."""
+non-ASCII and astral text, and the results reader reads any file, valid or
+not, as the reference reader in `oracles.py` does."""
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
 import sys
 import tracemalloc
 import warnings
-from json.scanner import py_make_scanner
 from unittest.mock import patch
 
 import pytest
@@ -23,11 +22,10 @@ from hypothesis import strategies as st
 
 import conceptcheck as cc
 from conceptcheck import errors, evaluation
-from conceptcheck.errors import decode_json_line
 from conceptcheck.evaluation import ask_and_judge, records_of
 from conceptcheck.hierarchy import _slug
 from conftest import REFUSED_JSON_VALUES
-from oracles import dataset_file_by_hand, dataset_to_dict, fingerprint_by_hand, results_by_hand
+from oracles import dataset_file_by_hand, dataset_to_dict, entity_dump_by_hand, fingerprint_by_hand, results_by_hand
 
 CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -279,69 +277,6 @@ def test_prompt_and_cache_key_fingerprints_match_formula(preamble, few_shot, mod
     )
 
 
-# --- one JSON line --------------------------------------------------------------
-
-
-def _decoded(decode, line: str) -> tuple[str, str]:
-    """What `decode` makes of `line`: the repr of its value, or its error
-    message, which holds the position."""
-    try:
-        return "value", repr(decode(line))
-    except json.JSONDecodeError as exc:
-        return "error", str(exc)
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | text,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
-    max_leaves=8,
-)
-# JSON whitespace, and other whitespace and stray characters JSON refuses.
-padding = st.text(st.sampled_from(" \t\r\n\x0b\x0c\xa0\u2028\x85\ufeff,x{}0"), max_size=3)
-json_lines = st.one_of(
-    st.builds(
-        lambda before, value, ascii, after: before + json.dumps(value, ensure_ascii=ascii) + after,
-        padding, json_values, st.booleans(), padding,
-    ),
-    st.text(st.sampled_from('{}[]":,0123456789.eE+-truefalsnNIiy \t\r\n\\'), max_size=12),
-    text,
-)
-
-
-# The scanner `json` builds by default (in C, when `_json` is there) and the
-# pure-Python one it falls back to: `decode_json_line` must read every line
-# as `json.loads` does with either of them.
-SCANNERS = (errors._SCAN, py_make_scanner(errors._DECODER))
-
-
-@settings(CHECK, max_examples=400)
-@given(line=json_lines)
-def test_decode_json_line_reads_a_line_as_json_loads_does(line):
-    for scan in SCANNERS:
-        with patch.object(errors, "_SCAN", scan):
-            assert _decoded(decode_json_line, line) == _decoded(json.loads, line)
-
-
-@pytest.mark.parametrize("line, accepted", [
-    (" {}", True), ("{} ", True), ("\t{}\t", True), ("\r{}\r", True), (' \t\r\n{"a": [1]}\r\n\t ', True),
-    ("\x0b{}", False), ("{}\x0b", False), ("\x0c{}", False), ("{}\x0c", False),
-    ("\xa0{}", False), ("{}\xa0", False), ("\u2028{}", False), ("{}\u2028", False),
-    ("\ufeff{}", False), ("{} {}", False), ("{}x", False), ("{} x", False),
-    ("NaN", True), ("Infinity", True), ("-Infinity", True), ("[NaN, -Infinity]", True),
-    ("{}", True), ("", False), (" ", False),
-    # The value ends before the line does.
-    ("{}\r", True), ("[1]]", False),
-    # The scan fails past the first character, or raises its own error.
-    ("[1,", False), ('{"a":', False), ('"abc', False), ('[1, x]', False),
-])
-def test_decode_json_line_accepts_and_refuses_what_json_loads_does(line, accepted):
-    for scan in SCANNERS:
-        with patch.object(errors, "_SCAN", scan):
-            decoded = _decoded(decode_json_line, line)
-        assert decoded == _decoded(json.loads, line)
-        assert (decoded[0] == "value") is accepted
-
-
 # --- results files against the reference reader ----------------------------
 
 MISSING = object()
@@ -467,6 +402,33 @@ def test_read_results_reads_a_file_as_the_reference_reader_does(text, block, tmp
             assert _read(cc.read_results, path) == expected
 
 
+# One line around a value, or near one: JSON whitespace (space, tab, "\r",
+# "\n") may pad a value and a line of it alone is skipped; any other character
+# there, a BOM, a second value or a value cut short is refused, as `json.loads`
+# refuses it. A file ends lines at "\r" too; a dump stream keeps it in the line.
+@pytest.mark.parametrize("line, accepted", [
+    (" {}", True), ("{} ", True), ("\t{}\t", True), ("\r{}\r", True), (' \t\r\n{"a": [1]}\r\n\t ', True),
+    ("\x0b{}", False), ("{}\x0b", False), ("\x0c{}", False), ("{}\x0c", False),
+    ("\xa0{}", False), ("{}\xa0", False), ("\u2028{}", False), ("{}\u2028", False),
+    ("\ufeff{}", False), ("{} {}", False), ("{}x", False), ("{} x", False),
+    ("NaN", True), ("Infinity", True), ("-Infinity", True), ("[NaN, -Infinity]", True),
+    ("{}", True), ("", True), (" ", True),
+    # The value ends before the line does.
+    ("{}\r", True), ("[1]]", False),
+    # The value is cut short or broken past its first character.
+    ("[1,", False), ('{"a":', False), ('"abc', False), ('[1, x]', False),
+])
+def test_the_readers_accept_and_refuse_a_line_as_the_reference_readers_do(line, accepted, tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + line + "\n", encoding="utf-8", newline="")
+    read = _read(cc.read_results, path)
+    assert read == _read(results_by_hand, path)
+    assert (read[0] == "error" and ": not valid JSON: " in read[1]) is not accepted
+    parsed = cc.parse_entity_dump(io.StringIO(line))
+    assert parsed == entity_dump_by_hand(io.StringIO(line))
+    assert any(": not valid JSON: " in d for d in parsed.diagnostics) is not accepted
+
+
 def _lines_then_a_latin1_byte(block: int) -> bytes:
     """A results file of CRLF lines holding two-byte characters, longer than
     three blocks, then an answer whose raw text is Latin-1."""
@@ -559,15 +521,15 @@ def test_read_results_reads_each_changed_answer_field_as_the_reference_reader_do
 def test_read_results_decodes_only_the_header_of_a_file_write_results_wrote(resultset, tmp_path_factory):
     path = tmp_path_factory.mktemp("r") / "results.jsonl"
     cc.write_results(resultset, path)
-    decoded = []
+    decoded, loads = [], json.loads
 
     def counted(line: str):
         decoded.append(line)
-        return decode_json_line(line)
+        return loads(line)
 
     for scan in SCANSTRINGS:
         decoded.clear()
-        with patch.object(evaluation, "decode_json_line", counted), patch.object(evaluation, "scanstring", scan):
+        with patch.object(json, "loads", counted), patch.object(evaluation, "scanstring", scan):
             assert cc.read_results(path) == resultset
         assert len(decoded) == 1 and decoded[0].startswith('{"backend":')
 

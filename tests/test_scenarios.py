@@ -333,6 +333,14 @@ def test_evaluate_scenarios_rejects_empty_roster(
         empty.verdict
 
 
+def test_evaluate_scenarios_rejects_an_empty_scenario_set(medical_graph, medical_closure, template):
+    # An empty scenario set asks nothing, so every backend would pass vacuously.
+    with pytest.raises(cc.ConfigError, match="^the scenario set is empty$"):
+        cc.evaluate_scenarios([], SPECIALISTS, medical_graph, medical_closure, cc.ScriptedBackend({}), template)
+    with pytest.raises(cc.ConfigError, match="^the scenario set is empty$"):
+        cc.ScenarioOracle([], SPECIALISTS, medical_graph, medical_closure, template)
+
+
 def test_evaluate_scenarios_runs_a_concurrent_backend_in_order(
     scenarios, medical_graph, medical_closure, template
 ):
