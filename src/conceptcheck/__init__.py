@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "evaluation": (
         "AnswerRecord", "ContextBlock", "GroupCount", "PromptTemplate", "ReportRow", "ResultSet", "Verdict",
-        "build_context", "classify_cluster", "compute_report", "evaluate_dataset", "improvement", "load_context",
+        "build_context", "compute_report", "evaluate_dataset", "improvement", "load_context",
         "load_prompt_template", "prompt_with_prefix", "read_results", "render_prefix", "report_from_verdicts",
         "save_context", "write_results",
     ),

@@ -224,8 +224,8 @@ def _renderer(forms: tuple[str, ...]) -> Callable[[dict[str, str]], tuple[tuple[
     fields = sorted({field for row in rows for text in row for _, field, _, _ in Formatter().parse(text) if field})
     questions, statements = ("".join(f"f{row[side]!r}, " for row in rows) for side in (0, 1))
     names = "".join(f"{field}, " for field in fields)
-    values = "".join(f"_fill[{field!r}], " for field in fields)
-    source = f"def render(_fill):\n    ({names}) = ({values})\n    return ({questions}), ({statements})\n"
+    values = "".join(f"_mapping[{field!r}], " for field in fields)
+    source = f"def render(_mapping):\n    ({names}) = ({values})\n    return ({questions}), ({statements})\n"
     namespace: dict = {}
     exec(source, namespace)
     return namespace["render"]

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, groupby, repeat
@@ -128,40 +128,33 @@ def records_of(
     return tuple(map(AnswerRecord, cluster_ids, question_indices, raws, normalized, *flags))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ResultSet:
-    """All answers of one backend over one dataset, in dataset order, held as
-    six parallel columns with no object per answer for the garbage collector
-    to track: `correct` and `error` are `bytes` of 0/1 flags, the others
-    tuples. Equality compares the header fields and the columns.
-    `ResultSet(..., records)` builds the columns of the records."""
+    """All answers of one backend over one dataset, in dataset order: four
+    header fields, then six parallel columns with no object per answer for
+    the garbage collector to track. `correct` and `error` are `bytes` of 0/1
+    flags, the other columns tuples. Equality compares every field, and
+    `dataclasses.replace` gives a changed copy. `from_records` builds the
+    columns of `AnswerRecord`s."""
 
     backend_id: str
     dataset_fingerprint: str
     prompt_fingerprint: str
     context_fingerprint: str | None
-    cluster_ids: tuple[str, ...] = field(init=False)
-    question_indices: tuple[int, ...] = field(init=False)
-    raws: tuple[str, ...] = field(init=False)
-    normalized: tuple[Answer, ...] = field(init=False)
-    correct: bytes = field(init=False)
-    error: bytes = field(init=False)
-
-    def __init__(self, backend_id: str, dataset_fingerprint: str, prompt_fingerprint: str,
-                 context_fingerprint: str | None, records: Iterable[AnswerRecord]):
-        ids, indices, raws, normalized, correct, error = [*zip(*records)] or [()] * 6
-        self._fill(backend_id, dataset_fingerprint, prompt_fingerprint, context_fingerprint,
-                   ids, indices, raws, normalized, bytes(correct), bytes(error))
+    cluster_ids: tuple[str, ...]
+    question_indices: tuple[int, ...]
+    raws: tuple[str, ...]
+    normalized: tuple[Answer, ...]
+    correct: bytes
+    error: bytes
 
     @classmethod
-    def from_columns(cls, *values) -> ResultSet:
-        """The result set of its four header fields, then its six columns as they are."""
-        resultset = cls.__new__(cls)
-        resultset._fill(*values)
-        return resultset
-
-    def _fill(self, *values) -> None:
-        vars(self).update(zip([f.name for f in fields(self)], values, strict=True))
+    def from_records(cls, backend_id: str, dataset_fingerprint: str, prompt_fingerprint: str,
+                     context_fingerprint: str | None, records: Iterable[AnswerRecord]) -> ResultSet:
+        """The result set of its four header fields and the columns of `records`."""
+        ids, indices, raws, normalized, correct, error = [*zip(*records)] or [()] * 6
+        return cls(backend_id, dataset_fingerprint, prompt_fingerprint, context_fingerprint,
+                   ids, indices, raws, normalized, bytes(correct), bytes(error))
 
     @property
     def records(self) -> tuple[AnswerRecord, ...]:
@@ -184,6 +177,8 @@ class ResultSet:
 
 
 def _verdict_of(flags: bytes) -> Verdict:
+    """The verdict of one group's `correct` flags: Consistent if all are
+    set, Incomplete if none is, Inconsistent otherwise."""
     if not flags:
         raise SchemaViolation("cannot classify a cluster with no answers")
     if 0 not in flags:
@@ -191,11 +186,6 @@ def _verdict_of(flags: bytes) -> Verdict:
     if 1 not in flags:
         return Verdict.INCOMPLETE
     return Verdict.INCONSISTENT
-
-
-def classify_cluster(records: Iterable[AnswerRecord]) -> Verdict:
-    """Consistent if all correct, Incomplete if none, Inconsistent otherwise."""
-    return _verdict_of(bytes(r.correct for r in records))
 
 
 def ask_and_judge(
@@ -305,7 +295,7 @@ def evaluate_dataset(
     clusters = dataset.clusters
     questions = [*chain.from_iterable(c.questions for c in clusters)]
     expected = [*chain.from_iterable(repeat(c.expected, len(c.questions)) for c in clusters)]
-    return ResultSet.from_columns(
+    return ResultSet(
         backend.id,
         dataset.fingerprint,
         template.fingerprint(),
@@ -680,4 +670,4 @@ def read_results(path: str | Path) -> ResultSet:
     for column in (cluster_ids, indices, raws, answers):
         columns.append(tuple(column))
         column.clear()  # so that no more than one column is held twice at a time
-    return ResultSet.from_columns(*header, *columns, bytes(corrects), bytes(errors))
+    return ResultSet(*header, *columns, bytes(corrects), bytes(errors))

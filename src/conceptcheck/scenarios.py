@@ -20,8 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from string import Formatter
 
@@ -36,7 +35,7 @@ from .errors import (
     read_json,
     write_json_lines,
 )
-from .evaluation import AnswerRecord, PromptTemplate, Verdict, ask_and_judge, classify_cluster
+from .evaluation import AnswerRecord, PromptTemplate, Verdict, _verdict_of, ask_and_judge
 from .evaluation import prompt_with_prefix, records_of, render_prefix
 from .hierarchy import ConceptGraph, ConceptId, DeductiveClosure, is_subconcept
 from .reporting import format_percent
@@ -70,15 +69,13 @@ class ScenarioQuestion:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One scenario's questions and, position by position, their answer records."""
+    """One scenario's questions, position by position their answer records,
+    and the verdict of those answers."""
 
     scenario: PolicyScenario
     questions: tuple[ScenarioQuestion, ...]
     answers: tuple[AnswerRecord, ...]
-
-    @cached_property
-    def verdict(self) -> Verdict:
-        return classify_cluster(self.answers)
+    verdict: Verdict
 
 
 @dataclass(frozen=True)
@@ -176,10 +173,10 @@ def _scenario_jobs(
     below, in the same order, and the `answer_table` of their full prompts.
 
     Each scenario's policy line is the context of its questions, rendered
-    once per scenario into the prefix they share. Refuses an empty scenario
-    set, an empty roster, an unknown or repeated specialist, and, with
-    SchemaViolation, a prompt that would carry two different expected
-    answers, since no backend could then answer both.
+    once per scenario into the prefix they share. Refuses an empty or
+    repeating scenario set, an empty roster, an unknown or repeated
+    specialist, and, with SchemaViolation, a prompt that would carry two
+    different expected answers, since no backend could then answer both.
     """
     # An empty scenario set or roster asks nothing, so a run would pass vacuously.
     if not scenarios:
@@ -192,6 +189,9 @@ def _scenario_jobs(
     repeated = [s for s, n in Counter(specialists).items() if n > 1]
     if repeated:
         raise ConfigError(f"the specialist roster repeats {', '.join(repeated)}")
+    repeated = [i for i, n in Counter(scenario.id for scenario in scenarios).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"the scenario set repeats {', '.join(repeated)}")
     asked = [(scenario, gen_scenario_questions(scenario, specialists, graph, closure)) for scenario in scenarios]
     prefixes = [*chain.from_iterable(
         repeat(render_prefix(template, (scenario.policy_text,)), len(questions)) for scenario, questions in asked
@@ -243,21 +243,22 @@ def evaluate_scenarios(
     The questions come from `_scenario_jobs`, so a bad roster or a prompt
     with two expected answers is refused before any question is asked. An
     answer's cluster id is its scenario's id, and its question index the
-    question's position in that scenario.
+    question's position in that scenario. A scenario's verdict is that of
+    its slice of the `correct` column, as a cluster's is.
     """
     asked, prefixes, _ = _scenario_jobs(scenarios, specialists, graph, closure, template)
     flat = [q for _, questions in asked for q in questions]
     columns = ask_and_judge([q.question for q in flat], prefixes, [q.expected for q in flat], backend)
     indices = chain.from_iterable(range(len(questions)) for _, questions in asked)
-    records = iter(records_of([q.scenario_id for q in flat], indices, *columns))
-    results = [
-        ScenarioResult(scenario, tuple(questions), answers=tuple(islice(records, len(questions))))
-        for scenario, questions in asked
-    ]
-    answers = [a for r in results for a in r.answers]
+    records = records_of([q.scenario_id for q in flat], indices, *columns)
+    correct = columns[2]
+    results, end = [], 0
+    for scenario, questions in asked:
+        start, end = end, end + len(questions)
+        results.append(ScenarioResult(scenario, tuple(questions), records[start:end], _verdict_of(correct[start:end])))
     summary = ScenarioSummary(
-        total_questions=len(answers),
-        incorrect_questions=sum(1 for a in answers if not a.correct),
+        total_questions=len(correct),
+        incorrect_questions=correct.count(0),
         total_scenarios=len(results),
         inconsistent_scenarios=sum(1 for r in results if r.verdict is Verdict.INCONSISTENT),
     )

@@ -310,7 +310,7 @@ def results_by_hand(path) -> ResultSet:
             raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
     if header is None:
         raise SchemaViolation(f"{path}: missing header record")
-    return ResultSet(*header, records=tuple(records))
+    return ResultSet.from_records(*header, records)
 
 
 def entity_dump_by_hand(source) -> ParseResult:

@@ -68,23 +68,46 @@ def scripted(dataset, wrong_questions=(), id="scripted"):
     return cc.ScriptedBackend(answers, id=id)
 
 
-# --- classify_cluster ---------------------------------------------------------
+# --- verdicts and result sets --------------------------------------------------
 
 
-def test_classify_cluster_partition():
-    allright = [record(idx=i, correct=True) for i in range(4)]
-    nothing = [record(idx=i, correct=False) for i in range(4)]
-    mixed = [record(0, 0, True), record(0, 1, False), record(0, 2, True), record(0, 3, True)]
-    assert cc.classify_cluster(allright) is V.CONSISTENT
-    assert cc.classify_cluster(nothing) is V.INCOMPLETE
-    assert cc.classify_cluster(mixed) is V.INCONSISTENT
-    assert cc.classify_cluster([record(correct=True)]) is V.CONSISTENT
-    assert cc.classify_cluster([record(correct=False)]) is V.INCOMPLETE
+def test_verdicts_partition_the_clusters_of_a_result_set():
+    flags = {
+        "all-right": [True] * 4,
+        "nothing": [False] * 4,
+        "mixed": [True, False, True, True],
+        "one-right": [True],
+        "one-wrong": [False],
+    }
+    records = [record(cluster_id, i, correct) for cluster_id, run in flags.items() for i, correct in enumerate(run)]
+    rs = cc.ResultSet.from_records("b", "d", "p", None, records)
+    assert rs.verdicts == {
+        "all-right": V.CONSISTENT,
+        "nothing": V.INCOMPLETE,
+        "mixed": V.INCONSISTENT,
+        "one-right": V.CONSISTENT,
+        "one-wrong": V.INCOMPLETE,
+    }
 
 
-def test_classify_cluster_rejects_empty():
-    with pytest.raises(cc.SchemaViolation):
-        cc.classify_cluster([])
+def test_replace_gives_a_result_set_with_one_field_changed(chain, template):
+    _, closure, dataset = chain
+    rs = cc.evaluate_dataset(dataset, cc.NoisyOracle(closure, dataset, flip_probability=0.5, seed=3), template)
+    header = (rs.dataset_fingerprint, rs.prompt_fingerprint, rs.context_fingerprint)
+    renamed = dataclasses.replace(rs, backend_id="renamed")
+    assert renamed != rs
+    # Equality compares every field, so the six columns are the source's.
+    assert renamed == cc.ResultSet.from_records("renamed", *header, rs.records)
+    raws = tuple(f"raw {n}" for n in range(len(rs.raws)))
+    rewritten = dataclasses.replace(rs, raws=raws)
+    assert rewritten.raws == raws
+    assert rewritten == cc.ResultSet.from_records(
+        rs.backend_id, *header, (r._replace(raw=raw) for r, raw in zip(rs.records, raws))
+    )
+    # A copy computes its own verdicts, not those its source has cached.
+    assert set(rs.verdicts.values()) != {V.INCOMPLETE}
+    wrong = dataclasses.replace(rs, correct=bytes(len(rs.correct)))
+    assert set(wrong.verdicts.values()) == {V.INCOMPLETE}
 
 
 # --- evaluate_dataset ------------------------------------------------------------
@@ -267,7 +290,9 @@ def test_evaluate_dataset_gives_the_records_of_a_reference_loop(concurrency, raw
     for r in rs.records:
         assert type(r) is cc.AnswerRecord
         assert [type(field) for field in r] == [str, int, str, cc.Answer, bool, bool]
-    assert rs == cc.ResultSet(rs.backend_id, rs.dataset_fingerprint, rs.prompt_fingerprint, None, rs.records)
+    assert rs == cc.ResultSet.from_records(
+        rs.backend_id, rs.dataset_fingerprint, rs.prompt_fingerprint, None, rs.records
+    )
 
 
 def _tracked_growth(call) -> int:
@@ -500,7 +525,8 @@ def _misfiled(rs: cc.ResultSet, edit: str) -> tuple[cc.ResultSet, str]:
     else:
         records.append(records.pop(0))
         message = f"answer 1: found {name(rs.records[1])}, expected {name(rs.records[0])}"
-    return dataclasses.replace(rs, records=tuple(records)), message
+    header = (rs.backend_id, rs.dataset_fingerprint, rs.prompt_fingerprint, rs.context_fingerprint)
+    return cc.ResultSet.from_records(*header, records), message
 
 
 @pytest.mark.parametrize("edit", ["missing", "duplicate", "reordered", "mislabelled"])
@@ -794,9 +820,7 @@ def test_read_results_keeps_raw_answers_holding_unicode_line_breaks(tmp_path, ch
     _, closure, dataset = chain
     rs = cc.evaluate_dataset(dataset, cc.PerfectOracle(closure, dataset), template)
     raws = ["yes\u2028really", "no\x85", "\u2028\x85"]
-    rs = dataclasses.replace(rs, records=tuple(
-        r._replace(raw=raw) for r, raw in zip(rs.records, raws)
-    ) + rs.records[len(raws):])
+    rs = dataclasses.replace(rs, raws=(*raws, *rs.raws[len(raws):]))
     assert [r.raw for r in rs.records[:3]] == raws
     path = tmp_path / "results.jsonl"
     cc.write_results(rs, path)

@@ -190,8 +190,8 @@ def test_result_sets_are_equal_exactly_when_their_records_are(records, edits, ot
     for n, (name, value) in edits:
         if n < len(others):
             others[n] = others[n]._replace(**{name: value})
-    first = cc.ResultSet("b", "d", "p", None, records)
-    second = cc.ResultSet(other_backend, "d", "p", None, others)
+    first = cc.ResultSet.from_records("b", "d", "p", None, records)
+    second = cc.ResultSet.from_records(other_backend, "d", "p", None, others)
     assert first.records == tuple(records)
     for r in first.records:
         assert type(r) is cc.AnswerRecord
@@ -209,7 +209,7 @@ ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028\U0001f600\ud800'
 
 @CHECK
 @given(resultset=st.builds(
-    cc.ResultSet,
+    cc.ResultSet.from_records,
     backend_id=text,
     dataset_fingerprint=text,
     prompt_fingerprint=text,
@@ -217,11 +217,11 @@ ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028\U0001f600\ud800'
     # Indices on both sides of the 18 digits an answer line is matched with.
     records=st.lists(answer_records(10**20), max_size=6).map(tuple),
 ))
-@example(resultset=cc.ResultSet("b", "d", "p", None, (answer_record("c", 0, None, cc.Answer.YES),)))
-@example(resultset=cc.ResultSet("b", "d", "p", None, tuple(
+@example(resultset=cc.ResultSet.from_records("b", "d", "p", None, (answer_record("c", 0, None, cc.Answer.YES),)))
+@example(resultset=cc.ResultSet.from_records("b", "d", "p", None, tuple(
     answer_record(ESCAPED, index, ESCAPED, cc.Answer.NO) for index in (10**18 - 1, 10**18, 10**20)
 )))
-@example(resultset=cc.ResultSet("b", "d", "p", None, (
+@example(resultset=cc.ResultSet.from_records("b", "d", "p", None, (
     answer_record("c", 0, "\ud800\udc00", cc.Answer.YES), answer_record("c", 1, "\udfff\ud800 \ud800", cc.Answer.NO),
 )))
 def test_results_file_round_trips(resultset, tmp_path_factory):
@@ -468,7 +468,7 @@ def test_reading_a_results_file_holds_its_records_not_its_text(tmp_path):
                         cc.Answer.YES if i % 4 else cc.Answer.NO, bool(i % 5), False)
         for i in range(20_000)
     )
-    resultset = cc.ResultSet("b", "d" * 64, "p" * 64, None, records)
+    resultset = cc.ResultSet.from_records("b", "d" * 64, "p" * 64, None, records)
     path = tmp_path / "results.jsonl"
     cc.write_results(resultset, path)
     tracemalloc.start()
@@ -508,14 +508,14 @@ def test_read_results_reads_each_changed_answer_field_as_the_reference_reader_do
 
 @CHECK
 @given(resultset=st.builds(
-    cc.ResultSet,
+    cc.ResultSet.from_records,
     backend_id=text,
     dataset_fingerprint=text,
     prompt_fingerprint=text,
     context_fingerprint=st.none() | text,
     records=st.lists(answer_records(10**18 - 1), max_size=6).map(tuple),
 ))
-@example(resultset=cc.ResultSet("b", "d", "p", None, tuple(
+@example(resultset=cc.ResultSet.from_records("b", "d", "p", None, tuple(
     answer_record(ESCAPED, index, ESCAPED, cc.Answer.YES) for index in (0, 10**18 - 1)
 )))
 def test_read_results_decodes_only_the_header_of_a_file_write_results_wrote(resultset, tmp_path_factory):
@@ -535,7 +535,8 @@ def test_read_results_decodes_only_the_header_of_a_file_write_results_wrote(resu
 
 
 def test_read_results_logs_how_many_answers_were_not_in_the_written_form(tmp_path, caplog):
-    resultset = cc.ResultSet("b", "d", "p", None, tuple(answer_record("c", i, "yes", cc.Answer.YES) for i in range(3)))
+    records = tuple(answer_record("c", i, "yes", cc.Answer.YES) for i in range(3))
+    resultset = cc.ResultSet.from_records("b", "d", "p", None, records)
     path = tmp_path / "results.jsonl"
     cc.write_results(resultset, path)
     with caplog.at_level(logging.DEBUG, logger="conceptcheck.evaluation"):

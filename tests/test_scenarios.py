@@ -328,9 +328,6 @@ def test_evaluate_scenarios_rejects_empty_roster(
         cc.evaluate_scenarios(
             [grant], [], medical_graph, medical_closure, cc.ScriptedBackend({}), template
         )
-    empty = cc.ScenarioResult(scenario=grant, questions=(), answers=())
-    with pytest.raises(cc.SchemaViolation):
-        empty.verdict
 
 
 def test_evaluate_scenarios_rejects_an_empty_scenario_set(medical_graph, medical_closure, template):
@@ -339,6 +336,22 @@ def test_evaluate_scenarios_rejects_an_empty_scenario_set(medical_graph, medical
         cc.evaluate_scenarios([], SPECIALISTS, medical_graph, medical_closure, cc.ScriptedBackend({}), template)
     with pytest.raises(cc.ConfigError, match="^the scenario set is empty$"):
         cc.ScenarioOracle([], SPECIALISTS, medical_graph, medical_closure, template)
+
+
+def test_evaluate_scenarios_rejects_a_repeated_scenario(scenarios, medical_graph, medical_closure, template):
+    # A repeated scenario would be asked and counted twice; a scenario file that repeats one is refused already.
+    first, second = scenarios[:2]
+    repeating = [first, second, first, second, first]
+    message = f"^the scenario set repeats {first.id}, {second.id}$"
+    oracle = cc.ScenarioOracle(scenarios, SPECIALISTS, medical_graph, medical_closure, template)
+    with pytest.raises(cc.ConfigError, match=message):
+        cc.evaluate_scenarios(repeating, SPECIALISTS, medical_graph, medical_closure, oracle, template)
+    with pytest.raises(cc.ConfigError, match=message):
+        cc.ScenarioOracle(repeating, SPECIALISTS, medical_graph, medical_closure, template)
+    # Two scenarios that differ but share an id are refused too.
+    renamed = dataclasses.replace(second, id=first.id)
+    with pytest.raises(cc.ConfigError, match=f"^the scenario set repeats {first.id}$"):
+        cc.evaluate_scenarios([first, renamed], SPECIALISTS, medical_graph, medical_closure, oracle, template)
 
 
 def test_evaluate_scenarios_runs_a_concurrent_backend_in_order(
