@@ -188,8 +188,8 @@ class ScriptedBackend(Backend):
 
 
 class PerfectOracle(ScriptedBackend):
-    """Answers each dataset question from the dataset's `answer_key`; the
-    closure only binds the dataset to its graph."""
+    """Answers each dataset question from the dataset's `answer_key`, which
+    it shares with the dataset; the closure only binds the dataset to its graph."""
 
     def __init__(self, closure: DeductiveClosure, dataset: ClusterDataset):
         if closure.derived_from != dataset.graph_fingerprint:
@@ -197,7 +197,8 @@ class PerfectOracle(ScriptedBackend):
                 f"closure is for graph {closure.derived_from[:12]}..., "
                 f"dataset for {dataset.graph_fingerprint[:12]}..."
             )
-        super().__init__(dataset.answer_key(), id="perfect")
+        super().__init__({}, id="perfect")
+        self._answers = dataset._answer_key  # shared with the dataset; neither changes it, so no copy
 
 
 # The other answer of a yes/no truth, by one lookup.

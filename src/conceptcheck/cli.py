@@ -278,7 +278,7 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
     for backend in backends:
         resultset = evaluate_dataset(dataset, backend, template, context)
         write_results(resultset, out / f"results-{_slug(backend.id)}{suffix}.jsonl")
-        # The records were just built in dataset order, so the row needs no compute_report.
+        # The answer columns were just built in dataset order, so the row needs no compute_report.
         rows.append(report_from_verdicts(resultset.backend_id, resultset.verdicts, dataset))
         errors += resultset.error_count
     return rows, errors

@@ -119,6 +119,14 @@ _CONFIG_FIELDS = {f.name: optional(STRING if f.type == "str" else INTEGER, f.def
 
 @dataclass(frozen=True)
 class ClusterDataset:
+    """A generated dataset: its clusters, and the graph and config they came from.
+
+    Its consumers read the clusters as columns in dataset order, each built
+    on first read and kept with the dataset: per question `questions`,
+    `statements`, `expected` and `question_keys`, per cluster `cluster_ids`
+    and `cluster_types`. The fingerprint and the answer key are kept too.
+    """
+
     version: str
     graph_fingerprint: str
     config: GenerationConfig
@@ -136,19 +144,55 @@ class ClusterDataset:
         return sha.hexdigest()
 
     @cached_property
+    def cluster_ids(self) -> tuple[str, ...]:
+        """Each cluster's id."""
+        return tuple(c.id for c in self.clusters)
+
+    @cached_property
+    def cluster_types(self) -> tuple[ClusterType, ...]:
+        """Each cluster's type."""
+        return tuple(c.type for c in self.clusters)
+
+    @cached_property
     def question_keys(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """Each question's cluster id and its index in its cluster, as two
-        columns in dataset order: the keys a result set's answers carry."""
-        clusters = self.clusters
+        columns: the keys a result set's answers carry."""
+        sizes = [len(c.questions) for c in self.clusters]
         return (
-            tuple(chain.from_iterable(repeat(c.id, len(c.questions)) for c in clusters)),
-            tuple(chain.from_iterable(range(len(c.questions)) for c in clusters)),
+            tuple(chain.from_iterable(map(repeat, self.cluster_ids, sizes))),
+            tuple(chain.from_iterable(map(range, sizes))),
         )
 
-    def answer_key(self) -> dict[str, str]:
-        """Each question's one expected answer, "yes" or "no", by `answer_table`."""
+    @cached_property
+    def questions(self) -> tuple[str, ...]:
+        """Each question's text."""
+        return tuple(chain.from_iterable(c.questions for c in self.clusters))
+
+    @cached_property
+    def expected(self) -> tuple[Answer, ...]:
+        """Each question's expected answer: its cluster's."""
+        return tuple(chain.from_iterable(repeat(c.expected, len(c.questions)) for c in self.clusters))
+
+    @cached_property
+    def statements(self) -> tuple[str, ...]:
+        """Each question's statement; SchemaViolation for a cluster whose
+        statements do not parallel its questions, which would misplace
+        every later statement."""
+        for c in self.clusters:
+            if len(c.statements) != len(c.questions):
+                raise SchemaViolation(f"dataset cluster {c.id!r}: statements must parallel its questions")
+        return tuple(chain.from_iterable(c.statements for c in self.clusters))
+
+    @cached_property
+    def _answer_key(self) -> dict[str, str]:
+        """`answer_key`'s mapping, built once; shared only with `PerfectOracle`, which never changes it."""
         clusters = self.clusters
-        return answer_table([c.id for c in clusters], [c.expected for c in clusters], [c.questions for c in clusters])
+        return answer_table(self.cluster_ids, [c.expected for c in clusters], [c.questions for c in clusters])
+
+    def answer_key(self) -> dict[str, str]:
+        """Each question's one expected answer, "yes" or "no", by
+        `answer_table`: a new copy on each call, so that a caller may change it."""
+        return self._answer_key.copy()
 
 
 def answer_table(
@@ -438,7 +482,7 @@ def _checked_dataset(fingerprint: str, config: GenerationConfig, clusters: tuple
     if dupes:
         raise SchemaViolation(f"duplicate cluster ids: {dupes}")
     dataset = ClusterDataset(DATASET_FORMAT_VERSION, fingerprint, config, clusters)
-    dataset.answer_key()
+    dataset._answer_key  # refuses a question with two expected answers, and keeps the key
     return dataset
 
 

@@ -13,13 +13,14 @@ import json
 import logging
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
-from itertools import chain, groupby, repeat
+from functools import cache, cached_property, reduce
+from itertools import chain, compress, groupby, repeat
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as quote_json
-from operator import countOf
+from operator import countOf, is_, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -163,6 +164,9 @@ class ResultSet:
 
     @cached_property
     def verdicts(self) -> dict[str, Verdict]:
+        """One verdict per cluster id, by `_verdict_of` over the `correct`
+        flags of each run of equal ids in `cluster_ids`. When a cluster's
+        answers are not contiguous, the verdict of its last run wins."""
         out: dict[str, Verdict] = {}
         end = 0
         for cluster_id, run in groupby(self.cluster_ids):
@@ -286,22 +290,21 @@ def evaluate_dataset(
     question when its call returns; answers come back in dataset order,
     and an exception other than a `ConceptCheckError` stops new calls and
     reaches the caller. A context built from another dataset is refused by
-    `check_context` before any question is asked. The result set's cluster
-    id and question index columns are the dataset's `question_keys`, and
-    the other four are `ask_and_judge`'s.
+    `check_context` before any question is asked. The questions and their
+    expected answers are the dataset's cached columns. The result set's
+    cluster id and question index columns are the dataset's
+    `question_keys`, and the other four are `ask_and_judge`'s.
     """
     check_context(context, dataset)
     prefix = render_prefix(template, context.statements if context is not None else ())
-    clusters = dataset.clusters
-    questions = [*chain.from_iterable(c.questions for c in clusters)]
-    expected = [*chain.from_iterable(repeat(c.expected, len(c.questions)) for c in clusters)]
+    questions = dataset.questions
     return ResultSet(
         backend.id,
         dataset.fingerprint,
         template.fingerprint(),
         context.fingerprint() if context is not None else None,
         *dataset.question_keys,
-        *ask_and_judge(questions, [prefix] * len(questions), expected, backend),
+        *ask_and_judge(questions, [prefix] * len(questions), dataset.expected, backend),
     )
 
 
@@ -321,11 +324,13 @@ class GroupCount:
         return 100.0 * count / self.total if self.total else 0.0
 
 
-_REPORT_GROUPS = {
-    **dict.fromkeys((ClusterType.POSITIVE_EDGE, ClusterType.INVERSE_EDGE, ClusterType.NEGATIVE_EDGE), "edges"),
-    ClusterType.PATH: "paths",
-    ClusterType.PROPERTY_INHERITANCE: "property",
-}
+# The cluster types each report group counts, in `ReportRow` field order.
+_REPORT_GROUPS = (
+    (ClusterType.POSITIVE_EDGE, ClusterType.INVERSE_EDGE, ClusterType.NEGATIVE_EDGE),
+    (ClusterType.PATH,),
+    (ClusterType.PROPERTY_INHERITANCE,),
+    tuple(ClusterType),
+)
 
 
 @dataclass(frozen=True)
@@ -352,31 +357,25 @@ class ReportRow:
         return (self.edges.total, self.paths.total, self.property.total, self.all.total)
 
 
-def _tally(verdicts: Iterable[Verdict]) -> GroupCount:
-    vs = list(verdicts)
-    return GroupCount(
-        total=len(vs),
-        consistent=sum(1 for v in vs if v is Verdict.CONSISTENT),
-        inconsistent=sum(1 for v in vs if v is Verdict.INCONSISTENT),
-        incomplete=sum(1 for v in vs if v is Verdict.INCOMPLETE),
-    )
-
-
 def report_from_verdicts(backend_id: str, verdicts: dict[str, Verdict], dataset: ClusterDataset) -> ReportRow:
-    by_group: dict[str, list[Verdict]] = {"edges": [], "paths": [], "property": [], "all": []}
-    for cluster in dataset.clusters:
-        verdict = verdicts.get(cluster.id)
-        if verdict is None:
-            raise MismatchedDataset(f"no verdict for cluster {cluster.id}")
-        by_group["all"].append(verdict)
-        by_group[_REPORT_GROUPS[cluster.type]].append(verdict)
-    return ReportRow(
-        backend_id=backend_id,
-        edges=_tally(by_group["edges"]),
-        paths=_tally(by_group["paths"]),
-        property=_tally(by_group["property"]),
-        all=_tally(by_group["all"]),
-    )
+    """Tally each cluster's verdict by report group; MismatchedDataset names
+    the first cluster, in dataset order, that `verdicts` has none for.
+
+    One `Counter` counts the (type, verdict) pairs over the dataset's cached
+    columns, so the work per cluster is done in C; ids beyond the dataset's
+    are ignored.
+    """
+    ids = dataset.cluster_ids
+    counts = Counter(zip(dataset.cluster_types, map(verdicts.get, ids)))
+    if any(verdict is None for _, verdict in counts):
+        missing = next(i for i in ids if verdicts.get(i) is None)
+        raise MismatchedDataset(f"no verdict for cluster {missing}")
+
+    def tally(types: tuple[ClusterType, ...]) -> GroupCount:
+        by_verdict = [sum(counts[t, verdict] for t in types) for verdict in Verdict]
+        return GroupCount(sum(by_verdict), *by_verdict)
+
+    return ReportRow(backend_id, *map(tally, _REPORT_GROUPS))
 
 
 def _check_answers_match(resultset: ResultSet, dataset: ClusterDataset) -> None:
@@ -450,6 +449,10 @@ class ContextBlock:
         return digest({"statements": list(self.statements), "dataset": self.dataset_fingerprint})
 
 
+# A `bytes.translate` table: a zero byte to 1, every other byte to 0.
+_NONE_SET = bytes([1]).ljust(256, b"\0")
+
+
 def build_context(
     resultsets: Sequence[ResultSet],
     dataset: ClusterDataset,
@@ -461,6 +464,11 @@ def build_context(
     Question granularity (default): a statement joins the block when each
     result set answered its question incorrectly. Cluster granularity: all
     four statements join when no backend got the whole cluster right.
+    Statements keep dataset order with repeats dropped, and the source
+    clusters are those that gave one. They are picked from the dataset's
+    cached columns by C calls alone, with no Python step per question or
+    cluster once each result set's `verdicts` exist (cluster granularity
+    reads them).
     """
     if granularity not in CONTEXT_GRANULARITIES:
         raise SchemaViolation(f"unknown context granularity {granularity!r}")
@@ -468,30 +476,19 @@ def build_context(
         raise MismatchedDataset("build_context needs at least one result set")
     for rs in resultsets:
         _check_answers_match(rs, dataset)
-    # Answers follow dataset order, so hit[n] is about the dataset's n-th question:
-    # 1 when any result set answered it correctly, by C calls alone.
-    hit = bytes(map(any, zip(*(rs.correct for rs in resultsets))))
-    statements: list[str] = []
-    seen: set[str] = set()
-    clusters_used: list[str] = []
-    n = 0
-    for cluster in dataset.clusters:
-        size = len(cluster.questions)
-        if granularity == "cluster":
-            if all(rs.verdicts.get(cluster.id) is not Verdict.CONSISTENT for rs in resultsets):
-                picked = range(size)
-            else:
-                picked = ()
-        else:
-            picked = [idx for idx in range(size) if not hit[n + idx]]
-        n += size
-        for idx in picked:
-            statement = cluster.statements[idx]
-            if statement not in seen:
-                seen.add(statement)
-                statements.append(statement)
-        if picked:
-            clusters_used.append(cluster.id)
+    # Answers follow dataset order, so each result set's n-th flag is about the
+    # dataset's n-th question: set when it answered that question, or got the
+    # question's whole cluster, right. One big-integer OR merges the flags of
+    # every result set, byte by byte.
+    ids = dataset.question_keys[0]
+    if granularity == "cluster":
+        flags = (bytes(map(is_, map(rs.verdicts.get, ids), repeat(Verdict.CONSISTENT))) for rs in resultsets)
+    else:
+        flags = (rs.correct for rs in resultsets)
+    hit = reduce(or_, (int.from_bytes(f, "big") for f in flags))
+    missed = hit.to_bytes(len(ids), "big").translate(_NONE_SET)
+    statements = dict.fromkeys(compress(dataset.statements, missed))
+    clusters_used = dict.fromkeys(compress(ids, missed))
     return ContextBlock(
         statements=tuple(statements),
         source_cluster_ids=tuple(clusters_used),

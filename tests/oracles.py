@@ -15,7 +15,8 @@ import random
 from pathlib import Path
 
 from conceptcheck import (
-    Answer, AnswerRecord, ConceptCheckError, ResultSet, SchemaViolation, UnreadableSource, normalize_answer
+    Answer, AnswerRecord, ConceptCheckError, ContextBlock, GroupCount, MismatchedDataset, ReportRow, ResultSet,
+    SchemaViolation, UnreadableSource, Verdict, normalize_answer
 )
 from conceptcheck.errors import BOOLEAN, INTEGER, STRING, one_of, optional, read_fields
 from conceptcheck.ingest import ParseResult, _collect
@@ -400,6 +401,87 @@ def judged_by_hand(jobs, backend) -> list[AnswerRecord]:
             correct=normalized == expected, error=False,
         ))
     return records
+
+
+# The report group each cluster type's clusters count in, by the type's value.
+REPORT_GROUP_BY_TYPE = {
+    "positive_edge": "edges", "inverse_edge": "edges", "negative_edge": "edges",
+    "path": "paths", "property_inheritance": "property",
+}
+
+
+def verdicts_by_hand(resultset: ResultSet, dataset) -> dict[str, Verdict]:
+    """Each cluster's verdict, walking the clusters and slicing the answers in
+    dataset order: consistent when every flag of the cluster's questions is
+    set, incomplete when none is, inconsistent otherwise. A cluster without
+    questions gets none."""
+    verdicts = {}
+    n = 0
+    for cluster in dataset.clusters:
+        flags = [resultset.correct[n + i] for i in range(len(cluster.questions))]
+        n += len(flags)
+        if not flags:
+            continue
+        if all(flags):
+            verdicts[cluster.id] = Verdict.CONSISTENT
+        elif not any(flags):
+            verdicts[cluster.id] = Verdict.INCOMPLETE
+        else:
+            verdicts[cluster.id] = Verdict.INCONSISTENT
+    return verdicts
+
+
+def report_by_hand(backend_id: str, verdicts: dict, dataset) -> ReportRow:
+    """A report row tallied one cluster at a time: in dataset order, each
+    cluster's verdict joins its group's list and the list of all; a cluster
+    with no verdict is refused, naming it. Each list is then counted verdict
+    by verdict."""
+    groups = {"edges": [], "paths": [], "property": [], "all": []}
+    for cluster in dataset.clusters:
+        verdict = verdicts.get(cluster.id)
+        if verdict is None:
+            raise MismatchedDataset(f"no verdict for cluster {cluster.id}")
+        groups[REPORT_GROUP_BY_TYPE[cluster.type.value]].append(verdict)
+        groups["all"].append(verdict)
+
+    def count(verdicts: list) -> GroupCount:
+        return GroupCount(
+            total=len(verdicts),
+            consistent=sum(1 for v in verdicts if v is Verdict.CONSISTENT),
+            inconsistent=sum(1 for v in verdicts if v is Verdict.INCONSISTENT),
+            incomplete=sum(1 for v in verdicts if v is Verdict.INCOMPLETE),
+        )
+
+    return ReportRow(backend_id, count(groups["edges"]), count(groups["paths"]),
+                     count(groups["property"]), count(groups["all"]))
+
+
+def context_by_hand(resultsets: list[ResultSet], dataset, granularity: str = "question") -> ContextBlock:
+    """The context block of result sets that follow the dataset, walking the
+    clusters: a question is picked when every result set answered it
+    incorrectly or, at cluster granularity, every question of a cluster is
+    picked when no result set's verdict for it is consistent. Picked
+    statements join in dataset order unless already there; a cluster joins
+    the sources when any of its questions was picked."""
+    verdicts = [verdicts_by_hand(rs, dataset) for rs in resultsets]
+    statements: list[str] = []
+    sources: list[str] = []
+    n = 0
+    for cluster in dataset.clusters:
+        size = len(cluster.questions)
+        if granularity == "cluster":
+            missed = all(v.get(cluster.id) is not Verdict.CONSISTENT for v in verdicts)
+            picked = list(range(size)) if missed else []
+        else:
+            picked = [i for i in range(size) if not any(rs.correct[n + i] for rs in resultsets)]
+        n += size
+        for i in picked:
+            if cluster.statements[i] not in statements:
+                statements.append(cluster.statements[i])
+        if picked:
+            sources.append(cluster.id)
+    return ContextBlock(tuple(statements), tuple(sources), tuple(rs.backend_id for rs in resultsets),
+                        dataset.fingerprint)
 
 
 # --- question forms, spelled out one function per kind of text ---------------

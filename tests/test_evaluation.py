@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import conceptcheck as cc
 from conceptcheck import clusters, evaluation, scenarios
 from conftest import BARE_ANSWERS, Jittery, bare_answers_in_noise, make_graph
-from oracles import judged_by_hand
+from oracles import context_by_hand, judged_by_hand, report_by_hand, verdicts_by_hand
 
 V = cc.Verdict
 MISSING = object()
@@ -494,6 +494,12 @@ def test_report_from_verdicts_requires_every_cluster(medical_dataset):
     verdicts = {c.id: V.CONSISTENT for c in medical_dataset.clusters[:-1]}
     with pytest.raises(cc.MismatchedDataset):
         cc.report_from_verdicts("x", verdicts, medical_dataset)
+    # The message names the first cluster without a verdict, in dataset order.
+    first = medical_dataset.clusters[40].id
+    del verdicts[first]
+    with pytest.raises(cc.MismatchedDataset) as err:
+        cc.report_from_verdicts("x", verdicts, medical_dataset)
+    assert str(err.value) == f"no verdict for cluster {first}"
 
 
 def test_compute_report_checks_fingerprint(chain, medical_dataset, template):
@@ -552,6 +558,133 @@ def test_dataset_is_serialized_for_its_fingerprint_at_most_once(medical_graph, m
         for _ in range(3):
             cc.compute_report(rs, dataset)
     assert [call.args for call in encode.call_args_list] == [(dataset.clusters, clusters._COMPACT)]
+
+
+def test_answer_key_is_built_once_per_dataset_and_a_changed_copy_changes_nothing(
+    tmp_path, medical_graph, medical_closure
+):
+    with patch.object(clusters, "answer_table", wraps=clusters.answer_table) as table:
+        dataset = cc.generate_dataset(medical_graph, cc.MEDICAL_GENERATION)
+        key = dataset.answer_key()
+        cc.NoisyOracle(medical_closure, dataset, flip_probability=0.3, seed=7)
+        cc.PerfectOracle(medical_closure, dataset)
+        assert dataset.answer_key() == key
+        assert table.call_count == 1
+        cc.write_dataset(dataset, tmp_path / "dataset.json")
+        loaded = cc.read_dataset(tmp_path / "dataset.json")
+        cc.PerfectOracle(medical_closure, loaded)
+        assert loaded.answer_key() == key
+        assert table.call_count == 2
+    question, truth = next(iter(key.items()))
+    key[question] = "maybe"
+    key.clear()
+    assert dataset.answer_key()[question] == truth
+    assert cc.PerfectOracle(medical_closure, dataset).answer(question, "") == truth
+    assert cc.NoisyOracle(medical_closure, dataset, flip_probability=0.0, seed=7).answer(question, "") == truth
+
+
+# A small pool, so that statements repeat within and across clusters.
+STATEMENTS = st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"])
+
+
+@st.composite
+def hand_datasets(draw) -> cc.ClusterDataset:
+    """Up to 10 clusters of every type, each with 0 to 4 questions."""
+    clusters = []
+    for n in range(draw(st.integers(0, 10))):
+        statements = draw(st.lists(STATEMENTS, max_size=4))
+        clusters.append(cc.QuestionCluster(
+            f"c{n}", draw(st.sampled_from(cc.ClusterType)), draw(YES_NO), "s", "t",
+            tuple(f"q{n}.{i}" for i in range(len(statements))), tuple(statements),
+        ))
+    return cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(clusters))
+
+
+def flagged(dataset: cc.ClusterDataset, name: str, correct: list[bool] | bytes) -> cc.ResultSet:
+    """A result set that follows the dataset, with these `correct` flags."""
+    n = len(correct)
+    return cc.ResultSet(name, dataset.fingerprint, "p", None, *dataset.question_keys,
+                        ("",) * n, (cc.Answer.OTHER,) * n, bytes(correct), bytes(n))
+
+
+def outcome(call):
+    """What `call` returns, or the type and message of the MismatchedDataset it raises."""
+    try:
+        return call()
+    except cc.MismatchedDataset as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(dataset=hand_datasets(), data=st.data())
+def test_report_from_verdicts_matches_the_walk_by_hand(dataset, data):
+    # Some maps lack clusters, and every map may hold ids the dataset does not.
+    choices = [*V] if data.draw(st.booleans(), label="complete") else [*V, MISSING]
+    verdicts = {c.id: data.draw(st.sampled_from(choices)) for c in dataset.clusters}
+    verdicts = {cid: v for cid, v in verdicts.items() if v is not MISSING}
+    verdicts.update(dict.fromkeys(data.draw(st.lists(st.sampled_from(["c11", "x", ""]))), V.INCONSISTENT))
+    want = outcome(lambda: report_by_hand("b", verdicts, dataset))
+    assert outcome(lambda: cc.report_from_verdicts("b", verdicts, dataset)) == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(dataset=hand_datasets(), data=st.data())
+def test_compute_report_and_build_context_match_the_walks_by_hand(dataset, data):
+    size = len(dataset.question_keys[0])
+    flags = st.lists(st.booleans(), min_size=size, max_size=size)
+    count = data.draw(st.integers(1, 3), label="result sets")
+    resultsets = [flagged(dataset, f"b{n}", data.draw(flags, label=f"b{n}")) for n in range(count)]
+    for rs in resultsets:
+        want = outcome(lambda: report_by_hand(rs.backend_id, verdicts_by_hand(rs, dataset), dataset))
+        assert outcome(lambda: cc.compute_report(rs, dataset)) == want
+    for granularity in ("question", "cluster"):
+        want = context_by_hand(resultsets, dataset, granularity)
+        assert cc.build_context(resultsets, dataset, granularity=granularity) == want
+
+
+def _python_calls(call) -> int:
+    """How many Python functions `call` enters, each resumption of a generator counted too."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_reports_and_contexts_take_no_python_step_per_cluster():
+    calls = {}
+    for size in (1_000, 8_000):
+        types = [*cc.ClusterType]
+        dataset = cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(
+            cc.QuestionCluster(f"c{n}", types[n % len(types)], cc.Answer.YES, "s", "t",
+                               tuple(f"q{n}.{i}" for i in range(4)), tuple(f"s{n % 50}.{i}" for i in range(4)))
+            for n in range(size)
+        ))
+        # Clusters all wrong, all right and mixed in turn, the second result set a cluster later.
+        patterns = (b"\0\0\0\0", b"\1\1\1\1", b"\1\0\1\1")
+        resultsets = [
+            flagged(dataset, f"b{k}", b"".join(patterns[(n + k) % 3] for n in range(size))) for k in range(2)
+        ]
+        verdicts = resultsets[0].verdicts
+        assert set(verdicts.values()) == set(V)
+        runs = (
+            lambda: cc.report_from_verdicts("b", verdicts, dataset),
+            lambda: cc.compute_report(resultsets[0], dataset),
+            lambda: cc.build_context(resultsets, dataset),
+            lambda: cc.build_context(resultsets, dataset, granularity="cluster"),
+        )
+        # A first run builds the dataset's columns and fingerprint and the second result set's verdicts.
+        for run in runs:
+            run()
+        calls[size] = [_python_calls(run) for run in runs]
+    assert calls[1_000] == calls[8_000]
 
 
 def test_group_count_pct_handles_empty_group():
@@ -647,6 +780,14 @@ def test_build_context_validation(chain, medical_dataset, template):
         cc.build_context([rs], medical_dataset)
     with pytest.raises(cc.SchemaViolation):
         cc.build_context([rs], dataset, granularity="paragraph")
+    # A cluster whose statements do not parallel its questions would misplace every later statement.
+    uneven = dataclasses.replace(dataset, clusters=(
+        dataclasses.replace(dataset.clusters[0], statements=dataset.clusters[0].statements[1:]), *dataset.clusters[1:]
+    ))
+    perfect = cc.ResultSet(rs.backend_id, uneven.fingerprint, "p", None, *uneven.question_keys,
+                           rs.raws, rs.normalized, rs.correct, rs.error)
+    with pytest.raises(cc.SchemaViolation, match=r"^dataset cluster '.*': statements must parallel its questions$"):
+        cc.build_context([perfect], uneven)
 
 
 def test_perfect_baseline_produces_empty_context(chain, template):
