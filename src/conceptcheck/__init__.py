@@ -46,8 +46,8 @@ _EXPORTS = {
     ),
     "hierarchy": (
         "MAX_ENUMERATED_PATHS", "Concept", "ConceptGraph", "DeductiveClosure", "PropertyAssertion",
-        "build_graph", "deductive_closure", "graph_fingerprint", "implied_paths", "inherited_properties",
-        "is_subconcept", "load_graph", "save_graph", "unrelated_pairs",
+        "build_graph", "deductive_closure", "graph_fingerprint", "implied_paths", "is_subconcept",
+        "load_graph", "save_graph", "unrelated_pairs",
     ),
     "ingest": ("ExtractionSpec", "RawEntity", "extract_fragment", "fetch_live", "parse_entity_dump"),
     "reporting": ("format_percent", "render_csv", "render_markdown", "round_percent"),

@@ -1,10 +1,11 @@
 """Command-line pipeline: extract -> generate -> evaluate -> augment -> report.
 
 Every option can also live in a JSON run-config file (--config); explicit
-flags win over config values. Exit codes: 0 on success, 1 when evaluation
-finished but some backend calls failed (the failures are recorded in the
-results files), 2 on configuration or input errors. Paths may use the
-"fixture:" prefix to name bundled sample data, e.g. fixture:medical_graph.json.
+flags win over config values. Exit codes: 0 on success, 1 when a command
+finished but some backend calls failed, in its own run (the failures are
+recorded in the results files) or in a results file it read, 2 on
+configuration or input errors. Paths may use the "fixture:" prefix to
+name bundled sample data, e.g. fixture:medical_graph.json.
 """
 
 from __future__ import annotations
@@ -205,11 +206,10 @@ def generate(config, graph, seed, negative_count, min_distance, min_path_len,
     dataset = generate_dataset(loaded, gen_config)
     _make_dir(Path(out).parent)
     write_dataset(dataset, out)
-    by_type = Counter(cluster.type for cluster in dataset.clusters)
+    by_type = Counter(dataset.cluster_types)
     for kind in ClusterType:
         print(f"{kind.value}: {by_type[kind]}")
-    questions = sum(len(c.questions) for c in dataset.clusters)
-    print(f"total: {len(dataset.clusters)} clusters, {questions} questions -> {out}")
+    print(f"total: {len(dataset.cluster_ids)} clusters, {len(dataset.questions)} questions -> {out}")
 
 
 def _build_all(backend_flags: list[str], cache_dir: str | None, config: dict, build) -> list[Backend]:
@@ -285,8 +285,8 @@ def _evaluate_backends(backends, dataset, template, context, out: Path, suffix: 
 
 
 def _read_baselines(paths: list[str]) -> dict[str, ResultSet]:
-    """Each --baseline file's result set by backend id; report rows are
-    matched by that id, so two files holding one id are refused."""
+    """Each --baseline file's result set by its path; report rows are
+    matched by backend id, so two files holding one id are refused."""
     resultsets, files = {}, {}
     for path in paths:
         resultset = read_results(resolve_path(path))
@@ -296,14 +296,19 @@ def _read_baselines(paths: list[str]) -> dict[str, ResultSet]:
                 f"results of backend id {resultset.backend_id!r}"
             )
         files[resultset.backend_id] = path
-        resultsets[resultset.backend_id] = resultset
+        resultsets[path] = resultset
     return resultsets
 
 
-def _exit_if_failed(errors: int) -> None:
-    """Exit 1 when backend calls failed; their records are already written."""
+def _exit_if_failed(errors: int, read: dict[str, ResultSet] | None = None) -> None:
+    """Exit 1 when backend calls failed, in this run or in a results file it
+    `read` (by path), warning of each; every output is already written."""
+    stored = {path: rs.error_count for path, rs in (read or {}).items() if rs.error_count}
+    for path, count in stored.items():
+        print(f"warning: {path} holds {count} failed backend call(s), scored as wrong answers", file=sys.stderr)
     if errors:
         print(f"warning: {errors} backend call(s) failed and were recorded as errors", file=sys.stderr)
+    if errors or stored:
         sys.exit(1)
 
 
@@ -328,7 +333,7 @@ def evaluate(config, dataset_path, graph, prompt, backend_flags, context_path, c
     _make_dir(out)
     rows, errors = _evaluate_backends(backends, dataset, template, context, out)
     _write_reports(rows, out, dataset.fingerprint)
-    print(f"evaluated {len(backends)} backend(s) over {len(dataset.clusters)} clusters -> {out}/report.md")
+    print(f"evaluated {len(backends)} backend(s) over {len(dataset.cluster_ids)} clusters -> {out}/report.md")
     _exit_if_failed(errors)
 
 
@@ -341,24 +346,25 @@ def augment(config, dataset_path, baseline_paths, graph, prompt, backend_flags,
     context = build_context(
         list(baselines.values()), dataset, granularity=_merge(granularity, config["granularity"], "question")
     )
-    baseline_rows = {name: report_from_verdicts(name, rs.verdicts, dataset) for name, rs in baselines.items()}
+    baseline_rows = {rs.backend_id: report_from_verdicts(rs.backend_id, rs.verdicts, dataset)
+                     for rs in baselines.values()}
     template = _load_prompt(prompt, config)
     backends = _build_backends(config, backend_flags, cache_dir, graph, dataset)
     out = Path(out_dir)
     _make_dir(out)
     save_context(context, out / "context.json")
     print(f"context: {len(context.statements)} statement(s) -> {out}/context.json")
-    if not context.statements:
+    errors = 0
+    if context.statements:
+        rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
+        _write_reports(
+            rows, out, dataset.fingerprint,
+            baselines=baseline_rows, title="Consistency report (augmented)",
+        )
+        print(f"augmented run finished -> {out}/report.md")
+    else:
         print("nothing was missed by every baseline; skipping the augmented run")
-        return
-
-    rows, errors = _evaluate_backends(backends, dataset, template, context, out, "-augmented")
-    _write_reports(
-        rows, out, dataset.fingerprint,
-        baselines=baseline_rows, title="Consistency report (augmented)",
-    )
-    print(f"augmented run finished -> {out}/report.md")
-    _exit_if_failed(errors)
+    _exit_if_failed(errors, baselines)
 
 
 def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, cache_dir, out_dir):
@@ -426,15 +432,18 @@ def scenarios(config, graph, scenario_path, specialists, prompt, backend_flags, 
 def report(config, dataset_path, results_paths, baseline_paths, title, out_dir):
     """Re-render the consistency report from stored results files."""
     dataset = _load_dataset(dataset_path, config)
-    rows = [compute_report(read_results(resolve_path(p)), dataset) for p in results_paths]
-    baselines = {name: compute_report(rs, dataset) for name, rs in _read_baselines(baseline_paths).items()} or None
+    results = {p: read_results(resolve_path(p)) for p in results_paths}
+    rows = [compute_report(results[p], dataset) for p in results_paths]
+    baselines = _read_baselines(baseline_paths)
+    baseline_rows = {rs.backend_id: compute_report(rs, dataset) for rs in baselines.values()} or None
     out = Path(out_dir)
     _make_dir(out)
     _write_reports(
         rows, out, dataset.fingerprint,
-        baselines=baselines, title=title or "Consistency report",
+        baselines=baseline_rows, title=title or "Consistency report",
     )
     print(f"wrote {out}/report.md and {out}/report.csv")
+    _exit_if_failed(0, {**results, **baselines})
 
 
 def _parser(prog: str | None) -> argparse.ArgumentParser:

@@ -22,11 +22,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .answers import Answer
 from .errors import INTEGER, LIST, OBJECT, STRING, STRINGS, TEXT, one_of, optional, read_fields
@@ -56,9 +56,8 @@ class ClusterType(str, Enum):
     PROPERTY_INHERITANCE = "property_inheritance"
 
 
-@dataclass(frozen=True)
-class QuestionCluster:
-    """One knowledge item probed through several phrasings.
+class QuestionCluster(NamedTuple):
+    """One knowledge item probed through several phrasings: an immutable tuple, which `_replace` copies.
 
     `questions[i]` asserts exactly what `statements[i]` states; the answer
     to every question in the cluster is `expected`.
@@ -119,18 +118,51 @@ _CONFIG_FIELDS = {f.name: optional(STRING if f.type == "str" else INTEGER, f.def
 
 @dataclass(frozen=True)
 class ClusterDataset:
-    """A generated dataset: its clusters, and the graph and config they came from.
-
-    Its consumers read the clusters as columns in dataset order, each built
-    on first read and kept with the dataset: per question `questions`,
-    `statements`, `expected` and `question_keys`, per cluster `cluster_ids`
-    and `cluster_types`. The fingerprint and the answer key are kept too.
-    """
+    """A generated dataset: the graph and config it came from, then columns
+    in dataset order, with no object per cluster for the collector to track.
+    Per cluster: id, type, expected answer, source, target, path (None but
+    on path clusters) and question count; per question: text and statement.
+    Built on first read and kept: the per-question `expected` and
+    `question_keys`, the fingerprint and the answer key."""
 
     version: str
     graph_fingerprint: str
     config: GenerationConfig
-    clusters: tuple[QuestionCluster, ...]
+    cluster_ids: tuple[str, ...]
+    cluster_types: tuple[ClusterType, ...]
+    cluster_expected: tuple[Answer, ...]
+    sources: tuple[ConceptId, ...]
+    targets: tuple[ConceptId, ...]
+    paths: tuple[tuple[ConceptId, ...] | None, ...]
+    question_counts: tuple[int, ...]
+    questions: tuple[str, ...]
+    statements: tuple[str, ...]
+
+    @classmethod
+    def from_clusters(cls, graph_fingerprint: str, config: GenerationConfig,
+                      clusters: Iterable[QuestionCluster]) -> ClusterDataset:
+        """The dataset of `clusters`; SchemaViolation for two clusters with one id, for a cluster whose
+        statements do not parallel its questions (it would misplace every later statement), and for a
+        question with two expected answers."""
+        ids, types, expected, sources, targets, questions, statements, paths = [*zip(*clusters)] or [()] * 8
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+        if dupes:
+            raise SchemaViolation(f"duplicate cluster ids: {dupes}")
+        counts = tuple(map(len, questions))
+        if counts != tuple(map(len, statements)):
+            cid = next(i for i, q, s in zip(ids, questions, statements) if len(q) != len(s))
+            raise SchemaViolation(f"dataset cluster {cid!r}: statements must parallel its questions")
+        dataset = cls(DATASET_FORMAT_VERSION, graph_fingerprint, config, ids, types, expected, sources, targets,
+                      paths, counts, tuple(chain.from_iterable(questions)), tuple(chain.from_iterable(statements)))
+        dataset._answer_key  # refuses a question with two expected answers, and keeps the key
+        return dataset
+
+    @property
+    def clusters(self) -> tuple[QuestionCluster, ...]:
+        """The clusters as `QuestionCluster`s: a new tuple of new clusters on each read."""
+        counts = self.question_counts
+        return tuple(map(QuestionCluster, self.cluster_ids, self.cluster_types, self.cluster_expected, self.sources,
+                         self.targets, _grouped(self.questions, counts), _grouped(self.statements, counts), self.paths))
 
     @cached_property
     def fingerprint(self) -> str:
@@ -138,61 +170,40 @@ class ClusterDataset:
         sha256 of the compact JSON of its fields (sorted keys, no spaces,
         ASCII escapes), fed to the hash one cluster at a time."""
         sha = hashlib.sha256(b'{"clusters":[')
-        for cluster in _encoded_clusters(self.clusters, _COMPACT):
+        for cluster in _encoded_clusters(self, _COMPACT):
             sha.update(cluster.encode())
         sha.update(("]," + canonical_json(_other_fields(self))[1:]).encode())
         return sha.hexdigest()
 
     @cached_property
-    def cluster_ids(self) -> tuple[str, ...]:
-        """Each cluster's id."""
-        return tuple(c.id for c in self.clusters)
-
-    @cached_property
-    def cluster_types(self) -> tuple[ClusterType, ...]:
-        """Each cluster's type."""
-        return tuple(c.type for c in self.clusters)
-
-    @cached_property
     def question_keys(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """Each question's cluster id and its index in its cluster, as two
         columns: the keys a result set's answers carry."""
-        sizes = [len(c.questions) for c in self.clusters]
+        counts = self.question_counts
         return (
-            tuple(chain.from_iterable(map(repeat, self.cluster_ids, sizes))),
-            tuple(chain.from_iterable(map(range, sizes))),
+            tuple(chain.from_iterable(map(repeat, self.cluster_ids, counts))),
+            tuple(chain.from_iterable(map(range, counts))),
         )
-
-    @cached_property
-    def questions(self) -> tuple[str, ...]:
-        """Each question's text."""
-        return tuple(chain.from_iterable(c.questions for c in self.clusters))
 
     @cached_property
     def expected(self) -> tuple[Answer, ...]:
         """Each question's expected answer: its cluster's."""
-        return tuple(chain.from_iterable(repeat(c.expected, len(c.questions)) for c in self.clusters))
-
-    @cached_property
-    def statements(self) -> tuple[str, ...]:
-        """Each question's statement; SchemaViolation for a cluster whose
-        statements do not parallel its questions, which would misplace
-        every later statement."""
-        for c in self.clusters:
-            if len(c.statements) != len(c.questions):
-                raise SchemaViolation(f"dataset cluster {c.id!r}: statements must parallel its questions")
-        return tuple(chain.from_iterable(c.statements for c in self.clusters))
+        return tuple(chain.from_iterable(map(repeat, self.cluster_expected, self.question_counts)))
 
     @cached_property
     def _answer_key(self) -> dict[str, str]:
         """`answer_key`'s mapping, built once; shared only with `PerfectOracle`, which never changes it."""
-        clusters = self.clusters
-        return answer_table(self.cluster_ids, [c.expected for c in clusters], [c.questions for c in clusters])
+        return answer_table(self.cluster_ids, self.cluster_expected, [*_grouped(self.questions, self.question_counts)])
 
     def answer_key(self) -> dict[str, str]:
         """Each question's one expected answer, "yes" or "no", by
         `answer_table`: a new copy on each call, so that a caller may change it."""
         return self._answer_key.copy()
+
+
+def _grouped(column: tuple[str, ...], counts: Iterable[int]) -> Iterator[tuple[str, ...]]:
+    """`column` cut into consecutive slices of `counts` items (a slice costs less than a tuple built by `islice`)."""
+    return (column[start:end] for start, end in pairwise(accumulate(counts, initial=0)))
 
 
 def answer_table(
@@ -476,16 +487,6 @@ def gen_property_clusters(
     return clusters
 
 
-def _checked_dataset(fingerprint: str, config: GenerationConfig, clusters: tuple) -> ClusterDataset:
-    """The dataset of `clusters`, once no two share an id and no question has two expected answers."""
-    dupes = sorted(i for i, n in Counter(c.id for c in clusters).items() if n > 1)
-    if dupes:
-        raise SchemaViolation(f"duplicate cluster ids: {dupes}")
-    dataset = ClusterDataset(DATASET_FORMAT_VERSION, fingerprint, config, clusters)
-    dataset._answer_key  # refuses a question with two expected answers, and keeps the key
-    return dataset
-
-
 def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDataset:
     """Run all five generators and bind the result to the graph fingerprint."""
     config.validate()
@@ -496,7 +497,7 @@ def generate_dataset(graph: ConceptGraph, config: GenerationConfig) -> ClusterDa
     clusters += gen_negative_clusters(graph, closure, config)
     clusters += gen_path_clusters(graph, closure, config)
     clusters += gen_property_clusters(graph, closure, config)
-    return _checked_dataset(graph.fingerprint, config, tuple(clusters))
+    return ClusterDataset.from_clusters(graph.fingerprint, config, clusters)
 
 
 # --- dataset file format ----------------------------------------------------
@@ -518,22 +519,27 @@ _COMPACT = (
     ",", '%s{"expected":%s,"id":%s,%s"questions":%s,"source":%s,"statements":%s,"target":%s,"type":%s}',
     '"path":%s,', "[", ",", "]",
 )
+# Each type and expected answer quoted once: an Enum's `value` costs more to read than a dict lookup.
+_QUOTED = {member: quote(member.value) for member in (*ClusterType, Answer.YES, Answer.NO)}
 
 
-def _encoded_clusters(clusters: tuple[QuestionCluster, ...], layout: tuple[str, ...]) -> Iterator[str]:
-    """Each cluster in `layout`, after its separator, with every string
-    quoted by the C escaping json.dumps itself uses (`encode_basestring_ascii`)."""
+def _encoded_clusters(dataset: ClusterDataset, layout: tuple[str, ...]) -> Iterator[str]:
+    """Each cluster of the dataset in `layout`, after its separator, with every
+    string quoted by the C escaping json.dumps itself uses (`encode_basestring_ascii`)."""
     between, template, path_entry, opened, comma, closed = layout
 
     def strings(items: tuple[str, ...]) -> str:
         return opened + comma.join(map(quote, items)) + closed if items else "[]"
 
+    counts = dataset.question_counts
     separator = ""
-    for c in clusters:
+    for cid, kind, expected, source, target, path, questions, statements in zip(
+        dataset.cluster_ids, dataset.cluster_types, dataset.cluster_expected, dataset.sources, dataset.targets,
+        dataset.paths, _grouped(dataset.questions, counts), _grouped(dataset.statements, counts),
+    ):
         yield template % (
-            separator, quote(c.expected.value), quote(c.id),
-            "" if c.path is None else path_entry % strings(c.path), strings(c.questions), quote(c.source),
-            strings(c.statements), quote(c.target), quote(c.type.value),
+            separator, _QUOTED[expected], quote(cid), "" if path is None else path_entry % strings(path),
+            strings(questions), quote(source), strings(statements), quote(target), _QUOTED[kind],
         )
         separator = between
 
@@ -574,7 +580,7 @@ def _cluster_from_dict(entry: object) -> QuestionCluster:
 def dataset_from_dict(data: object) -> ClusterDataset:
     _, fingerprint, config, clusters_raw = read_fields(data, _DATASET_FIELDS, "dataset file")
     config = GenerationConfig.from_dict(config, "dataset config")
-    return _checked_dataset(fingerprint, config, tuple(map(_cluster_from_dict, clusters_raw)))
+    return ClusterDataset.from_clusters(fingerprint, config, map(_cluster_from_dict, clusters_raw))
 
 
 def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:
@@ -584,9 +590,9 @@ def write_dataset(dataset: ClusterDataset, path: str | Path) -> None:
     Each cluster is written as it is encoded, so the file's text is never
     held whole.
     """
-    opened, closed = ("[\n    ", "\n  ]") if dataset.clusters else ("[", "]")
+    opened, closed = ("[\n    ", "\n  ]") if dataset.cluster_ids else ("[", "]")
     others = json.dumps(_other_fields(dataset), indent=2, sort_keys=True)[1:]
-    clusters = _encoded_clusters(dataset.clusters, _INDENTED)
+    clusters = _encoded_clusters(dataset, _INDENTED)
     write_text(path, chain(['{\n  "clusters": ', opened], clusters, [closed, ",", others, "\n"]))
 
 

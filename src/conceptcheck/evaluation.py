@@ -291,7 +291,7 @@ def evaluate_dataset(
     and an exception other than a `ConceptCheckError` stops new calls and
     reaches the caller. A context built from another dataset is refused by
     `check_context` before any question is asked. The questions and their
-    expected answers are the dataset's cached columns. The result set's
+    expected answers are the dataset's columns. The result set's
     cluster id and question index columns are the dataset's
     `question_keys`, and the other four are `ask_and_judge`'s.
     """
@@ -361,7 +361,7 @@ def report_from_verdicts(backend_id: str, verdicts: dict[str, Verdict], dataset:
     """Tally each cluster's verdict by report group; MismatchedDataset names
     the first cluster, in dataset order, that `verdicts` has none for.
 
-    One `Counter` counts the (type, verdict) pairs over the dataset's cached
+    One `Counter` counts the (type, verdict) pairs over the dataset's
     columns, so the work per cluster is done in C; ids beyond the dataset's
     are ignored.
     """
@@ -466,7 +466,7 @@ def build_context(
     four statements join when no backend got the whole cluster right.
     Statements keep dataset order with repeats dropped, and the source
     clusters are those that gave one. They are picked from the dataset's
-    cached columns by C calls alone, with no Python step per question or
+    columns by C calls alone, with no Python step per question or
     cluster once each result set's `verdicts` exist (cluster granularity
     reads them).
     """

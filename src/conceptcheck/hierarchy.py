@@ -310,23 +310,6 @@ def is_subconcept(
     return ancestor in closure.ancestor_sets[candidate]
 
 
-def inherited_properties(
-    graph: ConceptGraph,
-    closure: DeductiveClosure,
-    concept: ConceptId,
-) -> list[PropertyAssertion]:
-    """Assertions on the concept itself and on every ancestor.
-
-    The assertion's `subject` tells which ancestor each one came from; an
-    assertion reachable along several paths appears once.
-    """
-    if concept not in graph:
-        raise UnknownConcept(concept)
-    holders = {concept} | set(closure.ancestors(concept))
-    hits = {p for p in graph.properties if p.subject in holders}
-    return sorted(hits, key=lambda p: (p.property, p.value, p.subject))
-
-
 def unrelated_pairs(
     graph: ConceptGraph,
     closure: DeductiveClosure,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -946,6 +947,62 @@ def test_report_pairs_a_lone_baseline_with_every_row_as_augment_does(runner, tmp
     )
     for side in ("aug", "report"):
         assert (tmp_path / side / "report.md").read_text().splitlines()[-1].endswith("| 79.28 |")
+
+
+def test_the_quickstart_reads_dataset_columns_and_never_builds_clusters(runner, tmp_path):
+    # `ClusterDataset.clusters` builds an object per cluster; the library itself reads only columns.
+    def refused(dataset):
+        raise AssertionError("ClusterDataset.clusters was read")
+
+    noisy = '{"kind": "noisy", "flip_probability": 0.3, "seed": 7}'
+    dataset_file, base = tmp_path / "dataset.json", tmp_path / "base"
+    baseline = base / "results-noisy-p0.3-s7.jsonl"
+    with patch.object(cc.ClusterDataset, "clusters", property(refused)):
+        run(runner, "generate", "--graph", GRAPH, "--seed", 1, "--negative-count", 66, "--out", dataset_file)
+        run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH,
+            "--backend", '{"kind": "perfect"}', "--backend", noisy, "--out-dir", base)
+        run(runner, "augment", "--dataset", dataset_file, "--graph", GRAPH, "--baseline", baseline,
+            "--out-dir", tmp_path / "aug")
+        run(runner, "report", "--dataset", dataset_file, "--results", base / "results-perfect.jsonl",
+            "--results", baseline, "--baseline", baseline, "--out-dir", tmp_path / "report")
+        dataset, results = cc.read_dataset(dataset_file), cc.read_results(baseline)
+        for granularity in ("question", "cluster"):
+            cc.build_context([results], dataset, granularity=granularity)
+        cc.compute_report(results, dataset)
+
+
+def _with_failed_calls(results: cc.ResultSet) -> cc.ResultSet:
+    """`results` with every 10th answer a failed call, recorded as `ask_and_judge` records one."""
+    failed = set(range(0, len(results.raws), 10))
+    raws, normalized, correct, error = zip(*(
+        ("", cc.Answer.OTHER, 0, 1) if n in failed else column
+        for n, column in enumerate(zip(results.raws, results.normalized, results.correct, results.error))
+    ))
+    return dataclasses.replace(results, raws=raws, normalized=normalized, correct=bytes(correct), error=bytes(error))
+
+
+@pytest.mark.parametrize("command, flag", [("report", "--results"), ("report", "--baseline"), ("augment", "--baseline")])
+def test_a_stored_result_set_with_failed_calls_warns_and_exits_1(runner, tmp_path, dataset_file, command, flag):
+    run(runner, "evaluate", "--dataset", dataset_file, "--graph", GRAPH, "--out-dir", tmp_path / "eval")
+    perfect = tmp_path / "eval" / "results-perfect.jsonl"
+    failed = tmp_path / "failed.jsonl"
+    cc.write_results(_with_failed_calls(cc.read_results(perfect)), failed)
+    inputs = {
+        ("report", "--results"): ["--results", failed],
+        ("report", "--baseline"): ["--results", perfect, "--baseline", failed],
+        ("augment", "--baseline"): ["--graph", GRAPH, "--baseline", failed],
+    }[command, flag]
+    out = tmp_path / "out"
+    result = run(runner, command, "--dataset", dataset_file, *inputs, "--out-dir", out, code=1)
+    assert result.stderr == f"warning: {failed} holds 45 failed backend call(s), scored as wrong answers\n"
+    # The outputs are written as before: a failed call counts as a wrong answer, so 45 of the
+    # 111 clusters are inconsistent, or the perfect run improves on the baseline by as many.
+    assert (out / "report.md").read_text().splitlines()[-1].endswith("| 40.54 |")
+    if command == "augment":
+        assert len(cc.load_context(out / "context.json").statements) == 45
+    clean = run(runner, command, "--dataset", dataset_file, *[perfect if a == failed else a for a in inputs],
+                "--out-dir", tmp_path / "clean")
+    assert clean.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["augment", "report"])

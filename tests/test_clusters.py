@@ -397,7 +397,9 @@ def test_dataset_fingerprint_tracks_content(tmp_path, medical_dataset, medical_g
     path = tmp_path / "dataset.json"
     cc.write_dataset(medical_dataset, path)
     assert cc.dataset_fingerprint(cc.read_dataset(path)) == fp
-    smaller = dataclasses.replace(medical_dataset, clusters=medical_dataset.clusters[:-1])
+    smaller = cc.ClusterDataset.from_clusters(
+        medical_dataset.graph_fingerprint, medical_dataset.config, medical_dataset.clusters[:-1]
+    )
     assert cc.dataset_fingerprint(smaller) != fp
 
 

@@ -208,9 +208,9 @@ def test_evaluate_concurrent_backend_preserves_order(medical_dataset, medical_cl
 def test_evaluate_more_workers_than_questions(chain, template):
     _, closure, dataset = chain
     first = dataset.clusters[0]
-    small = dataclasses.replace(dataset, clusters=(
-        dataclasses.replace(first, questions=first.questions[:3], statements=first.statements[:3]),
-    ))
+    small = cc.ClusterDataset.from_clusters(dataset.graph_fingerprint, dataset.config, [
+        first._replace(questions=first.questions[:3], statements=first.statements[:3]),
+    ])
     backend = Jittery(cc.PerfectOracle(closure, dataset))
     assert backend.concurrency == 8
     rs = cc.evaluate_dataset(small, backend, template)
@@ -267,14 +267,15 @@ def test_ask_and_judge_gives_the_records_of_a_reference_loop(concurrency, answer
 
 
 def replayed_dataset(expected: list) -> cc.ClusterDataset:
-    """Questions "q0", "q1", ... in clusters of up to four, each cluster expecting
-    the answer that `expected` holds for its first question."""
-    clusters = [
-        cc.QuestionCluster(f"c{start // 4}", cc.ClusterType.POSITIVE_EDGE, expected[start], "s", "t",
-                           tuple(f"q{i}" for i in range(start, min(start + 4, len(expected)))), ())
-        for start in range(0, len(expected), 4)
-    ]
-    return cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(clusters))
+    """Questions "q0", "q1", ... with statements "s0", "s1", ... in clusters of
+    up to four, each cluster expecting the answer that `expected` holds for
+    its first question."""
+    clusters = []
+    for start in range(0, len(expected), 4):
+        numbers = range(start, min(start + 4, len(expected)))
+        clusters.append(cc.QuestionCluster(f"c{start // 4}", cc.ClusterType.POSITIVE_EDGE, expected[start], "s", "t",
+                                           tuple(f"q{i}" for i in numbers), tuple(f"s{i}" for i in numbers)))
+    return cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), clusters)
 
 
 @pytest.mark.parametrize("concurrency", [1, 3])
@@ -331,6 +332,27 @@ def test_evaluating_and_reading_track_no_object_per_answer(tmp_path, concurrency
         )
     assert growth[1_000] == growth[8_000]
     assert max(growth[8_000]) < 50
+
+
+def test_generating_and_reading_a_dataset_track_no_object_per_cluster(tmp_path):
+    config = cc.GenerationConfig()
+    growth = {}
+    for leaves in (333, 2_666):
+        # A star under a root with a property gives three clusters per leaf; a -> b -> c adds a path cluster.
+        edges = [*((f"leaf-{n:04d}", "root") for n in range(leaves)), ("a", "b"), ("b", "c")]
+        graph = make_graph(edges, properties=[("root", "colour", "red")])
+        path = tmp_path / f"dataset-{leaves}.json"
+        # A first run builds the graph's cached maps and the question renderers.
+        dataset = cc.generate_dataset(graph, config)
+        cc.write_dataset(dataset, path)
+        cc.read_dataset(path)
+        growth[len(dataset.cluster_ids)] = (
+            _tracked_growth(lambda: cc.generate_dataset(graph, config)),
+            _tracked_growth(lambda: cc.read_dataset(path)),
+        )
+    assert [*growth] == [1_004, 8_003]
+    assert growth[1_004] == growth[8_003]
+    assert max(growth[8_003]) < 50
 
 
 def test_evaluate_passes_context_to_prompts(medical_dataset, medical_closure, template):
@@ -557,7 +579,7 @@ def test_dataset_is_serialized_for_its_fingerprint_at_most_once(medical_graph, m
         cc.build_context([rs], dataset)
         for _ in range(3):
             cc.compute_report(rs, dataset)
-    assert [call.args for call in encode.call_args_list] == [(dataset.clusters, clusters._COMPACT)]
+    assert [call.args for call in encode.call_args_list] == [(dataset, clusters._COMPACT)]
 
 
 def test_answer_key_is_built_once_per_dataset_and_a_changed_copy_changes_nothing(
@@ -597,7 +619,7 @@ def hand_datasets(draw) -> cc.ClusterDataset:
             f"c{n}", draw(st.sampled_from(cc.ClusterType)), draw(YES_NO), "s", "t",
             tuple(f"q{n}.{i}" for i in range(len(statements))), tuple(statements),
         ))
-    return cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(clusters))
+    return cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), clusters)
 
 
 def flagged(dataset: cc.ClusterDataset, name: str, correct: list[bool] | bytes) -> cc.ResultSet:
@@ -662,7 +684,7 @@ def test_reports_and_contexts_take_no_python_step_per_cluster():
     calls = {}
     for size in (1_000, 8_000):
         types = [*cc.ClusterType]
-        dataset = cc.ClusterDataset("1", "g", cc.GenerationConfig(), tuple(
+        dataset = cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), (
             cc.QuestionCluster(f"c{n}", types[n % len(types)], cc.Answer.YES, "s", "t",
                                tuple(f"q{n}.{i}" for i in range(4)), tuple(f"s{n % 50}.{i}" for i in range(4)))
             for n in range(size)
@@ -780,14 +802,13 @@ def test_build_context_validation(chain, medical_dataset, template):
         cc.build_context([rs], medical_dataset)
     with pytest.raises(cc.SchemaViolation):
         cc.build_context([rs], dataset, granularity="paragraph")
-    # A cluster whose statements do not parallel its questions would misplace every later statement.
-    uneven = dataclasses.replace(dataset, clusters=(
-        dataclasses.replace(dataset.clusters[0], statements=dataset.clusters[0].statements[1:]), *dataset.clusters[1:]
-    ))
-    perfect = cc.ResultSet(rs.backend_id, uneven.fingerprint, "p", None, *uneven.question_keys,
-                           rs.raws, rs.normalized, rs.correct, rs.error)
+    # A cluster whose statements do not parallel its questions would misplace every later statement,
+    # so no dataset holds one.
+    first, *rest = dataset.clusters
     with pytest.raises(cc.SchemaViolation, match=r"^dataset cluster '.*': statements must parallel its questions$"):
-        cc.build_context([perfect], uneven)
+        cc.ClusterDataset.from_clusters(
+            dataset.graph_fingerprint, dataset.config, [first._replace(statements=first.statements[1:]), *rest]
+        )
 
 
 def test_perfect_baseline_produces_empty_context(chain, template):

@@ -216,40 +216,6 @@ def test_is_subconcept_unknown_concept(medical_closure):
         cc.is_subconcept(medical_closure, "ghost", "surgeon")
 
 
-# --- inherited properties ---------------------------------------------------
-
-
-def test_inherited_properties_walks_every_ancestor(medical_graph, medical_closure):
-    inherited = cc.inherited_properties(medical_graph, medical_closure, "orthopedic-pediatric-surgeon")
-    assert {(p.subject, p.value) for p in inherited} == {
-        ("surgeon", "surgery"),
-        ("pediatrician", "pediatrics"),
-        ("orthopedian", "orthopedics"),
-        ("pediatric-surgeon", "pediatric surgery"),
-        ("orthopedic-surgeon", "orthopedic surgery"),
-    }
-    assert all(p.property == "field of occupation" for p in inherited)
-
-
-def test_inherited_properties_includes_own_assertions(medical_graph, medical_closure):
-    own = cc.inherited_properties(medical_graph, medical_closure, "surgeon")
-    assert [(p.subject, p.value) for p in own] == [("surgeon", "surgery")]
-
-
-def test_inherited_properties_deduplicates_diamond():
-    # d -> b -> a and d -> c -> a: the assertion on a must appear once.
-    g = make_graph([("b", "a"), ("c", "a"), ("d", "b"), ("d", "c")], properties=[("a", "p", "v")])
-    closure = cc.deductive_closure(g)
-    assert cc.inherited_properties(g, closure, "d") == [
-        cc.PropertyAssertion(subject="a", property="p", value="v")
-    ]
-
-
-def test_inherited_properties_unknown_concept(medical_graph, medical_closure):
-    with pytest.raises(cc.UnknownConcept):
-        cc.inherited_properties(medical_graph, medical_closure, "ghost")
-
-
 # --- unrelated pairs --------------------------------------------------------
 
 

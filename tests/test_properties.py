@@ -3,12 +3,13 @@ path count match the brute-force oracles on random DAGs with same-as links,
 a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
-answer, a consistent relabelling changes no verdict tally, the form table
-renders questions and statements as the hand-written functions do,
-every generated question is paired with its own statement, a generated
-dataset either is refused or gives the perfect oracle an all-consistent
-row, and a fragment extracted from a random dump matches the
-claim-walking oracle."""
+answer, a consistent relabelling changes no verdict tally, the union of
+two disjoint graphs unites their clusters and adds their tallies, the
+form table renders questions and statements as the hand-written
+functions do, every generated question is paired with its own statement,
+a generated dataset either is refused or gives the perfect oracle an
+all-consistent row, and a fragment extracted from a random dump matches
+the claim-walking oracle."""
 
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ import ast
 import random
 import re
 import warnings
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple
+from operator import add
 from unittest.mock import patch
 
 import pytest
@@ -197,12 +200,11 @@ def test_shuffling_the_questions_leaves_every_noisy_answer_unchanged(dag, seed, 
     for i in order:
         cluster = dataset.clusters[i]
         within = data.draw(st.permutations(range(len(cluster.questions))), label="question order")
-        shuffled_clusters.append(replace(
-            cluster,
+        shuffled_clusters.append(cluster._replace(
             questions=tuple(cluster.questions[j] for j in within),
             statements=tuple(cluster.statements[j] for j in within),
         ))
-    shuffled = replace(dataset, clusters=tuple(shuffled_clusters))
+    shuffled = cc.ClusterDataset.from_clusters(dataset.graph_fingerprint, dataset.config, shuffled_clusters)
     closure = cc.deductive_closure(graph)
     template = cc.PromptTemplate(preamble="")
 
@@ -385,6 +387,47 @@ def test_a_consistent_relabelling_leaves_the_verdict_tallies_unchanged(seed, sty
         assert replay.setdefault(question, record.raw) == record.raw
     replayed = cc.evaluate_dataset(relabelled, cc.ScriptedBackend(replay, id=noisy.id), template)
     assert cc.compute_report(replayed, relabelled) == cc.compute_report(answered, original)
+
+
+@CHECK
+@given(
+    seed=st.integers(0, 10_000), style=styles, p=st.sampled_from((0.0, 0.3, 1.0)), min_len=st.integers(1, 3),
+    granularity=st.sampled_from(clusters.PATH_GRANULARITIES),
+)
+def test_the_union_of_two_disjoint_graphs_unites_their_clusters_and_adds_their_tallies(
+    seed, style, p, min_len, granularity
+):
+    rng = random.Random(seed)
+
+    def part(prefix):
+        """A random DAG with properties, whose ids and labels all start with `prefix`."""
+        nodes, edges = random_dag(rng, max_nodes=9, edge_prob=0.3)
+        properties = {
+            cc.PropertyAssertion(prefix + rng.choice(nodes), "colour", rng.choice(("red", "blue"))) for _ in range(3)
+        }
+        concepts = [cc.Concept(prefix + n, f"{prefix} {n}") for n in nodes]
+        return concepts, {(prefix + a, prefix + b) for a, b in edges}, properties
+
+    (first, first_edges, first_properties), (second, second_edges, second_properties) = part("x"), part("y")
+    graphs = (
+        cc.build_graph(first, first_edges, first_properties),
+        cc.build_graph(second, second_edges, second_properties),
+        cc.build_graph(first + second, first_edges | second_edges, first_properties | second_properties),
+    )
+    # No negatives: sampling draws from every component, so it would couple the two parts.
+    config = cc.GenerationConfig(min_path_len=min_len, article_style=style, path_granularity=granularity)
+    template = cc.PromptTemplate(preamble="")
+
+    def generated(graph):
+        dataset = cc.generate_dataset(graph, config)
+        noisy = cc.NoisyOracle(cc.deductive_closure(graph), dataset, flip_probability=p, seed=seed)
+        return dataset, cc.compute_report(cc.evaluate_dataset(dataset, noisy, template), dataset)
+
+    (first_dataset, first_row), (second_dataset, second_row), (union, union_row) = map(generated, graphs)
+    assert Counter(union.clusters) == Counter(first_dataset.clusters) + Counter(second_dataset.clusters)
+    for group in ("edges", "paths", "property", "all"):
+        counts = (astuple(getattr(row, group)) for row in (first_row, second_row))
+        assert astuple(getattr(union_row, group)) == tuple(map(add, *counts))
 
 
 @CHECK

@@ -123,7 +123,7 @@ def test_dataset_file_round_trips_and_fingerprint_matches_formula(
 def test_dataset_file_holds_empty_lists_as_the_encoder_writes_them(tmp_path):
     # No generator makes an empty list; a dataset built by hand may hold one.
     cluster = cc.QuestionCluster("c", cc.ClusterType.PATH, cc.Answer.YES, "a", "b", (), (), ())
-    dataset = cc.ClusterDataset("1", "g", cc.GenerationConfig(), (cluster,))
+    dataset = cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), (cluster,))
     cc.write_dataset(dataset, tmp_path / "d.json")
     assert (tmp_path / "d.json").read_bytes() == dataset_file_by_hand(dataset)
     assert dataset.fingerprint == fingerprint_by_hand(dataset_to_dict(dataset))
