@@ -19,6 +19,7 @@ import re
 import threading
 import time
 import weakref
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .clusters import ClusterDataset
@@ -80,6 +81,8 @@ class ResponseCache:
 
     @staticmethod
     def key(model: str, prompt: str, question: str) -> str:
+        """The key of a response: the `digest` of {model, prompt, question}.
+        `RemoteBackend` computes the same key with each prefix hashed once."""
         return digest({"model": model, "prompt": prompt, "question": question})
 
     def _catch_up(self) -> None:
@@ -155,7 +158,8 @@ class Backend:
     `prefix` is the `render_prefix` text above the question: the preamble,
     few-shots and context. Every question of one context gets the same
     string object; a backend that needs the full prompt builds it with
-    `prompt_with_prefix(prefix, question)`, as `RemoteBackend` does.
+    `prompt_with_prefix(prefix, question)` only where it uses it, as
+    `RemoteBackend` does to post it.
 
     A backend may set `concurrency` above one to tell the evaluation loop
     how many questions it can absorb in flight; `answer` must then be
@@ -264,8 +268,11 @@ class RemoteBackend(Backend):
     replayability. Responses are cached on disk when a cache is attached,
     keyed by (model, prompt, question) only: neither `temperature` nor
     `max_tokens` is in the key, so a warm cache replays answers made under
-    other settings. Requests follow the retry policy of transport.JsonClient,
-    and a failure after the last retry raises NetworkError.
+    other settings. The key is `ResponseCache.key`'s, but the prefix is
+    escaped and hashed once per prefix, not once per question (see `_key`),
+    and the full prompt is joined only to post it. Requests follow the
+    retry policy of transport.JsonClient, and a failure after the last
+    retry raises NetworkError.
     """
 
     def __init__(
@@ -298,6 +305,8 @@ class RemoteBackend(Backend):
         self.concurrency = concurrency
         self.cache = cache
         self.id = id or f"remote-{model}"
+        self._key_lock = threading.Lock()
+        self._key_head = (None, None)  # (prefix, its hash state for `_key`), replaced whole
         headers = {}
         if auth_env is not None:
             token = os.environ.get(auth_env)
@@ -310,10 +319,33 @@ class RemoteBackend(Backend):
             backoff_base=backoff_base, backoff_cap=backoff_cap,
         )
 
+    def _key(self, question: str, prefix: str) -> str:
+        """`ResponseCache.key(self.model, prompt_with_prefix(prefix, question), question)`.
+
+        The JSON escape works one code point at a time, so the key's JSON
+        text is that of the model and the prefix, then that of the question
+        line and the question. The sha256 state fed the first part is kept
+        for the last prefix seen and copied per question, never updated, so
+        worker threads share it. Prefixes are compared with `!=`, which
+        answers at once for the one string object every question of a
+        context gets. A new prefix is hashed under a lock, so concurrent
+        questions hash it once.
+        """
+        seen, head = self._key_head
+        if seen != prefix:
+            with self._key_lock:
+                seen, head = self._key_head
+                if seen != prefix:
+                    head = hashlib.sha256(f'{{"model":{quote(self.model)},"prompt":{quote(prefix)[:-1]}'.encode())
+                    self._key_head = prefix, head
+        sha = head.copy()
+        quoted = quote(question)
+        sha.update(f'Q: {quoted[1:-1]}\\nA:","question":{quoted}}}'.encode())
+        return sha.hexdigest()
+
     def answer(self, question: str, prefix: str) -> str:
-        prompt = prompt_with_prefix(prefix, question)
         if self.cache is not None:
-            key = ResponseCache.key(self.model, prompt, question)
+            key = self._key(question, prefix)
             hit = self.cache.get(key)
             if hit is not None:
                 try:
@@ -322,7 +354,7 @@ class RemoteBackend(Backend):
                     log.warning("asking again: %s", exc)
         body = self._client.request(payload={
             "model": self.model,
-            "prompt": prompt,
+            "prompt": prompt_with_prefix(prefix, question),
             "max_tokens": self.max_tokens,
             "temperature": self.temperature,
         })

@@ -141,17 +141,18 @@ class ClusterDataset:
     @classmethod
     def from_clusters(cls, graph_fingerprint: str, config: GenerationConfig,
                       clusters: Iterable[QuestionCluster]) -> ClusterDataset:
-        """The dataset of `clusters`; SchemaViolation for two clusters with one id, for a cluster whose
-        statements do not parallel its questions (it would misplace every later statement), and for a
-        question with two expected answers."""
+        """The dataset of `clusters`; SchemaViolation for two clusters with one id, for a cluster with no
+        questions (it could get no verdict) or whose statements do not parallel its questions (it would
+        misplace every later statement), and for a question with two expected answers. The file reader
+        builds its dataset here, so it refuses what this refuses."""
         ids, types, expected, sources, targets, questions, statements, paths = [*zip(*clusters)] or [()] * 8
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         if dupes:
             raise SchemaViolation(f"duplicate cluster ids: {dupes}")
         counts = tuple(map(len, questions))
-        if counts != tuple(map(len, statements)):
-            cid = next(i for i, q, s in zip(ids, questions, statements) if len(q) != len(s))
-            raise SchemaViolation(f"dataset cluster {cid!r}: statements must parallel its questions")
+        if 0 in counts or counts != tuple(map(len, statements)):
+            cid = next(i for i, q, s in zip(ids, questions, statements) if not q or len(q) != len(s))
+            raise SchemaViolation(f"dataset cluster {cid!r}: statements must parallel a non-empty list of questions")
         dataset = cls(DATASET_FORMAT_VERSION, graph_fingerprint, config, ids, types, expected, sources, targets,
                       paths, counts, tuple(chain.from_iterable(questions)), tuple(chain.from_iterable(statements)))
         dataset._answer_key  # refuses a question with two expected answers, and keeps the key
@@ -569,8 +570,6 @@ def _cluster_from_dict(entry: object) -> QuestionCluster:
     cid, ctype, expected, source, target, questions, statements, path = read_fields(
         entry, _CLUSTER_FIELDS, "dataset cluster"
     )
-    if not questions or len(statements) != len(questions):
-        raise SchemaViolation(f"dataset cluster {cid!r}: statements must parallel a non-empty list of questions")
     path = tuple(path) if path is not None else None
     return QuestionCluster(
         cid, _CLUSTER_TYPES[ctype], _EXPECTED[expected], source, target, tuple(questions), tuple(statements), path

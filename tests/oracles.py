@@ -221,28 +221,30 @@ def render_prompt_by_joining(
     return "\n".join(parts)
 
 
+def cluster_to_dict(c) -> dict:
+    """A QuestionCluster as the JSON object a dataset file holds: every
+    field, with "path" only when it is not None."""
+    entry: dict = {
+        "id": c.id,
+        "type": c.type.value,
+        "expected": c.expected.value,
+        "source": c.source,
+        "target": c.target,
+        "questions": list(c.questions),
+        "statements": list(c.statements),
+    }
+    if c.path is not None:
+        entry["path"] = list(c.path)
+    return entry
+
+
 def dataset_to_dict(dataset) -> dict:
-    """A ClusterDataset as the JSON object its file and fingerprint encode:
-    every field, with "path" on path clusters only."""
-    clusters = []
-    for c in dataset.clusters:
-        entry: dict = {
-            "id": c.id,
-            "type": c.type.value,
-            "expected": c.expected.value,
-            "source": c.source,
-            "target": c.target,
-            "questions": list(c.questions),
-            "statements": list(c.statements),
-        }
-        if c.path is not None:
-            entry["path"] = list(c.path)
-        clusters.append(entry)
+    """A ClusterDataset as the JSON object its file and fingerprint encode."""
     return {
         "version": dataset.version,
         "graph_fingerprint": dataset.graph_fingerprint,
         "config": dataclasses.asdict(dataset.config),
-        "clusters": clusters,
+        "clusters": [cluster_to_dict(c) for c in dataset.clusters],
     }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import conceptcheck as cc
 from conceptcheck import backends
 from conceptcheck.backends import shared_cache
-from conceptcheck.evaluation import ask_and_judge
+from conceptcheck.evaluation import ask_and_judge, prompt_with_prefix
 from conftest import BARE_ANSWERS, bare_answers_in_noise
 from oracles import normalized_by_hand
 from stubserver import serving
@@ -594,6 +595,113 @@ def test_remote_backend_replays_an_augmented_cache_entry_without_requests(tmp_pa
     cc.ResponseCache(tmp_path).put(AUGMENTED_PROMPT_KEY, "No.")
     offline = cc.RemoteBackend("http://127.0.0.1:9/gone", "m", cache=cc.ResponseCache(tmp_path), retries=0)
     assert offline.answer("is a puppy a mammal ?", _augmented_prefix()) == "No."
+
+
+class KeyLog:
+    """A cache that answers every key it is asked for, and records the keys in order."""
+
+    def __init__(self):
+        self.keys: list[str] = []
+
+    def get(self, key: str) -> dict:
+        self.keys.append(key)
+        return {"raw": "yes"}
+
+
+# Quotes, backslashes, control characters, U+2028, non-ASCII, astral characters
+# and lone surrogates made likely; a prefix may end in a high surrogate and a
+# question start with a low one, so a pair straddles the two.
+key_text = st.text(st.one_of(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\x85\u2028é中\U0001f600\ud83d\ude00\udfff'), st.characters()
+))
+key_prefixes = st.tuples(key_text, st.sampled_from(("", "\ud83d"))).map("".join)
+key_questions = st.tuples(st.sampled_from(("", "\ude00")), key_text).map("".join)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    model=key_text,
+    prefixes=st.lists(key_prefixes, min_size=1, max_size=3),
+    questions=st.lists(key_questions, min_size=1, max_size=3),
+)
+def test_remote_backend_keys_each_question_as_the_documented_key(model, prefixes, questions):
+    log = KeyLog()
+    backend = cc.RemoteBackend("http://127.0.0.1:9/gone", model, cache=log, retries=0)
+    asked = [(question, prefix) for prefix in prefixes for question in questions]
+    for question, prefix in asked:
+        assert backend.answer(question, prefix) == "yes"
+    assert log.keys == [cc.ResponseCache.key(model, prompt_with_prefix(p, q), q) for q, p in asked]
+
+
+def counted_sha256(monkeypatch) -> list[int]:
+    """Make every sha256 from here on record the length of each input it is
+    fed, in the list returned, and hash it as before."""
+    fed: list[int] = []
+    real = hashlib.sha256
+
+    class Counted:
+        def __init__(self, data: bytes = b"", *, state=None):
+            self._sha = real() if state is None else state
+            self.update(data)
+
+        def update(self, data: bytes) -> None:
+            fed.append(len(data))
+            self._sha.update(data)
+
+        def copy(self) -> "Counted":
+            return Counted(state=self._sha.copy())
+
+        def hexdigest(self) -> str:
+            return self._sha.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counted)
+    return fed
+
+
+def _cached_answers(tmp_path, questions: list[str], prefixes: list[str]) -> cc.ResponseCache:
+    """A cache that holds each question itself as its answer below its prefix, under the documented key."""
+    cache = cc.ResponseCache(tmp_path)
+    for question, prefix in zip(questions, prefixes):
+        cache.put(cc.ResponseCache.key("m", prompt_with_prefix(prefix, question), question), question)
+    return cache
+
+
+def _ask_offline(cache: cc.ResponseCache, questions: list[str], prefixes: list[str], concurrency: int):
+    """The raw answers of a backend with no endpoint, so only cached keys answer. A
+    short switch interval makes concurrent workers interleave inside `answer`."""
+    backend = cc.RemoteBackend("http://127.0.0.1:9/gone", "m", cache=cache, retries=0, concurrency=concurrency)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        return ask_and_judge(questions, prefixes, [cc.Answer.YES] * len(questions), backend)[0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+CONTEXT_PREFIX = cc.render_prefix(
+    cc.PromptTemplate("Answer yes or no."), tuple(f"é {i} is a thing" for i in range(1000))
+)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_remote_backend_hashes_a_shared_prefix_once(tmp_path, monkeypatch, concurrency):
+    questions = [f"is é {i} a thing ?" for i in range(64)]
+    prefixes = [CONTEXT_PREFIX] * len(questions)  # one string object, as an augmented run hands it
+    cache = _cached_answers(tmp_path, questions, prefixes)
+    fed = counted_sha256(monkeypatch)
+    assert _ask_offline(cache, questions, prefixes, concurrency) == tuple(questions)
+    # Hashing each joined prompt would feed the escaped prefix 64 times.
+    escaped = len(json.dumps(CONTEXT_PREFIX))
+    assert escaped < sum(fed) < 2 * escaped
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_remote_backend_keys_questions_under_alternating_prefixes(tmp_path, concurrency):
+    # As scenario runs hand them: a few prefixes, where concurrent workers cross from one to the next.
+    questions = [f"is é {i} a thing ?" for i in range(64)]
+    prefixes = [(CONTEXT_PREFIX, "Answer yes or no.\n\n")[i % 2] for i in range(len(questions))]
+    cache = _cached_answers(tmp_path, questions, prefixes)
+    assert _ask_offline(cache, questions, prefixes, concurrency) == tuple(questions)
 
 
 def test_remote_evaluation_posts_each_joined_prompt(medical_dataset, template):

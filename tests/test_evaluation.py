@@ -611,10 +611,10 @@ STATEMENTS = st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"])
 
 @st.composite
 def hand_datasets(draw) -> cc.ClusterDataset:
-    """Up to 10 clusters of every type, each with 0 to 4 questions."""
+    """Up to 10 clusters of every type, each with 1 to 4 questions."""
     clusters = []
     for n in range(draw(st.integers(0, 10))):
-        statements = draw(st.lists(STATEMENTS, max_size=4))
+        statements = draw(st.lists(STATEMENTS, min_size=1, max_size=4))
         clusters.append(cc.QuestionCluster(
             f"c{n}", draw(st.sampled_from(cc.ClusterType)), draw(YES_NO), "s", "t",
             tuple(f"q{n}.{i}" for i in range(len(statements))), tuple(statements),
@@ -805,7 +805,8 @@ def test_build_context_validation(chain, medical_dataset, template):
     # A cluster whose statements do not parallel its questions would misplace every later statement,
     # so no dataset holds one.
     first, *rest = dataset.clusters
-    with pytest.raises(cc.SchemaViolation, match=r"^dataset cluster '.*': statements must parallel its questions$"):
+    refusal = r"^dataset cluster '.*': statements must parallel a non-empty list of questions$"
+    with pytest.raises(cc.SchemaViolation, match=refusal):
         cc.ClusterDataset.from_clusters(
             dataset.graph_fingerprint, dataset.config, [first._replace(statements=first.statements[1:]), *rest]
         )

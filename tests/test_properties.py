@@ -4,7 +4,9 @@ a back edge is reported as a real cycle, prompts rendered from a shared
 prefix match the joined-lines renderer, an isolated concept changes no
 edge, path or property cluster, the question order changes no noisy
 answer, a consistent relabelling changes no verdict tally, the union of
-two disjoint graphs unites their clusters and adds their tallies, the
+two disjoint graphs unites their clusters and adds their tallies, a
+backend giving the other answer of each question swaps the consistent and
+incomplete verdicts and tallies and misses what the original got right, the
 form table renders questions and statements as the hand-written
 functions do, every generated question is paired with its own statement,
 a generated dataset either is refused or gives the perfect oracle an
@@ -428,6 +430,39 @@ def test_the_union_of_two_disjoint_graphs_unites_their_clusters_and_adds_their_t
     for group in ("edges", "paths", "property", "all"):
         counts = (astuple(getattr(row, group)) for row in (first_row, second_row))
         assert astuple(getattr(union_row, group)) == tuple(map(add, *counts))
+
+
+@CHECK
+@given(
+    seed=st.integers(0, 10_000), style=styles, p=st.sampled_from((0.0, 0.3, 0.5, 1.0)), negatives=st.integers(0, 4)
+)
+def test_a_negated_backend_swaps_consistent_and_incomplete_and_misses_what_the_original_got_right(
+    seed, style, p, negatives
+):
+    rng = random.Random(seed)
+    nodes, edges = random_dag(rng, max_nodes=9, edge_prob=0.3)
+    properties = {cc.PropertyAssertion(rng.choice(nodes), "colour", rng.choice(("red", "blue"))) for _ in range(3)}
+    graph = cc.build_graph([cc.Concept(n, n) for n in nodes], edges, properties)
+    config = cc.GenerationConfig(seed=seed, negative_count=negatives, min_distance=1, article_style=style)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cc.InsufficientPairsWarning)
+        dataset = cc.generate_dataset(graph, config)
+    noisy = cc.NoisyOracle(cc.deductive_closure(graph), dataset, flip_probability=p, seed=seed)
+    other = {"yes": "no", "no": "yes"}
+    negated = cc.ScriptedBackend({q: other[noisy.answer(q, "")] for q in dataset.questions}, id="negated")
+    template = cc.PromptTemplate(preamble="")
+    original, flipped = (cc.evaluate_dataset(dataset, backend, template) for backend in (noisy, negated))
+
+    V = cc.Verdict
+    swapped = {V.CONSISTENT: V.INCOMPLETE, V.INCONSISTENT: V.INCONSISTENT, V.INCOMPLETE: V.CONSISTENT}
+    assert flipped.verdicts == {cid: swapped[verdict] for cid, verdict in original.verdicts.items()}
+    row, flipped_row = (cc.compute_report(rs, dataset) for rs in (original, flipped))
+    for group in ("edges", "paths", "property", "all"):
+        tally, flipped_tally = getattr(row, group), getattr(flipped_row, group)
+        assert astuple(flipped_tally) == (tally.total, tally.incomplete, tally.inconsistent, tally.consistent)
+    # The negated run misses exactly the questions the original answered correctly.
+    right = (statement for statement, correct in zip(dataset.statements, original.correct) if correct)
+    assert cc.build_context([flipped], dataset).statements == tuple(dict.fromkeys(right))
 
 
 @CHECK

@@ -25,7 +25,14 @@ from conceptcheck import errors, evaluation
 from conceptcheck.evaluation import ask_and_judge, records_of
 from conceptcheck.hierarchy import _slug
 from conftest import REFUSED_JSON_VALUES
-from oracles import dataset_file_by_hand, dataset_to_dict, entity_dump_by_hand, fingerprint_by_hand, results_by_hand
+from oracles import (
+    cluster_to_dict,
+    dataset_file_by_hand,
+    dataset_to_dict,
+    entity_dump_by_hand,
+    fingerprint_by_hand,
+    results_by_hand,
+)
 
 CHECK = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -121,12 +128,53 @@ def test_dataset_file_round_trips_and_fingerprint_matches_formula(
 
 
 def test_dataset_file_holds_empty_lists_as_the_encoder_writes_them(tmp_path):
-    # No generator makes an empty list; a dataset built by hand may hold one.
-    cluster = cc.QuestionCluster("c", cc.ClusterType.PATH, cc.Answer.YES, "a", "b", (), (), ())
+    # No generator makes an empty path; a dataset built by hand may hold one.
+    cluster = cc.QuestionCluster("c", cc.ClusterType.PATH, cc.Answer.YES, "a", "b", ("is a b ?",), ("a is b",), ())
     dataset = cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), (cluster,))
     cc.write_dataset(dataset, tmp_path / "d.json")
     assert (tmp_path / "d.json").read_bytes() == dataset_file_by_hand(dataset)
     assert dataset.fingerprint == fingerprint_by_hand(dataset_to_dict(dataset))
+    assert cc.read_dataset(tmp_path / "d.json").clusters == (cluster,)
+
+
+# Few ids and questions, so two clusters often share one.
+CLUSTER_IDS = ("c", 'd "x"', "\u2028\ud800", "é", "\U0001f600", "f\\g", "h", "i")
+CLUSTER_QUESTIONS = (*(f"is {i} a x ?" for i in range(20)), 'is "é" a \\ ?', "\U0001f600\ud800")
+
+
+@st.composite
+def hand_built_clusters(draw) -> cc.QuestionCluster:
+    """A cluster as a caller may build one: no questions, statements that do
+    not parallel them, and an id or question another cluster has too, each
+    made likely."""
+    count = draw(st.sampled_from((0, 1, 2, 4, 4, 4)))
+    questions = draw(st.lists(st.sampled_from(CLUSTER_QUESTIONS), min_size=count, max_size=count))
+    parallel = draw(st.sampled_from((True, True, True, False)))
+    statements = draw(st.lists(text, min_size=count, max_size=count) if parallel else st.lists(text, max_size=4))
+    return cc.QuestionCluster(
+        draw(st.sampled_from(CLUSTER_IDS)), draw(st.sampled_from(cc.ClusterType)),
+        draw(st.sampled_from((cc.Answer.YES, cc.Answer.NO))), draw(text), draw(text), tuple(questions),
+        tuple(statements), draw(st.none() | st.lists(text, max_size=2).map(tuple)),
+    )
+
+
+@settings(CHECK, max_examples=100)
+@given(clusters=st.lists(hand_built_clusters(), max_size=4))
+def test_a_dataset_file_is_read_back_exactly_when_its_clusters_make_a_dataset(clusters, tmp_path_factory):
+    # The reader builds its dataset with `from_clusters`, so the two refuse alike,
+    # and what `from_clusters` accepts is written and read back byte for byte.
+    tmp = tmp_path_factory.mktemp("d")
+    by_hand = {"version": "1", "graph_fingerprint": "g", "config": {}, "clusters": list(map(cluster_to_dict, clusters))}
+    (tmp / "by-hand").write_text(json.dumps(by_hand), encoding="utf-8")
+    try:
+        dataset = cc.ClusterDataset.from_clusters("g", cc.GenerationConfig(), clusters)
+    except cc.SchemaViolation as exc:
+        with pytest.raises(cc.SchemaViolation, match=f"^{re.escape(str(exc))}$"):
+            cc.read_dataset(tmp / "by-hand")
+        return
+    first, second = _twice(cc.write_dataset, cc.read_dataset, dataset, tmp)
+    assert first == second == dataset_file_by_hand(dataset)
+    assert cc.read_dataset(tmp / "by-hand").fingerprint == dataset.fingerprint
 
 
 # Lone surrogates, U+2028, U+0085, NUL and DEL made likely too: an answer line
